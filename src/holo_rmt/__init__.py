@@ -17,8 +17,8 @@ from .geometry import (ArrayGeometry, WavenumberLattice, antenna_gain,
 from .montecarlo import (MiSampleSet, compute_mi, empirical_outage,
                          ks_statistic, model_digest, normalized_samples,
                          qq_data, qq_slope, run_mc, sample_channel, substream)
-from .solver import (DeltaSolution, Resolvents, build_d_matrices,
-                     compute_resolvents, delta_upper_bounds,
-                     self_consistency_residual, solve_deltas)
+from .solver import (DeltaSolution, Resolvents, compute_resolvents,
+                     delta_upper_bounds, self_consistency_residual,
+                     solve_deltas)
 
 __version__ = "0.1.0"

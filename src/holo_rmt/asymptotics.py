@@ -97,22 +97,21 @@ def build_b(model: ChannelModel, solution: DeltaSolution,
 
     With w_k = T a_k the quadratic forms reduce to column sums against
     |w|^2, and the Gamma double trace to Sigma^T |T|^2 Sigma, because T is
-    Hermitian.
+    Hermitian.  The LoS factors A = P Q^H give W = (T P) Q^H and
+    A^H T A = Q (P^H T P) Q^H; a centered channel (r = 0) gives Pi = Xi = 0.
     """
     m = model.dims[1]
     sigma = model.profile.matrix
     one_plus_sq = (1.0 + solution.delta) ** 2
     rho = solution.rho
+    p, q = model.los_factors
 
-    if np.any(model.los):
-        w = res.t_mat @ model.los                      # w[:, k] = T a_k
-        pi = (sigma.T @ (np.abs(w) ** 2)) / (m * one_plus_sq[None, :])
-        gram = model.los.conj().T @ w                  # a_j^H T a_k
-        xi = np.abs(gram) ** 2 / np.outer(one_plus_sq, one_plus_sq)
-        np.fill_diagonal(xi, 0.0)
-    else:
-        pi = np.zeros((m, m))
-        xi = np.zeros((m, m))
+    tp = res.t_mat @ p
+    w = tp @ q.conj().T                                # w[:, k] = T a_k
+    pi = (sigma.T @ (np.abs(w) ** 2)) / (m * one_plus_sq[None, :])
+    gram = q @ (p.conj().T @ tp) @ q.conj().T          # a_j^H T a_k
+    xi = np.abs(gram) ** 2 / np.outer(one_plus_sq, one_plus_sq)
+    np.fill_diagonal(xi, 0.0)
 
     gamma = sigma.T @ (np.abs(res.t_mat) ** 2) @ sigma / m ** 2
     gamma = 0.5 * (gamma + gamma.T)

@@ -271,6 +271,11 @@ class ChannelModel:
     where the mutual information is computed; ``zeta`` the effective noise
     parameter; ``rician_k`` the configured LoS/NLoS power ratio (0 when the
     model was built directly from a Weichselberger mean).
+
+    ``los_factors`` = (P, Q) is the thin factorization A = P Q^H from the
+    SVD that also gives ``los_norm``: Q has orthonormal columns and r =
+    P.shape[1] is the numerical rank of A (numpy's ``matrix_rank``
+    tolerance), 0 for a centered channel.  The factors are real when A is.
     """
 
     los: np.ndarray
@@ -278,6 +283,7 @@ class ChannelModel:
     zeta: float
     rician_k: float = 0.0
     los_norm: float = field(init=False)
+    los_factors: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.los)
@@ -290,11 +296,19 @@ class ChannelModel:
             raise ValueError("zeta must be positive")
         if self.rician_k < 0:
             raise ValueError("rician factor must be nonnegative")
-        norm = float(np.linalg.norm(a, 2)) if a.size else 0.0
+        # LAPACK's SVD with singular vectors may never return on inf/nan.
+        if not np.all(np.isfinite(a)):
+            raise ValueError("LoS entries must be finite")
+        u, s, vh = np.linalg.svd(a if np.any(np.imag(a)) else np.real(a),
+                                 full_matrices=False)
+        norm = float(s[0])
         if not np.isfinite(norm):
             raise ValueError("LoS spectral norm must be finite")
+        r = int(np.count_nonzero(s > norm * max(a.shape) * np.finfo(float).eps))
         object.__setattr__(self, "los", np.array(a, dtype=complex))
         object.__setattr__(self, "los_norm", norm)
+        object.__setattr__(self, "los_factors",
+                           (u[:, :r] * s[:r], vh[:r].conj().T))
 
     @property
     def shape(self):

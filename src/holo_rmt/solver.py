@@ -16,6 +16,15 @@ and the self-consistency conditions
 Iteration follows the Gauss-Seidel order of the underlying algorithm: the
 delta update uses the previous iterate's T, the delta~ update then uses the
 T~ built from the fresh delta.
+
+The LoS enters only through its thin factorization A = P Q^H of numerical
+rank r (``ChannelModel.los_factors``), so T and T~ are diagonal matrices
+minus rank-r corrections.  Each half-step reads diag T from an r x r
+Woodbury capacitance system: an iteration costs O(NM + (N + M) r^2), the
+two Sigma products included, against two dense O(N^3 + M^3) inverses.  A
+centered channel is the case r = 0, where T = diag(psi) and T~ =
+diag(psi~).  The full matrices are formed only once, after convergence, in
+O(N^2 r + M^2 r).
 """
 
 from dataclasses import dataclass
@@ -28,7 +37,6 @@ from .errors import ConvergenceError, NumericalError
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
-_HERMITIAN_IMAG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -61,41 +69,54 @@ class Resolvents:
     logdet_t_tilde_inv: float
 
 
-def build_d_matrices(profile):
-    """Diagonals of the per-column and per-row weighting matrices.
+def _cholesky(mat):
+    """Lower Cholesky factor of an r x r Hermitian positive definite matrix.
 
-    Returns (d_cols, d_rows): row j of ``d_cols`` is the diagonal of D_j
-    (the j-th column of Sigma); row i of ``d_rows`` is the diagonal of D~_i
-    (the i-th row of Sigma).
+    LAPACK is called directly: the solver factors two r x r matrices per
+    half-step, where the numpy and scipy wrappers cost more than the work.
     """
-    sigma = profile.matrix
-    return sigma.T.copy(), sigma.copy()
-
-
-def _hpd_inverse(mat):
-    """Inverse and log-determinant of a Hermitian positive definite matrix."""
-    try:
-        factor = sla.cho_factor(mat, lower=True, check_finite=False)
-    except sla.LinAlgError as exc:
+    potrf, = sla.get_lapack_funcs(("potrf",), (mat,))
+    factor, info = potrf(mat, lower=True)
+    if info:
         eigmin = float(np.linalg.eigvalsh(mat).min())
         raise NumericalError(
-            f"resolvent inverse argument is not positive definite "
-            f"(min eigenvalue {eigmin:.3e})") from exc
-    logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(factor[0])))))
-    inv = sla.cho_solve(factor, np.eye(mat.shape[0], dtype=mat.dtype),
-                        check_finite=False)
-    return 0.5 * (inv + inv.conj().T), logdet
+            f"r x r resolvent matrix is not positive definite "
+            f"(min eigenvalue {eigmin:.3e})")
+    return factor
 
 
-def _real_diag(mat):
-    d = np.diag(mat)
-    if np.iscomplexobj(d):
-        worst = float(np.abs(d.imag).max()) if d.size else 0.0
-        if worst > _HERMITIAN_IMAG_TOL:
-            raise NumericalError(
-                f"resolvent diagonal has imaginary part {worst:.3e}")
-        return np.ascontiguousarray(d.real)
-    return d.copy()
+def _woodbury(psi, p, q, weights):
+    """Low-rank form of T = (diag(1/psi) + P Q^H diag(weights) Q P^H)^{-1}.
+
+    With L = chol(Q^H diag(weights) Q), V = P L and the r x r capacitance
+    C = I + V^H diag(psi) V, Woodbury gives T = diag(psi) - X^H X with
+    X = chol(C)^{-1} V^H diag(psi).  Returns (diag T, X, chol(C)); r = 0
+    leaves T = diag(psi).
+    """
+    r = p.shape[1]
+    v = p @ _cholesky(q.conj().T @ (weights[:, None] * q))
+    pvh = (psi[:, None] * v).conj().T
+    lc = _cholesky(np.eye(r) + pvh @ v)
+    if r:  # LAPACK rejects an empty right-hand side
+        trtrs, = sla.get_lapack_funcs(("trtrs",), (lc,))
+        x = trtrs(lc, pvh, lower=True)[0]
+    else:
+        x = pvh
+    return psi - (np.abs(x) ** 2).sum(axis=0), x, lc
+
+
+def _logdet_inv(psi, lc):
+    """log det T^{-1} = log det C - sum log psi (matrix determinant lemma)."""
+    return (2.0 * float(np.sum(np.log(np.real(np.diag(lc)))))
+            - float(np.sum(np.log(psi))))
+
+
+def _full(t_diag, x):
+    """T = diag(psi) - X^H X, Hermitian, with the diagonal _woodbury returned."""
+    mat = -(x.conj().T @ x)
+    mat = 0.5 * (mat + mat.conj().T)
+    np.fill_diagonal(mat, t_diag)
+    return mat
 
 
 def compute_resolvents(model: ChannelModel, delta, delta_tilde,
@@ -107,42 +128,17 @@ def compute_resolvents(model: ChannelModel, delta, delta_tilde,
         raise ValueError("delta parameters must be entrywise positive")
     if rho <= 0:
         raise ValueError("rho must be positive")
-    a = model.los
-    real_path = not np.iscomplexobj(a) or not np.any(a.imag)
-    if real_path:
-        a = np.ascontiguousarray(a.real)
-
+    p, q = model.los_factors
     psi = 1.0 / (rho * (1.0 + delta_tilde))
     psi_tilde = 1.0 / (rho * (1.0 + delta))
-
-    t_inv = np.diag(rho * (1.0 + delta_tilde)).astype(a.dtype)
-    t_inv += rho * (a * psi_tilde[None, :]) @ a.conj().T
-    t_mat, logdet_t_inv = _hpd_inverse(t_inv)
-
-    tt_inv = np.diag(rho * (1.0 + delta)).astype(a.dtype)
-    tt_inv += rho * (a.conj().T * psi[None, :]) @ a
-    t_tilde_mat, logdet_tt_inv = _hpd_inverse(tt_inv)
-
-    return Resolvents(t_mat=t_mat, t_tilde_mat=t_tilde_mat, psi=psi,
-                      psi_tilde=psi_tilde, t_diag=_real_diag(t_mat),
-                      t_tilde_diag=_real_diag(t_tilde_mat),
-                      logdet_t_inv=logdet_t_inv,
-                      logdet_t_tilde_inv=logdet_tt_inv)
-
-
-def _t_diag_only(a, delta, delta_tilde, rho):
-    """Real diagonal of T alone (one Hermitian inversion per half-step)."""
-    psi_tilde = 1.0 / (rho * (1.0 + delta))
-    t_inv = np.diag(rho * (1.0 + delta_tilde)).astype(a.dtype)
-    t_inv += rho * (a * psi_tilde[None, :]) @ a.conj().T
-    return _real_diag(_hpd_inverse(t_inv)[0])
-
-
-def _t_tilde_diag_only(a, delta, delta_tilde, rho):
-    psi = 1.0 / (rho * (1.0 + delta_tilde))
-    tt_inv = np.diag(rho * (1.0 + delta)).astype(a.dtype)
-    tt_inv += rho * (a.conj().T * psi[None, :]) @ a
-    return _real_diag(_hpd_inverse(tt_inv)[0])
+    # rho psi~ = 1 / (1 + delta) and rho psi = 1 / (1 + delta~).
+    t_diag, x, lc = _woodbury(psi, p, q, 1.0 / (1.0 + delta))
+    tt_diag, xt, lct = _woodbury(psi_tilde, q, p, 1.0 / (1.0 + delta_tilde))
+    return Resolvents(t_mat=_full(t_diag, x), t_tilde_mat=_full(tt_diag, xt),
+                      psi=psi, psi_tilde=psi_tilde, t_diag=t_diag,
+                      t_tilde_diag=tt_diag,
+                      logdet_t_inv=_logdet_inv(psi, lc),
+                      logdet_t_tilde_inv=_logdet_inv(psi_tilde, lct))
 
 
 def solve_deltas(model: ChannelModel, rho: float | None = None,
@@ -170,26 +166,18 @@ def solve_deltas(model: ChannelModel, rho: float | None = None,
 
     n, m = model.dims
     sigma = model.profile.matrix
-    a = model.los
-    if not np.any(a.imag):
-        a = np.ascontiguousarray(a.real)
-    centered = not np.any(a)
+    p, q = model.los_factors
 
     delta = np.full(m, float(init))
     delta_tilde = np.full(n, float(init))
     residuals = []
     for iteration in range(1, max_iter + 1):
-        if centered:
-            # T and T~ are diagonal when A = 0; skip the matrix inversions.
-            t_diag = 1.0 / (rho * (1.0 + delta_tilde))
-            delta_new = _relax(delta, sigma.T @ t_diag / m, damping)
-            tt_diag = 1.0 / (rho * (1.0 + delta_new))
-            delta_tilde_new = _relax(delta_tilde, sigma @ tt_diag / m, damping)
-        else:
-            t_diag = _t_diag_only(a, delta, delta_tilde, rho)
-            delta_new = _relax(delta, sigma.T @ t_diag / m, damping)
-            tt_diag = _t_tilde_diag_only(a, delta_new, delta_tilde, rho)
-            delta_tilde_new = _relax(delta_tilde, sigma @ tt_diag / m, damping)
+        psi = 1.0 / (rho * (1.0 + delta_tilde))
+        t_diag = _woodbury(psi, p, q, 1.0 / (1.0 + delta))[0]
+        delta_new = _relax(delta, sigma.T @ t_diag / m, damping)
+        psi_tilde = 1.0 / (rho * (1.0 + delta_new))
+        tt_diag = _woodbury(psi_tilde, q, p, 1.0 / (1.0 + delta_tilde))[0]
+        delta_tilde_new = _relax(delta_tilde, sigma @ tt_diag / m, damping)
 
         residual = max(float(np.abs(delta_new - delta).max()),
                        float(np.abs(delta_tilde_new - delta_tilde).max()))

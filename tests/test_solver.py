@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holo_rmt.channel import (build_kronecker, build_weichselberger,
-                              profile_from_matrix, separable_profile)
-from holo_rmt.errors import ConvergenceError
-from holo_rmt.solver import (build_d_matrices, compute_resolvents,
-                             delta_upper_bounds, self_consistency_residual,
-                             solve_deltas)
+from holo_rmt import validate
+from holo_rmt.channel import (build_holographic, build_kronecker,
+                              build_weichselberger, profile_from_matrix,
+                              synth_los)
+from holo_rmt.errors import ConvergenceError, NumericalError
+from holo_rmt.solver import (compute_resolvents, delta_upper_bounds,
+                             self_consistency_residual, solve_deltas)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -28,26 +30,79 @@ def random_model(seed, n=6, m=5, rho=0.4, los_scale=0.5):
     return build_weichselberger(a, profile_from_matrix(sig), rho)
 
 
-class TestDMatrices:
-    def test_all_ones(self):
-        cols, rows = build_d_matrices(profile_from_matrix(np.ones((2, 3))))
-        assert cols.shape == (3, 2) and rows.shape == (2, 3)
-        assert np.array_equal(cols, np.ones((3, 2)))
-        assert np.array_equal(rows, np.ones((2, 3)))
+def hpd_inverse(mat):
+    """Dense reference: inverse and log-determinant of an HPD matrix."""
+    factor = sla.cho_factor(mat, lower=True)
+    logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(factor[0])))))
+    inv = sla.cho_solve(factor, np.eye(mat.shape[0], dtype=mat.dtype))
+    return 0.5 * (inv + inv.conj().T), logdet
 
-    def test_separable_structure(self):
-        d = np.array([1.0, 3.0])
-        dt = np.array([2.0, 5.0, 7.0])
-        cols, _ = build_d_matrices(separable_profile(d, dt))
-        for j in range(3):
-            assert np.allclose(cols[j], dt[j] * d, rtol=1e-15)
 
-    def test_traces_are_column_sums(self):
-        rng = np.random.default_rng(0)
-        sig = rng.random((3, 2)) + 0.1
-        cols, rows = build_d_matrices(profile_from_matrix(sig))
-        assert np.allclose(cols.sum(axis=1), sig.sum(axis=0), rtol=1e-15)
-        assert np.allclose(rows.sum(axis=1), sig.sum(axis=1), rtol=1e-15)
+def dense_resolvents(model, delta, delta_tilde, rho):
+    """T, T~ and log det T^{-1}, log det T~^{-1} by two dense inversions."""
+    a = model.los
+    psi = 1.0 / (rho * (1.0 + delta_tilde))
+    psi_tilde = 1.0 / (rho * (1.0 + delta))
+    t_inv = np.diag(rho * (1.0 + delta_tilde)) + rho * (a * psi_tilde) @ a.conj().T
+    tt_inv = np.diag(rho * (1.0 + delta)) + rho * (a.conj().T * psi) @ a
+    return hpd_inverse(t_inv) + hpd_inverse(tt_inv)
+
+
+def rank_r_model(seed, rank, complex_los):
+    """C9's random-model family with the LoS replaced by a rank-r matrix.
+
+    ``rank`` None keeps full rank; the LoS keeps C9's spectral-norm scale.
+    """
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    base = validate.random_model(rng, max_dim=16)
+    n, m = base.dims
+    r = min(n, m) if rank is None else min(rank, n, m)
+    u = rng.normal(size=(n, r))
+    v = rng.normal(size=(m, r))
+    if complex_los:
+        u = u + 1j * rng.normal(size=(n, r))
+        v = v + 1j * rng.normal(size=(m, r))
+    a = u @ v.conj().T
+    if r:
+        a *= base.los_norm / np.linalg.norm(a, 2)
+    model = build_weichselberger(a, base.profile, base.zeta)
+    assert model.los_factors[0].shape[1] == r
+    return model, rng
+
+
+def rel_err(got, ref):
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+class TestLowRankResolvents:
+    @pytest.mark.parametrize("complex_los", [False, True])
+    @pytest.mark.parametrize("rank", [0, 1, 4, None])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_dense_inverse(self, seed, rank, complex_los):
+        model, rng = rank_r_model(seed, rank, complex_los)
+        n, m = model.dims
+        rho = model.zeta
+        delta = 0.1 + 3.0 * rng.random(m)
+        delta_tilde = 0.1 + 3.0 * rng.random(n)
+        res = compute_resolvents(model, delta, delta_tilde, rho)
+        t_ref, ld_ref, tt_ref, ldt_ref = dense_resolvents(
+            model, delta, delta_tilde, rho)
+        assert rel_err(res.t_diag, np.real(np.diag(t_ref))) <= 1e-12
+        assert rel_err(res.t_tilde_diag, np.real(np.diag(tt_ref))) <= 1e-12
+        assert rel_err(res.t_mat, t_ref) <= 1e-12
+        assert rel_err(res.t_tilde_mat, tt_ref) <= 1e-12
+        assert abs(res.logdet_t_inv - ld_ref) <= 1e-12 * abs(ld_ref)
+        assert abs(res.logdet_t_tilde_inv - ldt_ref) <= 1e-12 * abs(ldt_ref)
+
+    @pytest.mark.parametrize("snr_db", [40.0, 50.0])
+    def test_rank4_desk_los_converges_at_high_snr(self, desk, snr_db):
+        """The roundoff of a dense n x n inverse keeps this residual above tol."""
+        n, m = desk["nonsep"].shape
+        los = synth_los(n, m, "lowrank", rank=4, seed=701)
+        model = build_holographic(desk["geom"], desk["nonsep"], los, 10.0,
+                                  10.0 ** (-snr_db / 10.0))
+        sol, res = solve_deltas(model)
+        assert self_consistency_residual(model, sol, res) <= 1e-10
 
 
 class TestComputeResolvents:
@@ -78,6 +133,13 @@ class TestComputeResolvents:
         sol, res = solve_deltas(model)
         assert np.allclose(sol.rho * res.psi_tilde,
                            1.0 / (1.0 + sol.delta), rtol=1e-15)
+
+    def test_failed_factorization_raises_numerical_error(self):
+        # delta = inf zeroes the LoS weights, so the r x r matrix is singular.
+        model = random_model(11)
+        n, m = model.dims
+        with pytest.raises(NumericalError, match="not positive definite"):
+            compute_resolvents(model, np.full(m, np.inf), np.ones(n), 1.0)
 
     def test_rejects_nonpositive_parameters(self):
         model = iid_model(2, 2, 1.0)
