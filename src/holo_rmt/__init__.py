@@ -7,8 +7,8 @@ from .asymptotics import (AsymptoticStats, BMatrix, analyze_model, build_b,
 from .channel import (ChannelModel, VarianceProfile, build_holographic,
                       build_kronecker, build_weichselberger,
                       profile_from_matrix, profile_nonseparable_gaussian,
-                      profile_rescale_to_match, profile_separable_isotropic,
-                      separable_profile, synth_los)
+                      profile_separable_isotropic, separable_profile,
+                      synth_los)
 from .errors import (ConfigError, ConvergenceError, HoloRmtError,
                      InvalidRegimeError, NumericalError)
 from .geometry import (ArrayGeometry, WavenumberLattice, antenna_gain,

@@ -83,12 +83,20 @@ class VarianceProfile:
                 f"entry ({i},{j}) = {self.matrix[i, j]}")
 
 
+def floor_count(matrix) -> int:
+    """Number of entries at or below the positivity floor PROFILE_FLOOR_REL * max."""
+    m = np.asarray(matrix, dtype=float)
+    return int(np.count_nonzero(m <= PROFILE_FLOOR_REL * m.max()))
+
+
 def _floored(matrix):
     m = np.asarray(matrix, dtype=float)
-    floor = PROFILE_FLOOR_REL * m.max()
-    if np.any(m < floor):
+    count = floor_count(m)
+    if count:
+        floor = PROFILE_FLOOR_REL * m.max()
         warnings.warn("variance profile entries below the positivity floor "
-                      f"were raised to {floor:.3e}", stacklevel=3)
+                      f"were raised to {floor:.3e}: {count} of {m.size} entries",
+                      stacklevel=3)
         m = np.maximum(m, floor)
     return m
 
@@ -129,37 +137,97 @@ def _rank_one_factors(m, rtol=SEPARABLE_DETECT_RTOL):
 # Isotropic separable profile: lattice-cell solid-angle quadrature
 # ---------------------------------------------------------------------------
 
-def _cell_measure(x0, x1, y0, y1, kappa, rel_tol=1e-8, n_start=16,
-                  n_max=2048, clip=1e-6):
-    """Midpoint quadrature of (kappa^2 - kx^2 - ky^2)^(-1/2) over one cell.
+# Cells are clipped to kz = sqrt(kappa^2 - kx^2 - ky^2) > CELL_CLIP_REL * kappa,
+# which keeps the integrand finite at the propagation-disk edge.
+CELL_CLIP_REL = 1e-6
 
-    The domain is clipped to gamma >= clip*kappa, which bounds the edge
-    singularity; the resolution doubles until the relative change drops
-    below rel_tol.  Cells crossing the disk boundary inherit the sqrt
-    singularity, for which midpoint refinement stalls near 1e-3 relative,
-    so a hard resolution cap keeps the cost bounded (the capped error is
-    far below anything the downstream statistics can resolve).
+# Gauss-Legendre rule on [0, 1] for the outer (kx) integral of every cell.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL_NODES = 0.5 * (_GL_NODES + 1.0)
+_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
+
+
+def _outer_rule(a, e, bound):
+    """Gauss-Legendre rule for kx in [a, e], in t with kx = bound - t^2.
+
+    ``bound`` >= e is where the inner integral has a square-root branch
+    point; in t the integrand is smooth there.  Returns the weights (with
+    the Jacobian 2t) and bound^2 - kx^2 at the nodes, evaluated as
+    t^2 (bound + kx) so that it keeps full relative accuracy near the edge.
+    Empty intervals (a == e) get zero weights.
     """
-    lim = (clip * kappa) ** 2
-    kappa2 = kappa * kappa
-    area = (x1 - x0) * (y1 - y0)
-    prev = None
-    n = n_start
-    while True:
-        xs = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
-        ys = y0 + (np.arange(n) + 0.5) * (y1 - y0) / n
-        total = 0.0
-        for lo in range(0, n, 512):
-            g2 = kappa2 - xs[lo:lo + 512, None] ** 2 - ys[None, :] ** 2
-            inside = g2 > lim
-            if inside.any():
-                total += float(np.sum(1.0 / np.sqrt(g2[inside])))
-        val = total * area / (n * n)
-        if prev is not None:
-            if val == prev or abs(val - prev) <= rel_tol * abs(val) or n >= n_max:
-                return val
-        prev = val
-        n *= 2
+    ta = np.sqrt(bound - a)[:, None]
+    te = np.sqrt(bound - e)[:, None]
+    t = te + (ta - te) * _GL_NODES
+    x = bound[:, None] - t * t
+    return 2.0 * t * (ta - te) * _GL_WEIGHTS, t * t * (bound[:, None] + x)
+
+
+def _cell_measures(x0, x1, y0, y1, kappa):
+    """``_cell_measure`` for arrays of cells with 0 <= x0 <= x1, 0 <= y0 <= y1.
+
+    Inner integral in closed form, for c = sqrt(kappa^2 - kx^2):
+    int dky / sqrt(c^2 - ky^2) = arcsin(ky / c), taken as
+    arctan2(ky, sqrt(c^2 - ky^2)) with c^2 - ky^2 formed without
+    cancellation.  The ky range is [y0, min(y1, s)], where s(kx) =
+    sqrt(kappa^2 - eps^2 - kx^2) is the clipped disk edge, so the kx range
+    splits at xk = sqrt(kappa^2 - eps^2 - y1^2), where s falls below y1, and
+    ends at xe = sqrt(kappa^2 - eps^2 - y0^2), where it falls below y0.
+    """
+    x0, x1, y0, y1 = (np.atleast_1d(np.asarray(v, dtype=float))
+                      for v in (x0, x1, y0, y1))
+    eps = CELL_CLIP_REL * kappa
+    eps2 = eps * eps
+    r2 = kappa * kappa - eps2
+    xk = np.sqrt(np.maximum(r2 - y1 * y1, 0.0))
+    xe = np.sqrt(np.maximum(r2 - y0 * y0, 0.0))
+    y0c, y1c = y0[:, None], y1[:, None]
+
+    # kx in [x0, min(x1, xk)]: ky runs over the whole [y0, y1].
+    ea = np.minimum(x1, xk)
+    w, d = _outer_rule(np.minimum(x0, ea), ea, xk)     # d = xk^2 - kx^2
+    g1 = eps2 + d                                      # c^2 - y1^2
+    g0 = g1 + ((y1 - y0) * (y1 + y0))[:, None]         # c^2 - y0^2
+    inner = np.arctan2(y1c, np.sqrt(g1)) - np.arctan2(y0c, np.sqrt(g0))
+    total = (w * inner).sum(axis=1)
+
+    # kx in [max(x0, xk), min(x1, xe)]: ky runs over [y0, s(kx)].
+    eb = np.minimum(x1, xe)
+    w, d = _outer_rule(np.minimum(np.maximum(x0, xk), eb), eb, xe)
+    # d = xe^2 - kx^2 = s^2 - y0^2 = c^2 - eps^2 - y0^2.
+    inner = (np.arctan2(np.sqrt(y0c * y0c + d), eps)
+             - np.arctan2(y0c, np.sqrt(eps2 + d)))
+    return total + (w * inner).sum(axis=1)
+
+
+def _fold(lo, hi):
+    """[lo, hi] as nonnegative intervals of equal total measure under k -> -k."""
+    if hi <= 0.0:
+        return [(-hi, -lo)]
+    if lo >= 0.0:
+        return [(lo, hi)]
+    return [(0.0, -lo), (0.0, hi)]
+
+
+def _cell_measure(x0, x1, y0, y1, kappa):
+    """Integral of (kappa^2 - kx^2 - ky^2)^(-1/2) over [x0, x1] x [y0, y1].
+
+    The domain is clipped to kz > CELL_CLIP_REL * kappa, which bounds the
+    edge singularity.  The integrand is even in each coordinate, so the
+    cell is folded into the first quadrant and measured by
+    ``_cell_measures``: the ky integral in closed form, the kx integral by a
+    fixed 64-point Gauss-Legendre rule on each side of the point where the
+    disk edge enters the cell, mapped so that the square-root behaviour at
+    the edge is integrated smoothly.  Lattice cells of apertures up to 100
+    wavelengths come out within about 1e-12 relative of an
+    arbitrary-precision oracle, except a cell holding the disk's kx-axis
+    end (kappa, 0): there the rule does not resolve the clip's own
+    O(eps^2 / kappa) rounding of the edge (2e-11 relative for a
+    10-wavelength lattice).  Cells that meet the disk only at a point, or
+    not at all, measure exactly 0.
+    """
+    parts = [(a, b, c, d) for a, b in _fold(x0, x1) for c, d in _fold(y0, y1)]
+    return float(_cell_measures(*np.array(parts).T, kappa).sum())
 
 
 def _side_weights(lattice: WavenumberLattice, wavelength: float) -> np.ndarray:
@@ -168,16 +236,16 @@ def _side_weights(lattice: WavenumberLattice, wavelength: float) -> np.ndarray:
     The cell of point (m_x, m_y) is the corner-anchored rectangle
     [2 pi m_x / L_x, 2 pi (m_x+1) / L_x] x [2 pi m_y / L_y, 2 pi (m_y+1) / L_y]
     intersected with the propagation disk of radius kappa = 2 pi / wavelength.
-    Cell measures are cached on a mirror/swap canonical key since the
-    integrand is invariant under axis reflection (and axis swap for square
-    apertures).
+    Each distinct cell is measured once, on a mirror/swap canonical key,
+    since the integrand is invariant under axis reflection (and axis swap
+    for square apertures); all distinct cells go through one vectorised
+    ``_cell_measures`` call.
     """
     kappa = 2.0 * np.pi / wavelength
     lx, ly = lattice.aperture
     hx = 2.0 * np.pi / lx
     hy = 2.0 * np.pi / ly
     square = abs(lx - ly) <= 1e-15 * max(lx, ly)
-    cache: dict[tuple[int, int], float] = {}
 
     def canon(mx, my):
         cx = mx if mx >= 0 else -mx - 1
@@ -186,14 +254,12 @@ def _side_weights(lattice: WavenumberLattice, wavelength: float) -> np.ndarray:
             cx, cy = cy, cx
         return cx, cy
 
-    weights = np.empty(lattice.n)
-    for idx, (mx, my) in enumerate(lattice.points):
-        key = canon(mx, my)
-        if key not in cache:
-            cx, cy = key
-            cache[key] = _cell_measure(cx * hx, (cx + 1) * hx,
-                                       cy * hy, (cy + 1) * hy, kappa)
-        weights[idx] = cache[key]
+    keys = [canon(mx, my) for mx, my in lattice.points]
+    cells = sorted(set(keys))
+    cx, cy = np.array(cells, dtype=float).T
+    measure = dict(zip(cells, _cell_measures(cx * hx, (cx + 1) * hx,
+                                             cy * hy, (cy + 1) * hy, kappa)))
+    weights = np.array([measure[key] for key in keys])
     total = weights.sum()
     if total <= 0:
         # Cannot happen for a valid lattice: the origin cell always overlaps
@@ -242,21 +308,6 @@ def profile_nonseparable_gaussian(sep: VarianceProfile,
              + (rx[:, None, 1] - tx[None, :, 1]) ** 2)
     kernel = np.exp(-dist2 / kernel_scale)
     return VarianceProfile(_floored(sep.matrix * kernel), "nonseparable")
-
-
-def profile_rescale_to_match(target: VarianceProfile,
-                             reference: VarianceProfile) -> VarianceProfile:
-    """Scale target so its total power equals the reference's."""
-    if target.shape != reference.shape:
-        raise ValueError("profiles must have the same shape")
-    total = target.matrix.sum()
-    if total <= 0:
-        raise ValueError("target profile has zero total power")
-    m = reference.matrix.sum() / total
-    if target.factors is not None:
-        d, dt = target.factors
-        return separable_profile(m * d, dt, kind=target.kind)
-    return VarianceProfile(m * target.matrix, target.kind)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ import sys
 import click
 import numpy as np
 
-from . import matio, validate as validate_mod
+from . import matio
 from .asymptotics import analyze_model, auto_rate_grid, outage_curve
+from .channel import floor_count
 from .config import RunConfig, validate_document
 from .errors import ConfigError, ConvergenceError, HoloRmtError, NumericalError
 from .montecarlo import (ks_statistic, normalized_samples, qq_data, qq_slope,
@@ -202,6 +203,9 @@ def mc(config_path, out_dir, seed, snr_db, samples, tol):
 @_guard
 def validate(config_path, out_dir, seed, snr_db, samples, tol, rel_tol_scale):
     """Run the full criterion table at the configured size; exit 0 iff all pass."""
+    # Imported here: validate pulls in scipy.stats, which no other command needs.
+    from . import validate as validate_mod
+
     cfg = _load_config(config_path, seed, snr_db, samples, tol)
     os.makedirs(out_dir, exist_ok=True)
     try:
@@ -246,7 +250,8 @@ def profile(config_path, out_dir, seed, snr_db, samples, tol):
     click.echo(f"n_R={lat_rx.n} (estimate {lat_rx.estimate()})   "
                f"n_S={lat_tx.n} (estimate {lat_tx.estimate()})")
     click.echo(f"profile kind={prof.kind} shape={prof.shape} "
-               f"sum={prof.matrix.sum():.6e}")
+               f"sum={prof.matrix.sum():.6e} "
+               f"floored={floor_count(prof.matrix)} of {prof.matrix.size}")
     click.echo(f"wrote {os.path.join(out_dir, 'profile.json')} and lattice.json")
 
 

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holo_rmt import matio
-from holo_rmt.channel import (ChannelModel, VarianceProfile,
-                              build_holographic, build_kronecker,
-                              build_weichselberger, profile_from_matrix,
+from holo_rmt.channel import (PROFILE_FLOOR_REL, ChannelModel,
+                              VarianceProfile, build_holographic,
+                              build_kronecker, build_weichselberger,
+                              floor_count, profile_from_matrix,
                               profile_nonseparable_gaussian,
-                              profile_rescale_to_match,
                               profile_separable_isotropic, separable_profile,
-                              synth_los, _cell_measure)
+                              synth_los, _cell_measure, _side_weights)
 from holo_rmt.geometry import effective_zeta, enumerate_lattice
 
 LAM = 0.01
@@ -27,6 +27,34 @@ def riemann_cell_oracle(x0, x1, y0, y1, n=512, clip=1e-6):
     g2 = KAPPA ** 2 - xs[:, None] ** 2 - ys[None, :] ** 2
     mask = g2 > (clip * KAPPA) ** 2
     return float(np.sum(1.0 / np.sqrt(g2[mask]))) * (x1 - x0) * (y1 - y0) / n ** 2
+
+
+def mpmath_cell_oracle(x0, x1, y0, y1, clip=1e-6, dps=20):
+    """Nested tanh-sinh quadrature of the clipped cell integral in mpmath.
+
+    First-quadrant cells only.  The outer breakpoints are where the clipped
+    disk edge crosses ky = y1 and ky = y0, so each piece's endpoint
+    singularity sits where tanh-sinh handles it.
+    """
+    import mpmath as mp
+    with mp.workdps(dps):
+        k = mp.mpf(KAPPA)
+        r2 = k * k - (clip * k) ** 2
+        x0, x1, y0, y1 = (mp.mpf(v) for v in (x0, x1, y0, y1))
+        if y0 ** 2 >= r2:
+            return 0.0
+        hi = min(x1, mp.sqrt(r2 - y0 ** 2))
+        if hi <= x0:
+            return 0.0
+        pts = [x0, hi]
+        if y1 ** 2 < r2 and x0 < mp.sqrt(r2 - y1 ** 2) < hi:
+            pts.insert(1, mp.sqrt(r2 - y1 ** 2))
+
+        def inner(x):
+            top = min(y1, mp.sqrt(r2 - x * x))
+            return mp.quad(lambda y: 1 / mp.sqrt(k * k - x * x - y * y), [y0, top])
+
+        return float(mp.quad(inner, pts))
 
 
 class TestIsotropicProfile:
@@ -52,12 +80,22 @@ class TestIsotropicProfile:
         val, err = dblquad(lambda y, x: 1.0 / math.sqrt(KAPPA ** 2 - x * x - y * y),
                            0.0, h, 0.0, h, epsabs=1e-12, epsrel=1e-12)
         assert err < 1e-8 * val
-        assert _cell_measure(0.0, h, 0.0, h, KAPPA) == pytest.approx(val, rel=1e-6)
+        assert _cell_measure(0.0, h, 0.0, h, KAPPA) == pytest.approx(val, rel=1e-10)
+
+    @pytest.mark.parametrize("cell", [(2, 5), (3, 9), (9, 4)])
+    def test_full_lattice_cells_against_mpmath(self, cell):
+        # 10-wavelength aperture (configs/full.json): (2, 5) is interior,
+        # (3, 9) and (9, 4) are cut by the disk edge.
+        h = 2 * math.pi / (10 * LAM)
+        mx, my = cell
+        box = (mx * h, (mx + 1) * h, my * h, (my + 1) * h)
+        assert _cell_measure(*box, KAPPA) == pytest.approx(
+            mpmath_cell_oracle(*box), rel=1e-9)
 
     def test_five_point_lattice_weights_against_oracle(self):
-        # L = wavelength: every cell touches the disk edge, where the
-        # midpoint rule converges slowly; oracle agreement is accordingly
-        # loose but the closed-form quarter-disk value bounds the error.
+        # L = wavelength: every cell touches the disk edge.  The coarse
+        # Riemann oracle converges slowly there; the closed-form
+        # quarter-disk value pins the production rule tightly.
         lat = enumerate_lattice(LAM, LAM, LAM)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -67,7 +105,7 @@ class TestIsotropicProfile:
         w_right = _cell_measure(h, 2 * h, 0.0, h, KAPPA)
         # (0,0) cell is the quarter disk: closed form (pi/2) kappa (1 - clip).
         exact = (math.pi / 2) * KAPPA * (1 - 1e-6)
-        assert w_origin == pytest.approx(exact, rel=2e-2)
+        assert w_origin == pytest.approx(exact, rel=1e-12)
         assert w_origin == pytest.approx(riemann_cell_oracle(0.0, h, 0.0, h), rel=2e-2)
         # (1,0) cell touches the disk only at one corner: zero measure.
         assert w_right == 0.0
@@ -92,9 +130,8 @@ class TestIsotropicProfile:
 
     def test_rectangular_aperture_weights_against_oracle(self):
         # 2.5 x 1.5 wavelength aperture: all 11 cells touch or approach the
-        # disk edge, where the capped adaptive rule and the fixed 512-grid
-        # oracle each carry ~1e-3..1e-2 error; compare at 2%.
-        from holo_rmt.channel import _side_weights
+        # disk edge, where the fixed 512-grid oracle carries ~1e-3..1e-2
+        # error; compare at 2%.
         lat = enumerate_lattice(2.5 * LAM, 1.5 * LAM, LAM)
         w = _side_weights(lat, LAM)
         hx = 2 * math.pi / (2.5 * LAM)
@@ -116,6 +153,30 @@ class TestIsotropicProfile:
             base = profile_separable_isotropic(lat, lat, LAM)
             scaled = profile_separable_isotropic(lat, lat, LAM, scale=3.0)
         assert scaled.matrix.sum() == pytest.approx(3 * base.matrix.sum(), rel=1e-12)
+
+    def test_full_scale_zero_cells_stay_floored(self):
+        # Corner-anchored cells of the lattice points on the positive disk
+        # edge meet the disk at a point only: zero measure, floored factor.
+        lat = enumerate_lattice(10 * LAM, 10 * LAM, LAM)
+        w = _side_weights(lat, LAM)
+        zero = sorted(lat.points[i] for i in np.flatnonzero(w == 0.0))
+        assert zero == [(0, 10), (6, 8), (8, 6), (10, 0)]
+        d, _ = profile_separable_isotropic(lat, lat, LAM).factors
+        assert floor_count(d) == 4
+        assert np.all(d[w == 0.0] == PROFILE_FLOOR_REL * d.max())
+
+    def test_floor_warning_counts_entries(self, desk):
+        sep = desk["sep"]
+        lat_rx, lat_tx = desk["lattices"]
+        rx = np.asarray(lat_rx.points, dtype=float)
+        tx = np.asarray(lat_tx.points, dtype=float)
+        raw = sep.matrix * np.exp(-((rx[:, None, :] - tx[None, :, :]) ** 2).sum(axis=2))
+        expected = int((raw <= PROFILE_FLOOR_REL * raw.max()).sum())
+        assert expected > 0
+        with pytest.warns(UserWarning, match="below the positivity floor") as rec:
+            prof = profile_nonseparable_gaussian(sep, lat_rx, lat_tx, 1.0)
+        assert f": {expected} of {raw.size} entries" in str(rec[0].message)
+        assert floor_count(prof.matrix) == expected
 
 
 class TestGaussianKernelProfile:
@@ -148,37 +209,6 @@ class TestGaussianKernelProfile:
         lat_rx, lat_tx = desk["lattices"]
         with pytest.raises(ValueError):
             profile_nonseparable_gaussian(desk["sep"], lat_rx, lat_tx, 0.0)
-
-
-class TestRescaleToMatch:
-    def test_identity(self, desk):
-        out = profile_rescale_to_match(desk["sep"], desk["sep"])
-        assert np.allclose(out.matrix, desk["sep"].matrix, rtol=1e-15)
-
-    def test_factor_half(self):
-        ref = profile_from_matrix(np.full((3, 3), 1.0))
-        target = profile_from_matrix(np.full((3, 3), 2.0))
-        out = profile_rescale_to_match(target, ref)
-        assert np.allclose(out.matrix, ref.matrix, rtol=1e-15)
-
-    def test_power_matched_at_desk_size(self, desk):
-        out = profile_rescale_to_match(desk["nonsep"], desk["sep"])
-        assert out.matrix.sum() == pytest.approx(desk["sep"].matrix.sum(),
-                                                 rel=1e-12)
-
-    def test_zero_total_rejected(self):
-        # A zero-total profile cannot be built through VarianceProfile (its
-        # constructor requires positive sums), so exercise the guard with a
-        # minimal stand-in.
-        class Degenerate:
-            matrix = np.zeros((2, 2))
-            shape = (2, 2)
-            factors = None
-            kind = "user"
-
-        ref = profile_from_matrix(np.ones((2, 2)))
-        with pytest.raises(ValueError, match="zero total"):
-            profile_rescale_to_match(Degenerate(), ref)
 
 
 class TestProfileInvariants:

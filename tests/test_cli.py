@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +246,10 @@ class TestProfileCommand:
         assert 300 <= lat["rx"]["n"] <= 330
         assert lat["rx"]["n"] == 317
         assert "n_R=317" in result.output
+        mat = matio.load_real_matrix(out / "profile.json")
+        floored = int((mat <= 1e-12 * mat.max()).sum())
+        assert floored > 0
+        assert f"floored={floored} of {mat.size}" in result.output
 
     def test_lattice_file_and_estimate(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -297,3 +304,17 @@ class TestValidateCommand:
                                       "--out", str(tmp_path / "v")])
         assert result.exit_code == 1
         assert "PRE-FLIGHT" in all_output(result)
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats is needed only by `validate`, which imports it on demand.
+        code = "import sys, holo_rmt.cli; print('scipy.stats' in sys.modules)"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src"),
+             env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
