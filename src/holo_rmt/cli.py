@@ -203,7 +203,7 @@ def mc(config_path, out_dir, seed, snr_db, samples, tol):
 @_guard
 def validate(config_path, out_dir, seed, snr_db, samples, tol, rel_tol_scale):
     """Run the full criterion table at the configured size; exit 0 iff all pass."""
-    # Imported here: validate pulls in scipy.stats, which no other command needs.
+    # Imported here: validate pulls in scipy, which no other command needs.
     from . import validate as validate_mod
 
     cfg = _load_config(config_path, seed, snr_db, samples, tol)

@@ -13,9 +13,26 @@ and the self-consistency conditions
     delta_j  = tr(D_j T) / M,     D_j  = diag of the j-th column of Sigma,
     delta~_i = tr(D~_i T~) / M,   D~_i = diag of the i-th row of Sigma.
 
-Iteration follows the Gauss-Seidel order of the underlying algorithm: the
-delta update uses the previous iterate's T, the delta~ update then uses the
-T~ built from the fresh delta.
+One sweep G of the underlying algorithm maps x = (delta, delta~) in
+Gauss-Seidel order: the delta update uses the T built from x, the delta~
+update then uses the T~ built from the fresh delta.  Iterated on its own,
+G contracts ever more slowly as the SNR grows (about 3x more sweeps per
+10 dB; ~21000 at 80 dB on the desk lattice), so the solver runs Anderson
+acceleration on G (Walker & Ni, "Anderson acceleration for fixed-point
+iterations", SIAM J. Numer. Anal. 49(4), 2011).  With f(x) = G(x) - x and
+the last ANDERSON_DEPTH differences dX, dF of iterates and of f, the step
+is
+
+    gamma   = argmin || f(x_k) - dF gamma ||_2          (np.linalg.lstsq)
+    x_{k+1} = x_k + beta f(x_k) - (dX + beta dF) gamma,
+
+where beta in (0, 1] is the ``damping`` argument (1 = undamped: x_{k+1} is
+G(x_k) corrected by the secant history).  An extrapolated iterate that is
+not entrywise positive lies outside the domain of G; the history is then
+cleared and the plain step x_k + beta f(x_k) taken.  The stop is the same
+as for the plain sweep, sup |G(x) - x| <= tol with an absolute tol, and the
+solution returned is G(x).  Every iteration costs one sweep plus a least
+squares problem of ANDERSON_DEPTH columns.
 
 The LoS enters only through its thin factorization A = P Q^H of numerical
 rank r (``ChannelModel.los_factors``), so T and T~ are diagonal matrices
@@ -27,16 +44,17 @@ diag(psi~).  The full matrices are formed only once, after convergence, in
 O(N^2 r + M^2 r).
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .channel import ChannelModel
 from .errors import ConvergenceError, NumericalError
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
+ANDERSON_DEPTH = 5  # secant pairs kept in the Anderson history
 
 
 @dataclass(frozen=True)
@@ -70,19 +88,14 @@ class Resolvents:
 
 
 def _cholesky(mat):
-    """Lower Cholesky factor of an r x r Hermitian positive definite matrix.
-
-    LAPACK is called directly: the solver factors two r x r matrices per
-    half-step, where the numpy and scipy wrappers cost more than the work.
-    """
-    potrf, = sla.get_lapack_funcs(("potrf",), (mat,))
-    factor, info = potrf(mat, lower=True)
-    if info:
+    """Lower Cholesky factor of an r x r Hermitian positive definite matrix."""
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
         eigmin = float(np.linalg.eigvalsh(mat).min())
         raise NumericalError(
             f"r x r resolvent matrix is not positive definite "
-            f"(min eigenvalue {eigmin:.3e})")
-    return factor
+            f"(min eigenvalue {eigmin:.3e})") from None
 
 
 def _woodbury(psi, p, q, weights):
@@ -97,11 +110,7 @@ def _woodbury(psi, p, q, weights):
     v = p @ _cholesky(q.conj().T @ (weights[:, None] * q))
     pvh = (psi[:, None] * v).conj().T
     lc = _cholesky(np.eye(r) + pvh @ v)
-    if r:  # LAPACK rejects an empty right-hand side
-        trtrs, = sla.get_lapack_funcs(("trtrs",), (lc,))
-        x = trtrs(lc, pvh, lower=True)[0]
-    else:
-        x = pvh
+    x = np.linalg.solve(lc, pvh) if r else pvh
     return psi - (np.abs(x) ** 2).sum(axis=0), x, lc
 
 
@@ -141,14 +150,38 @@ def compute_resolvents(model: ChannelModel, delta, delta_tilde,
                       logdet_t_tilde_inv=_logdet_inv(psi_tilde, lct))
 
 
+def _gauss_seidel_map(model: ChannelModel, rho: float):
+    """G: x = (delta, delta~) -> one Gauss-Seidel sweep of the equations.
+
+    The delta half-step uses the T built from x; the delta~ half-step then
+    uses the T~ built from the fresh delta.
+    """
+    m = model.dims[1]
+    sigma = model.profile.matrix
+    p, q = model.los_factors
+
+    def sweep(x):
+        delta, delta_tilde = x[:m], x[m:]
+        psi = 1.0 / (rho * (1.0 + delta_tilde))
+        t_diag = _woodbury(psi, p, q, 1.0 / (1.0 + delta))[0]
+        delta_new = sigma.T @ t_diag / m
+        psi_tilde = 1.0 / (rho * (1.0 + delta_new))
+        tt_diag = _woodbury(psi_tilde, q, p, 1.0 / (1.0 + delta_tilde))[0]
+        return np.concatenate([delta_new, sigma @ tt_diag / m])
+
+    return sweep
+
+
 def solve_deltas(model: ChannelModel, rho: float | None = None,
                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                  damping: float = 1.0, init: float = 1.0):
-    """Run the fixed-point iteration until the sup-norm update <= tol.
+    """Anderson-accelerated fixed point, stopped when sup |G(x) - x| <= tol.
 
-    ``rho`` defaults to the model's zeta.  ``damping`` in (0, 1] relaxes the
-    update (1 = plain iteration); it exists because no convergence rate is
-    guaranteed.  Returns (DeltaSolution, Resolvents).
+    ``rho`` defaults to the model's zeta.  ``damping`` in (0, 1] is the
+    Anderson mixing parameter (1 = undamped).  Each iteration costs one
+    evaluation of the Gauss-Seidel map G; the returned solution is G(x) at
+    the first iterate x whose update meets ``tol``.  Returns
+    (DeltaSolution, Resolvents).
 
     Raises ConvergenceError with the residual trace when max_iter is
     exhausted.
@@ -165,39 +198,42 @@ def solve_deltas(model: ChannelModel, rho: float | None = None,
         raise ValueError("damping must lie in (0, 1]")
 
     n, m = model.dims
-    sigma = model.profile.matrix
-    p, q = model.los_factors
-
-    delta = np.full(m, float(init))
-    delta_tilde = np.full(n, float(init))
+    sweep = _gauss_seidel_map(model, rho)
+    x = np.full(m + n, float(init))
+    d_x = deque(maxlen=ANDERSON_DEPTH)
+    d_f = deque(maxlen=ANDERSON_DEPTH)
+    x_prev = f_prev = None
     residuals = []
     for iteration in range(1, max_iter + 1):
-        psi = 1.0 / (rho * (1.0 + delta_tilde))
-        t_diag = _woodbury(psi, p, q, 1.0 / (1.0 + delta))[0]
-        delta_new = _relax(delta, sigma.T @ t_diag / m, damping)
-        psi_tilde = 1.0 / (rho * (1.0 + delta_new))
-        tt_diag = _woodbury(psi_tilde, q, p, 1.0 / (1.0 + delta_tilde))[0]
-        delta_tilde_new = _relax(delta_tilde, sigma @ tt_diag / m, damping)
-
-        residual = max(float(np.abs(delta_new - delta).max()),
-                       float(np.abs(delta_tilde_new - delta_tilde).max()))
+        g = sweep(x)
+        f = g - x
+        residual = float(np.abs(f).max())
         residuals.append(residual)
-        delta, delta_tilde = delta_new, delta_tilde_new
         if residual <= tol:
+            delta, delta_tilde = g[:m], g[m:]
             solution = DeltaSolution(delta=delta, delta_tilde=delta_tilde,
                                      rho=float(rho), iterations=iteration,
                                      residual=residual)
             return solution, compute_resolvents(model, delta, delta_tilde, rho)
 
+        if x_prev is not None:
+            d_x.append(x - x_prev)
+            d_f.append(f - f_prev)
+        x_prev, f_prev = x, f
+        x = x + damping * f
+        if d_f:
+            dx, df = np.column_stack(d_x), np.column_stack(d_f)
+            gamma = np.linalg.lstsq(df, f, rcond=None)[0]
+            x_acc = x - (dx + damping * df) @ gamma
+            if np.all(x_acc > 0):
+                x = x_acc
+            else:
+                d_x.clear()
+                d_f.clear()
+
     raise ConvergenceError(
         f"fixed point did not reach tol={tol:g} in {max_iter} iterations "
         f"(last residual {residuals[-1]:.3e})", residuals=residuals)
-
-
-def _relax(old, new, damping):
-    if damping == 1.0:
-        return new
-    return (1.0 - damping) * old + damping * new
 
 
 def self_consistency_residual(model: ChannelModel, solution: DeltaSolution,
