@@ -13,7 +13,7 @@ from .errors import (ConfigError, ConvergenceError, HoloRmtError,
                      InvalidRegimeError, NumericalError)
 from .geometry import (ArrayGeometry, WavenumberLattice, antenna_gain,
                        effective_zeta, enumerate_lattice, rx_lattice,
-                       tx_lattice)
+                       tx_lattice, zeta_from_snr_db)
 from .montecarlo import (MiSampleSet, compute_mi, empirical_outage,
                          ks_statistic, model_digest, normalized_samples,
                          qq_data, qq_slope, run_mc, sample_channel, substream)

@@ -5,6 +5,8 @@ non-separable), profile bookkeeping (positivity floor, separability
 detection), and the two model builders (Weichselberger and holographic).
 """
 
+import copy
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -314,6 +316,12 @@ def profile_nonseparable_gaussian(sep: VarianceProfile,
 # Channel models
 # ---------------------------------------------------------------------------
 
+def check_zeta(zeta):
+    """Raise unless the noise parameter zeta is finite and positive."""
+    if not (math.isfinite(zeta) and zeta > 0):
+        raise ValueError(f"zeta must be finite and positive, got {zeta}")
+
+
 @dataclass(frozen=True)
 class ChannelModel:
     """Unified non-centered non-separable channel H = A + Sigma^(o1/2) .* X.
@@ -343,8 +351,7 @@ class ChannelModel:
         if a.shape != self.profile.shape:
             raise ValueError(
                 f"LoS shape {a.shape} does not match profile {self.profile.shape}")
-        if self.zeta <= 0:
-            raise ValueError("zeta must be positive")
+        check_zeta(self.zeta)
         if self.rician_k < 0:
             raise ValueError("rician factor must be nonnegative")
         # LAPACK's SVD with singular vectors may never return on inf/nan.
@@ -360,6 +367,14 @@ class ChannelModel:
         object.__setattr__(self, "los_norm", norm)
         object.__setattr__(self, "los_factors",
                            (u[:, :r] * s[:r], vh[:r].conj().T))
+
+    def at_zeta(self, zeta):
+        """This channel at noise parameter ``zeta``, sharing ``los``,
+        ``profile``, ``los_norm`` and ``los_factors``: no SVD runs."""
+        check_zeta(zeta)
+        model = copy.copy(self)
+        object.__setattr__(model, "zeta", zeta)
+        return model
 
     @property
     def shape(self):

@@ -88,8 +88,7 @@ def main():
     """Asymptotic MI statistics for non-centered non-separable MIMO channels."""
 
 
-def _analyze_one(cfg, snr, profile, lattices):
-    model = cfg.build_model(snr, profile=profile, lattices=lattices)
+def _analyze_one(cfg, snr, model):
     stats, b, sol, _ = analyze_model(model, **cfg.solver_opts)
     rates = cfg.rates
     grid = auto_rate_grid(stats) if rates == "auto" else np.asarray(rates, float)
@@ -118,12 +117,10 @@ def _analyze_one(cfg, snr, profile, lattices):
 def analyze(config_path, out_dir, seed, snr_db, samples, tol):
     """Closed-form EMI, variance and outage curve for each configured SNR."""
     cfg = _load_config(config_path, seed, snr_db, samples, tol)
+    models = cfg.build_models(cfg.snr_db)
     os.makedirs(out_dir, exist_ok=True)
-    lattices = cfg.lattices()
-    profile = cfg.build_profile(*lattices)
     doc = {"schema": 1,
-           "results": [_analyze_one(cfg, snr, profile, lattices)
-                       for snr in cfg.snr_db]}
+           "results": [_analyze_one(cfg, snr, model) for snr, model in models]}
     validate_document(doc, "analyze.schema.json")
     out_path = os.path.join(out_dir, "analyze.json")
     matio.save_json(out_path, doc)
@@ -141,9 +138,8 @@ def analyze(config_path, out_dir, seed, snr_db, samples, tol):
 def mc(config_path, out_dir, seed, snr_db, samples, tol):
     """Monte-Carlo MI sampling; writes per-SNR sample CSVs and a summary."""
     cfg = _load_config(config_path, seed, snr_db, samples, tol)
+    models = cfg.build_models(cfg.snr_db)
     os.makedirs(out_dir, exist_ok=True)
-    lattices = cfg.lattices()
-    profile = cfg.build_profile(*lattices)
 
     analytic = {}
     analyze_path = os.path.join(out_dir, "analyze.json")
@@ -153,8 +149,7 @@ def mc(config_path, out_dir, seed, snr_db, samples, tol):
         analytic = {round(e["snr_db"], 9): e for e in prior.get("results", [])}
 
     entries = []
-    for snr in cfg.snr_db:
-        model = cfg.build_model(snr, profile=profile, lattices=lattices)
+    for snr, model in models:
         ms = run_mc(model, cfg.mc_samples, cfg.mc_seed)
         csv_name = f"samples_snr{snr:g}.csv"
         matio.save_samples_csv(os.path.join(out_dir, csv_name), ms.samples)

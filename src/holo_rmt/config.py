@@ -132,10 +132,6 @@ class RunConfig:
         return {"tol": float(s["tol"]), "max_iter": int(s["max_iter"]),
                 "damping": float(s["damping"])}
 
-    def noise_power(self, snr_db):
-        """sigma^2 = 10^(-SNR/10) under unit signal power."""
-        return 10.0 ** (-snr_db / 10.0)
-
     # -- model assembly ----------------------------------------------------
 
     def lattices(self):
@@ -169,12 +165,21 @@ class RunConfig:
                                  rank=int(los.get("rank", 1)),
                                  seed=int(los.get("seed", 0)))
 
-    def build_model(self, snr_db, profile=None, lattices=None):
-        """Holographic channel model for one SNR point."""
+    def build_models(self, snrs_db, profile=None, lattices=None):
+        """(snr, model) for every SNR point, from one holographic model build.
+
+        The model is built once, at unit noise power; ``at_zeta`` moves it to
+        each SNR's zeta and shares A, Sigma and the LoS factors.
+        """
         lat_rx, lat_tx = lattices if lattices is not None else self.lattices()
         if profile is None:
             profile = self.build_profile(lat_rx, lat_tx)
         los = self.build_los(lat_rx.n, lat_tx.n)
         k = float(self.doc["channel"]["rician_k"])
-        return channel.build_holographic(self.geometry, profile, los, k,
-                                         self.noise_power(snr_db))
+        model = channel.build_holographic(self.geometry, profile, los, k, 1.0)
+        return [(snr, model.at_zeta(geometry.zeta_from_snr_db(self.geometry, snr)))
+                for snr in snrs_db]
+
+    def build_model(self, snr_db, profile=None, lattices=None):
+        """Holographic channel model for one SNR point."""
+        return self.build_models([snr_db], profile, lattices)[0][1]

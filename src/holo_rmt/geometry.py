@@ -127,3 +127,8 @@ def effective_zeta(geom: ArrayGeometry, noise_power: float) -> float:
         raise ValueError("noise power must be positive")
     g_s, g_r = antenna_gain(geom)
     return noise_power / (g_r * g_s * geom.num_rx * geom.num_tx)
+
+
+def zeta_from_snr_db(geom: ArrayGeometry, snr_db: float) -> float:
+    """effective_zeta at an SNR in dB under unit signal power, sigma^2 = 10^(-SNR/10)."""
+    return effective_zeta(geom, 10.0 ** (-snr_db / 10.0))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelModel
+from .channel import ChannelModel, check_zeta
 from .normal import norm_cdf, norm_inv_cdf
 
 _CHUNK = 512
@@ -51,8 +51,7 @@ def compute_mi(h: np.ndarray, zeta: float) -> float:
     det(I+AB) = det(I+BA) makes them equal); the log-det goes through a
     Cholesky factorization of the explicitly Hermitian argument.
     """
-    if zeta <= 0:
-        raise ValueError("zeta must be positive")
+    check_zeta(zeta)
     return float(_mi_batch(h[None, ...], zeta)[0])
 
 

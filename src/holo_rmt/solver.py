@@ -188,9 +188,9 @@ def solve_deltas(model: ChannelModel, rho: float | None = None,
     """
     if rho is None:
         rho = model.zeta
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("rho must be positive")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

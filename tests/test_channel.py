@@ -308,8 +308,26 @@ class TestBuilders:
 
     def test_zeta_must_be_positive(self):
         prof = profile_from_matrix(np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            ChannelModel(los=np.zeros((2, 2)), profile=prof, zeta=0.0)
+        for zeta in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="zeta must be finite and positive"):
+                ChannelModel(los=np.zeros((2, 2)), profile=prof, zeta=zeta)
+
+    def test_at_zeta_shares_the_channel(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+        model = build_weichselberger(a, profile_from_matrix(0.5 + rng.random((5, 4))),
+                                     0.3)
+        moved = model.at_zeta(0.6)
+        assert (moved.zeta, model.zeta) == (0.6, 0.3)
+        assert moved.los is model.los and moved.profile is model.profile
+        assert moved.los_factors is model.los_factors
+        assert moved.los_norm == model.los_norm
+        fresh = build_weichselberger(a, model.profile, 0.6)
+        assert all(np.array_equal(f, g)
+                   for f, g in zip(moved.los_factors, fresh.los_factors))
+        for zeta in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="zeta must be finite and positive"):
+                model.at_zeta(zeta)
 
 
 def power_iteration_norm(a, iters=500, seed=0):

@@ -58,18 +58,45 @@ class TestAnalyzeCommand:
             entry["emi_nats"] / np.log(2), rel=1e-12)
 
     def test_matches_library_path(self, tmp_path):
-        cfg_path = small_config(tmp_path)
-        out = tmp_path / "out"
-        runner.invoke(main, ["analyze", "--config", str(cfg_path),
-                             "--out", str(out)], catch_exceptions=False)
-        doc = json.loads((out / "analyze.json").read_text())
-        cfg = RunConfig.from_file(cfg_path)
+        # One model moved across the SNRs gives exactly what a fresh
+        # per-SNR build gives, for a rank-1 and a rank-4 LoS.
         from holo_rmt.asymptotics import analyze_model
-        model = cfg.build_model(10.0)
-        stats, _, _, _ = analyze_model(model)
-        assert doc["results"][0]["emi_nats"] == pytest.approx(stats.emi_nats,
-                                                              rel=1e-12)
-        assert doc["results"][0]["zeta"] == pytest.approx(model.zeta, rel=1e-12)
+        snrs = [0.0, 10.0, 20.0, 40.0]
+        for los in ({"kind": "single"},
+                    {"kind": "lowrank", "rank": 4, "seed": 701}):
+            cfg_path = small_config(tmp_path, los=los)
+            out = tmp_path / los["kind"]
+            runner.invoke(main, ["analyze", "--config", str(cfg_path),
+                                 "--out", str(out), "--snr-db", "0,10,20,40"],
+                          catch_exceptions=False)
+            doc = json.loads((out / "analyze.json").read_text())
+            cfg = RunConfig.from_file(cfg_path)
+            assert [e["snr_db"] for e in doc["results"]] == snrs
+            for entry, snr in zip(doc["results"], snrs):
+                model = cfg.build_model(snr)
+                stats, _, sol, _ = analyze_model(model, **cfg.solver_opts)
+                assert entry["zeta"] == model.zeta
+                assert entry["emi_nats"] == stats.emi_nats
+                assert entry["variance"] == stats.variance
+                assert entry["delta_summary"]["iterations"] == sol.iterations
+                assert entry["delta_summary"]["residual"] == sol.residual
+
+    def test_one_svd_per_configuration(self, tmp_path, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        cfg = small_config(tmp_path, los={"kind": "lowrank", "rank": 4,
+                                          "seed": 701})
+        result = runner.invoke(main, ["analyze", "--config", str(cfg),
+                                      "--out", str(tmp_path / "o"),
+                                      "--snr-db", "0,10,20,30"])
+        assert result.exit_code == 0, all_output(result)
+        assert len(calls) == 1
 
     def test_explicit_rates_respected(self, tmp_path):
         doc = json.loads(small_config(tmp_path).read_text())
@@ -147,6 +174,26 @@ class TestConfigErrors:
     def test_missing_file_exits_2(self):
         result = runner.invoke(main, ["analyze", "--config", "missing.json"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("command", ["analyze", "mc"])
+    def test_non_finite_snr_exits_2(self, tmp_path, command):
+        cfg = small_config(tmp_path)
+        for snr in ("nan", "-inf", "10,nan"):
+            out = tmp_path / f"{command}{snr}"
+            result = runner.invoke(main, [command, "--config", str(cfg),
+                                          "--out", str(out), f"--snr-db={snr}"])
+            assert result.exit_code == 2, all_output(result)
+            assert "zeta must be finite and positive" in all_output(result)
+            assert not (out / "mc_summary.json").exists()
+            assert not (out / "analyze.json").exists()
+
+    def test_nan_tol_exits_2(self, tmp_path):
+        cfg = small_config(tmp_path)
+        result = runner.invoke(main, ["analyze", "--config", str(cfg),
+                                      "--out", str(tmp_path / "o"),
+                                      "--tol", "nan"])
+        assert result.exit_code == 2, all_output(result)
+        assert "tol must be positive" in all_output(result)
 
     def test_solver_nonconvergence_exits_3(self, tmp_path):
         doc = json.loads(small_config(tmp_path).read_text())

@@ -6,6 +6,7 @@ import pytest
 from holo_rmt import matio
 from holo_rmt.config import DEFAULT_CONFIG, RunConfig, validate_document
 from holo_rmt.errors import ConfigError
+from holo_rmt.geometry import effective_zeta, zeta_from_snr_db
 
 
 def make_doc(**overrides):
@@ -74,10 +75,12 @@ class TestSchemaValidation:
 
 class TestAccessors:
     def test_noise_power(self):
-        cfg = RunConfig(make_doc())
-        assert cfg.noise_power(10.0) == pytest.approx(0.1, rel=1e-15)
-        assert cfg.noise_power(0.0) == 1.0
-        assert cfg.noise_power(30.0) == pytest.approx(1e-3, rel=1e-15)
+        # An SNR in dB means sigma^2 = 10^(-SNR/10) under unit signal power.
+        geom = RunConfig(make_doc()).geometry
+        for snr, sigma2 in ((10.0, 0.1), (0.0, 1.0), (30.0, 1e-3)):
+            assert zeta_from_snr_db(geom, snr) == pytest.approx(
+                effective_zeta(geom, sigma2), rel=1e-15)
+        assert zeta_from_snr_db(geom, 0.0) == effective_zeta(geom, 1.0)
 
     def test_solver_defaults_filled(self):
         doc = make_doc()
@@ -100,6 +103,16 @@ class TestModelAssembly:
         model = cfg.build_model(10.0)
         assert model.shape == (lat_rx.n, lat_tx.n)
         assert model.rician_k == 10.0
+
+    def test_build_models_share_one_channel(self):
+        cfg = RunConfig(self.small_doc())
+        models = cfg.build_models([0.0, 10.0, 20.0])
+        assert [snr for snr, _ in models] == [0.0, 10.0, 20.0]
+        base = models[0][1]
+        for snr, model in models:
+            assert model.zeta == zeta_from_snr_db(cfg.geometry, snr)
+            assert model.zeta == cfg.build_model(snr).zeta
+            assert model.los_factors is base.los_factors
 
     def test_profile_file_roundtrip(self, tmp_path):
         cfg0 = RunConfig(self.small_doc())

@@ -106,8 +106,9 @@ class TestComputeMi:
             compute_mi(h, 0.3), rel=1e-10)
 
     def test_rejects_bad_zeta(self):
-        with pytest.raises(ValueError):
-            compute_mi(np.eye(2, dtype=complex), 0.0)
+        for zeta in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="zeta"):
+                compute_mi(np.eye(2, dtype=complex), zeta)
 
 
 class TestRunMc:

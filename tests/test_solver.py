@@ -263,12 +263,16 @@ class TestSolveDeltas:
         model = iid_model(2, 2, 1.0)
         with pytest.raises(ValueError):
             solve_deltas(model, tol=0.0)
+        with pytest.raises(ValueError, match="tol"):
+            solve_deltas(model, tol=math.nan)
         with pytest.raises(ValueError):
             solve_deltas(model, max_iter=0)
         with pytest.raises(ValueError):
             solve_deltas(model, damping=1.5)
         with pytest.raises(ValueError):
             solve_deltas(model, rho=-1.0)
+        with pytest.raises(ValueError, match="rho"):
+            solve_deltas(model, rho=math.nan)
 
     def test_real_los_keeps_real_arithmetic(self):
         rng = np.random.default_rng(14)
