@@ -192,11 +192,12 @@ def auto_rate_grid(stats: AsymptoticStats, half_width_sigmas: float = 5.0,
     return np.linspace(lo, hi, points)
 
 
-def analyze_model(model: ChannelModel, tol: float = 1e-12,
-                  max_iter: int = 10_000, damping: float = 1.0):
-    """Solve the fixed point and return (stats, b_matrix, solution, resolvents)."""
-    solution, res = solve_deltas(model, tol=tol, max_iter=max_iter,
-                                 damping=damping)
+def analyze_model(model: ChannelModel, **solver_opts):
+    """Solve the fixed point and return (stats, b_matrix, solution, resolvents).
+
+    ``solver_opts`` (tol, max_iter, damping) go to solve_deltas unchanged.
+    """
+    solution, res = solve_deltas(model, **solver_opts)
     emi = emi_deterministic(model, solution, res)
     b = build_b(model, solution, res)
     variance = variance_clt(b)

@@ -6,7 +6,7 @@ from importlib import resources
 
 import jsonschema
 
-from . import channel, geometry, matio
+from . import channel, geometry, matio, solver
 from .errors import ConfigError
 
 # Default settings mirror the reference simulation setup: 30 GHz carrier
@@ -33,11 +33,9 @@ DEFAULT_CONFIG = {
     "snr_db": [10.0],
     "rates": "auto",
     "mc": {"samples": 10_000, "seed": 2024},
-    "solver": {"tol": 1e-12, "max_iter": 10_000, "damping": 1.0},
+    "solver": {"tol": solver.DEFAULT_TOL, "max_iter": solver.DEFAULT_MAX_ITER,
+               "damping": solver.DEFAULT_DAMPING},
 }
-
-_SOLVER_DEFAULTS = {"tol": 1e-12, "max_iter": 10_000, "damping": 1.0}
-_MC_DEFAULTS = {"samples": 10_000, "seed": 2024}
 
 
 def _load_schema(name):
@@ -60,23 +58,21 @@ class RunConfig:
 
     def __init__(self, doc):
         validate_document(doc, "config.schema.json")
-        self.doc = copy.deepcopy(doc)
-        self.doc.setdefault("rates", "auto")
-        self.doc["mc"] = {**_MC_DEFAULTS, **self.doc.get("mc", {})}
-        self.doc["solver"] = {**_SOLVER_DEFAULTS, **self.doc.get("solver", {})}
+        # Missing sections, and missing fields of the channel, mc and solver
+        # sections, come from DEFAULT_CONFIG.
+        defaults = copy.deepcopy(DEFAULT_CONFIG)
+        self.doc = {**defaults, **copy.deepcopy(doc)}
+        for section in ("channel", "mc", "solver"):
+            self.doc[section] = {**defaults[section], **self.doc[section]}
         ch = self.doc["channel"]
-        ch.setdefault("kernel_a", 1.0)
-        ch.setdefault("rician_k", 10.0)
-        ch.setdefault("los", {"kind": "single"})
         if ch["profile"] == "file" and "profile_path" not in ch:
             raise ConfigError("channel.profile 'file' requires channel.profile_path")
         los = ch["los"]
         if "path" in los and "kind" in los:
             raise ConfigError("channel.los: give either a file path or a synthetic kind")
         if "path" not in los:
-            los.setdefault("kind", "single")
-            if los["kind"] == "lowrank":
-                los.setdefault("rank", 1)
+            los.setdefault("kind", defaults["channel"]["los"]["kind"])
+            los.setdefault("rank", 1)
             los.setdefault("seed", 0)
         try:
             self.geometry = geometry.ArrayGeometry(
@@ -162,8 +158,7 @@ class RunConfig:
                     f"LoS file shape {a.shape} does not match ({n_rx}, {n_tx})")
             return a
         return channel.synth_los(n_rx, n_tx, kind=los["kind"],
-                                 rank=int(los.get("rank", 1)),
-                                 seed=int(los.get("seed", 0)))
+                                 rank=int(los["rank"]), seed=int(los["seed"]))
 
     def build_models(self, snrs_db, profile=None, lattices=None):
         """(snr, model) for every SNR point, from one holographic model build.
@@ -183,3 +178,9 @@ class RunConfig:
     def build_model(self, snr_db, profile=None, lattices=None):
         """Holographic channel model for one SNR point."""
         return self.build_models([snr_db], profile, lattices)[0][1]
+
+    def with_channel(self, **fields):
+        """This configuration with the given ``channel`` fields replaced."""
+        doc = copy.deepcopy(self.doc)
+        doc["channel"].update(fields)
+        return RunConfig(doc)

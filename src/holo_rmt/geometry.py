@@ -130,5 +130,13 @@ def effective_zeta(geom: ArrayGeometry, noise_power: float) -> float:
 
 
 def zeta_from_snr_db(geom: ArrayGeometry, snr_db: float) -> float:
-    """effective_zeta at an SNR in dB under unit signal power, sigma^2 = 10^(-SNR/10)."""
-    return effective_zeta(geom, 10.0 ** (-snr_db / 10.0))
+    """effective_zeta at an SNR in dB under unit signal power, sigma^2 = 10^(-SNR/10).
+
+    A noise power past the float range (SNR below about -3083 dB) gives
+    zeta = inf, which ChannelModel refuses like any non-finite zeta.
+    """
+    try:
+        noise_power = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        noise_power = math.inf
+    return effective_zeta(geom, noise_power)

@@ -54,6 +54,7 @@ from .errors import ConvergenceError, NumericalError
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
+DEFAULT_DAMPING = 1.0
 ANDERSON_DEPTH = 5  # secant pairs kept in the Anderson history
 
 
@@ -128,15 +129,13 @@ def _full(t_diag, x):
     return mat
 
 
-def compute_resolvents(model: ChannelModel, delta, delta_tilde,
-                       rho: float) -> Resolvents:
+def compute_resolvents(model: ChannelModel, delta, delta_tilde) -> Resolvents:
     """Materialize T, T~, psi, psi~ for given fixed-point parameters."""
     delta = np.asarray(delta, dtype=float)
     delta_tilde = np.asarray(delta_tilde, dtype=float)
     if np.any(delta <= 0) or np.any(delta_tilde <= 0):
         raise ValueError("delta parameters must be entrywise positive")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    rho = model.zeta
     p, q = model.los_factors
     psi = 1.0 / (rho * (1.0 + delta_tilde))
     psi_tilde = 1.0 / (rho * (1.0 + delta))
@@ -150,13 +149,14 @@ def compute_resolvents(model: ChannelModel, delta, delta_tilde,
                       logdet_t_tilde_inv=_logdet_inv(psi_tilde, lct))
 
 
-def _gauss_seidel_map(model: ChannelModel, rho: float):
+def _gauss_seidel_map(model: ChannelModel):
     """G: x = (delta, delta~) -> one Gauss-Seidel sweep of the equations.
 
     The delta half-step uses the T built from x; the delta~ half-step then
     uses the T~ built from the fresh delta.
     """
     m = model.dims[1]
+    rho = model.zeta
     sigma = model.profile.matrix
     p, q = model.los_factors
 
@@ -172,24 +172,21 @@ def _gauss_seidel_map(model: ChannelModel, rho: float):
     return sweep
 
 
-def solve_deltas(model: ChannelModel, rho: float | None = None,
-                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                 damping: float = 1.0, init: float = 1.0):
+def solve_deltas(model: ChannelModel, tol: float = DEFAULT_TOL,
+                 max_iter: int = DEFAULT_MAX_ITER,
+                 damping: float = DEFAULT_DAMPING):
     """Anderson-accelerated fixed point, stopped when sup |G(x) - x| <= tol.
 
-    ``rho`` defaults to the model's zeta.  ``damping`` in (0, 1] is the
-    Anderson mixing parameter (1 = undamped).  Each iteration costs one
-    evaluation of the Gauss-Seidel map G; the returned solution is G(x) at
-    the first iterate x whose update meets ``tol``.  Returns
-    (DeltaSolution, Resolvents).
+    The solve runs at rho = the model's zeta (``ChannelModel.at_zeta`` moves
+    a channel to another noise level) and starts from delta = delta~ = 1.
+    ``damping`` in (0, 1] is the Anderson mixing parameter (1 = undamped).
+    Each iteration costs one evaluation of the Gauss-Seidel map G; the
+    returned solution is G(x) at the first iterate x whose update meets
+    ``tol``.  Returns (DeltaSolution, Resolvents).
 
     Raises ConvergenceError with the residual trace when max_iter is
     exhausted.
     """
-    if rho is None:
-        rho = model.zeta
-    if not rho > 0:
-        raise ValueError("rho must be positive")
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
@@ -198,8 +195,8 @@ def solve_deltas(model: ChannelModel, rho: float | None = None,
         raise ValueError("damping must lie in (0, 1]")
 
     n, m = model.dims
-    sweep = _gauss_seidel_map(model, rho)
-    x = np.full(m + n, float(init))
+    sweep = _gauss_seidel_map(model)
+    x = np.ones(m + n)
     d_x = deque(maxlen=ANDERSON_DEPTH)
     d_f = deque(maxlen=ANDERSON_DEPTH)
     x_prev = f_prev = None
@@ -212,9 +209,9 @@ def solve_deltas(model: ChannelModel, rho: float | None = None,
         if residual <= tol:
             delta, delta_tilde = g[:m], g[m:]
             solution = DeltaSolution(delta=delta, delta_tilde=delta_tilde,
-                                     rho=float(rho), iterations=iteration,
+                                     rho=float(model.zeta), iterations=iteration,
                                      residual=residual)
-            return solution, compute_resolvents(model, delta, delta_tilde, rho)
+            return solution, compute_resolvents(model, delta, delta_tilde)
 
         if x_prev is not None:
             d_x.append(x - x_prev)
@@ -246,8 +243,8 @@ def self_consistency_residual(model: ChannelModel, solution: DeltaSolution,
     return float(max(r1, r2))
 
 
-def delta_upper_bounds(model: ChannelModel, rho: float):
+def delta_upper_bounds(model: ChannelModel):
     """Trace-inequality bounds: delta_j <= (N/M) s2max/rho, delta~_i <= s2max/rho."""
     n, m = model.dims
     s2max = model.profile.sigma2_max
-    return (n / m) * s2max / rho, s2max / rho
+    return (n / m) * s2max / model.zeta, s2max / model.zeta

@@ -1,14 +1,16 @@
 """Criterion evaluators shared by the validate command and the test suite.
 
 Every check returns a CriterionResult carrying the measured quantity, the
-threshold it was held to, and the verdict.  The evaluators are
-parameterized by problem size and sample count so the CLI can run them at
-the configured scale while the acceptance tests pin the reference scale.
+threshold it was held to, and the verdict.  The criteria that depend on the
+channel take it as a RunConfig and build their models with
+RunConfig.build_models, the path of the analyze and mc commands; their
+other arguments are what they sweep or gate on (SNRs, Rician factors,
+samples, seed, thresholds).
 """
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -17,7 +19,6 @@ from . import channel, geometry, montecarlo, solver
 from .asymptotics import (analyze_model, auto_rate_grid, build_b,
                           outage_probability, variance_clt,
                           variance_linear_system_oracle)
-from .config import RunConfig
 from .montecarlo import (empirical_outage, ks_statistic, normalized_samples,
                          qq_data, qq_slope, run_mc, sample_channel, substream)
 
@@ -56,26 +57,23 @@ def desk_geometry(aperture_wavelengths: float = 3.38,
         antenna_area=lam ** 2 / 64, antenna_efficiency=0.6)
 
 
-def desk_config(geom, rician_k=10.0, kernel_a=1.0) -> RunConfig:
-    """Run configuration of a single-LoS Gaussian-kernel channel on ``geom``."""
-    doc = {name: list(v) if isinstance(v, tuple) else v
-           for name, v in asdict(geom).items()}
-    return RunConfig.defaults(geometry=doc, channel={
-        "profile": "nonseparable", "kernel_a": kernel_a, "rician_k": rician_k})
+def _closed_form_and_mc(cfg, snrs_db, samples, seed):
+    """(snr, closed-form stats, MC sample set) per SNR of cfg's channel."""
+    for snr, model in cfg.build_models(snrs_db):
+        stats = analyze_model(model, **cfg.solver_opts)[0]
+        yield snr, stats, run_mc(model, samples, seed)
 
 
 # ---------------------------------------------------------------------------
 # Criterion 1: fixed-point convergence at full scale
 # ---------------------------------------------------------------------------
 
-def check_convergence(geom=None, snr_db=10.0, rician_k=10.0, kernel_a=1.0,
-                      tol=1e-12, max_iter=10_000, selfcons_tol=1e-10,
-                      time_limit_s=60.0) -> CriterionResult:
+def check_convergence(cfg, snr_db=10.0, tol=1e-12, max_iter=10_000,
+                      selfcons_tol=1e-10, time_limit_s=60.0) -> CriterionResult:
     t0 = time.time()
-    if geom is None:
-        geom = desk_geometry(10.0)  # 10-wavelength aperture: n = 317
-    model = desk_config(geom, rician_k, kernel_a).build_model(snr_db)
-    sol, res = solver.solve_deltas(model, tol=tol, max_iter=max_iter)
+    model = cfg.build_model(snr_db)
+    sol, res = solver.solve_deltas(model, tol=tol, max_iter=max_iter,
+                                   damping=cfg.solver_opts["damping"])
     sc = solver.self_consistency_residual(model, sol, res)
     elapsed = time.time() - t0
     ok = (sol.iterations < max_iter and sol.residual <= tol
@@ -117,30 +115,25 @@ def check_iid_closed_form(rhos=(0.1, 1.0, 10.0), size=16,
 # Criteria 3/4: EMI and variance against Monte Carlo
 # ---------------------------------------------------------------------------
 
-def check_emi_vs_mc(geom, profile, lattices, snrs_db=(0.0, 10.0, 20.0),
-                    rician_ks=(0.0, 10.0), samples=10_000, seed=11,
-                    rel_tol=0.01, se_mult=SE_MULTIPLIER) -> CriterionResult:
+def check_emi_vs_mc(cfg, snrs_db=(0.0, 10.0, 20.0), rician_ks=(0.0, 10.0),
+                    samples=10_000, seed=11, rel_tol=0.01,
+                    se_mult=SE_MULTIPLIER) -> CriterionResult:
     t0 = time.time()
     details = []
-    ok = True
-    worst_rel = 0.0
     for k in rician_ks:
-        cfg = desk_config(geom, k)
-        for snr, model in cfg.build_models(snrs_db, profile, lattices):
-            stats, _, _, _ = analyze_model(model)
-            ms = run_mc(model, samples, seed)
+        sweep = _closed_form_and_mc(cfg.with_channel(rician_k=k), snrs_db,
+                                    samples, seed)
+        for snr, stats, ms in sweep:
             rel = float(abs(ms.mean - stats.emi_nats) / abs(stats.emi_nats))
             se = math.sqrt(ms.variance / samples)
             within_se = bool(abs(ms.mean - stats.emi_nats) <= se_mult * se)
-            good = bool(rel <= rel_tol) and within_se
-            ok = ok and good
-            worst_rel = max(worst_rel, rel)
             details.append({"rician_k": k, "snr_db": snr, "emi": stats.emi_nats,
                             "mc_mean": ms.mean, "rel": rel, "se": se,
-                            "pass": good})
+                            "pass": bool(rel <= rel_tol) and within_se})
+    worst_rel = max((d["rel"] for d in details), default=0.0)
     return CriterionResult(
         name="emi-vs-mc",
-        passed=ok,
+        passed=all(d["pass"] for d in details),
         measured=f"worst |mean-emi|/emi = {worst_rel:.4%}",
         threshold=f"<= {rel_tol:.0%} and within {se_mult:.0f} SE",
         runtime_s=time.time() - t0,
@@ -152,20 +145,17 @@ def chi2_ppf(p, dof):
     return 2.0 * gammaincinv(dof / 2, p)
 
 
-def check_variance_vs_mc(geom, profile, lattices, snrs_db=(0.0, 10.0, 20.0),
-                         rician_ks=(0.0, 10.0), samples=100_000, seed=13,
-                         rel_tol=0.05, se_mult=SE_MULTIPLIER) -> CriterionResult:
+def check_variance_vs_mc(cfg, snrs_db=(0.0, 10.0, 20.0), rician_ks=(0.0, 10.0),
+                         samples=100_000, seed=13, rel_tol=0.05,
+                         se_mult=SE_MULTIPLIER) -> CriterionResult:
     t0 = time.time()
     from .normal import norm_cdf
     p_lo = norm_cdf(-se_mult)
     details = []
-    ok = True
-    worst_rel = 0.0
     for k in rician_ks:
-        cfg = desk_config(geom, k)
-        for snr, model in cfg.build_models(snrs_db, profile, lattices):
-            stats, _, _, _ = analyze_model(model)
-            ms = run_mc(model, samples, seed)
+        sweep = _closed_form_and_mc(cfg.with_channel(rician_k=k), snrs_db,
+                                    samples, seed)
+        for snr, stats, ms in sweep:
             s2 = ms.variance
             rel = float(abs(s2 - stats.variance) / stats.variance)
             # chi^2 sampling band for the variance of ~Gaussian samples,
@@ -174,16 +164,14 @@ def check_variance_vs_mc(geom, profile, lattices, snrs_db=(0.0, 10.0, 20.0),
             band_lo = s2 * dof / chi2_ppf(1.0 - p_lo, dof)
             band_hi = s2 * dof / chi2_ppf(p_lo, dof)
             in_band = bool(band_lo <= stats.variance <= band_hi)
-            good = bool(rel <= rel_tol) and in_band
-            ok = ok and good
-            worst_rel = max(worst_rel, rel)
             details.append({"rician_k": k, "snr_db": snr,
                             "variance": stats.variance, "mc_var": s2,
                             "rel": rel, "band": [float(band_lo), float(band_hi)],
-                            "pass": good})
+                            "pass": bool(rel <= rel_tol) and in_band})
+    worst_rel = max((d["rel"] for d in details), default=0.0)
     return CriterionResult(
         name="variance-vs-mc",
-        passed=ok,
+        passed=all(d["pass"] for d in details),
         measured=f"worst |s2-V|/V = {worst_rel:.4%}",
         threshold=f"<= {rel_tol:.0%} and inside chi2 band",
         runtime_s=time.time() - t0,
@@ -237,13 +225,10 @@ def check_appendix_oracle(sizes=(8, 16, 32), trials=3, seed=101,
 # Criterion 6: Gaussianity of the normalized MI
 # ---------------------------------------------------------------------------
 
-def check_gaussianity(geom, profile, lattices, snr_db=10.0, rician_k=10.0,
-                      samples=100_000, seed=17, ks_coef=1.95,
-                      slope_range=(0.97, 1.03)) -> CriterionResult:
+def check_gaussianity(cfg, snr_db=10.0, samples=100_000, seed=17,
+                      ks_coef=1.95, slope_range=(0.97, 1.03)) -> CriterionResult:
     t0 = time.time()
-    model = desk_config(geom, rician_k).build_model(snr_db, profile, lattices)
-    stats, _, _, _ = analyze_model(model)
-    ms = run_mc(model, samples, seed)
+    _, stats, ms = next(_closed_form_and_mc(cfg, [snr_db], samples, seed))
     norm = normalized_samples(ms, stats.emi_nats, stats.variance)
     ks = ks_statistic(norm)
     slope = qq_slope(qq_data(norm))
@@ -264,16 +249,12 @@ def check_gaussianity(geom, profile, lattices, snr_db=10.0, rician_k=10.0,
 # Criterion 7: outage curve against the empirical CDF
 # ---------------------------------------------------------------------------
 
-def check_outage(geom, profile, lattices, snrs_db=(30.0, 31.0),
-                 rician_k=10.0, samples=100_000, seed=19,
+def check_outage(cfg, snrs_db=(30.0, 31.0), samples=100_000, seed=19,
                  sup_tol=0.02) -> CriterionResult:
     t0 = time.time()
     details = []
     worst = 0.0
-    cfg = desk_config(geom, rician_k)
-    for snr, model in cfg.build_models(snrs_db, profile, lattices):
-        stats, _, _, _ = analyze_model(model)
-        ms = run_mc(model, samples, seed)
+    for snr, stats, ms in _closed_form_and_mc(cfg, snrs_db, samples, seed):
         sup = 0.0
         for rate in auto_rate_grid(stats):
             dev = abs(outage_probability(stats, rate) - empirical_outage(ms, rate))
@@ -370,7 +351,7 @@ def _check_one_invariant_model(rng) -> list[str]:
     n, m = model.dims
     rho = model.zeta
     sol, res = solver.solve_deltas(model)
-    bound_d, bound_dt = solver.delta_upper_bounds(model, rho)
+    bound_d, bound_dt = solver.delta_upper_bounds(model)
     if not (np.all(sol.delta > 0) and np.all(sol.delta <= bound_d * (1 + 1e-9))):
         failures.append("delta bound")
     if not (np.all(sol.delta_tilde > 0)
@@ -439,42 +420,38 @@ def check_invariants(num_models=200, seed=31) -> CriterionResult:
 def run_all(run_config, rel_tol_scale=1.0):
     """Evaluate every criterion at the configured size.
 
-    The mean/variance-vs-MC checks run on the configured profile; the
-    Gaussianity and outage checks run on the separable isotropic profile
-    (their criteria do not pin the profile, and the narrow-kernel
-    non-separable profile, where about 5 entries per row carry a row's
-    variance at kernel_a = 1, carries a bias those distributional gates
-    cannot absorb).  ``rel_tol_scale`` scales the relative thresholds
-    (smaller = stricter).
+    The channel-dependent criteria run on the configured channel: its
+    geometry, profile, kernel_a, LoS, Rician factor and solver settings.
+    The mean/variance-vs-MC checks also sweep K = 0.  The Gaussianity and
+    outage checks run on its separable variant (``profile`` set to
+    "separable"): their criteria do not pin the profile, and the
+    narrow-kernel non-separable profile, where about 5 entries per row
+    carry a row's variance at kernel_a = 1, carries a bias those
+    distributional gates cannot absorb.  ``rel_tol_scale`` scales the
+    relative thresholds (smaller = stricter).  The configured profile must
+    be entrywise positive; that pre-flight check runs before any criterion.
     """
-    geom = run_config.geometry
-    lat = run_config.lattices()
-    sep = channel.profile_separable_isotropic(lat[0], lat[1], geom.wavelength)
-    profile = run_config.build_profile(*lat)
-    profile.check_positive()
-    samples = run_config.mc_samples
+    run_config.build_profile(*run_config.lattices()).check_positive()
+    samples, seed = run_config.mc_samples, run_config.mc_seed
     snrs = tuple(run_config.snr_db)
     k = float(run_config.doc["channel"]["rician_k"])
     sopts = run_config.solver_opts
-
-    results = [
-        check_convergence(geom=geom, snr_db=snrs[0], rician_k=k,
-                          tol=sopts["tol"], max_iter=sopts["max_iter"]),
+    separable = run_config.with_channel(profile="separable")
+    return [
+        check_convergence(run_config, snr_db=snrs[0], tol=sopts["tol"],
+                          max_iter=sopts["max_iter"]),
         check_iid_closed_form(),
-        check_emi_vs_mc(geom, profile, lat, snrs_db=snrs, rician_ks=(0.0, k),
-                        samples=samples, seed=run_config.mc_seed,
+        check_emi_vs_mc(run_config, snrs_db=snrs, rician_ks=(0.0, k),
+                        samples=samples, seed=seed,
                         rel_tol=0.01 * rel_tol_scale),
-        check_variance_vs_mc(geom, profile, lat, snrs_db=snrs,
-                             rician_ks=(0.0, k), samples=samples,
-                             seed=run_config.mc_seed + 1,
+        check_variance_vs_mc(run_config, snrs_db=snrs, rician_ks=(0.0, k),
+                             samples=samples, seed=seed + 1,
                              rel_tol=0.05 * rel_tol_scale),
         check_appendix_oracle(),
-        check_gaussianity(geom, sep, lat, snr_db=snrs[0], rician_k=k,
-                          samples=samples, seed=run_config.mc_seed + 2),
-        check_outage(geom, sep, lat, snrs_db=snrs, rician_k=k,
-                     samples=samples, seed=run_config.mc_seed + 3,
+        check_gaussianity(separable, snr_db=snrs[0], samples=samples,
+                          seed=seed + 2),
+        check_outage(separable, snrs_db=snrs, samples=samples, seed=seed + 3,
                      sup_tol=0.02 * rel_tol_scale),
         check_reductions(),
         check_invariants(num_models=50),
     ]
-    return results

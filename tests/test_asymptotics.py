@@ -46,7 +46,7 @@ class TestEmiDeterministic:
 
     def test_vanishing_snr_limit(self):
         model = random_model(1, rho=1e9)
-        sol, res = solve_deltas(model, rho=1e9)
+        sol, res = solve_deltas(model)
         assert emi_deterministic(model, sol, res) <= 1e-6
 
     def test_nonincreasing_in_zeta(self):

@@ -308,9 +308,12 @@ class TestBuilders:
 
     def test_zeta_must_be_positive(self):
         prof = profile_from_matrix(np.ones((2, 2)))
+        model = ChannelModel(los=np.zeros((2, 2)), profile=prof, zeta=1.0)
         for zeta in (0.0, -1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="zeta must be finite and positive"):
                 ChannelModel(los=np.zeros((2, 2)), profile=prof, zeta=zeta)
+            with pytest.raises(ValueError, match="zeta must be finite and positive"):
+                model.at_zeta(zeta)
 
     def test_at_zeta_shares_the_channel(self):
         rng = np.random.default_rng(3)

@@ -178,7 +178,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize("command", ["analyze", "mc"])
     def test_non_finite_snr_exits_2(self, tmp_path, command):
         cfg = small_config(tmp_path)
-        for snr in ("nan", "-inf", "10,nan"):
+        for snr in ("nan", "-inf", "10,nan", "-4000"):
             out = tmp_path / f"{command}{snr}"
             result = runner.invoke(main, [command, "--config", str(cfg),
                                           "--out", str(out), f"--snr-db={snr}"])

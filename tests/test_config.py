@@ -83,11 +83,27 @@ class TestAccessors:
         assert zeta_from_snr_db(geom, 0.0) == effective_zeta(geom, 1.0)
 
     def test_solver_defaults_filled(self):
-        doc = make_doc()
-        del doc["solver"]
-        cfg = RunConfig(doc)
+        # A section left out, or its optional fields left out, is filled in.
+        cases = [
+            ("solver", None, {"tol": 1e-12, "max_iter": 10_000, "damping": 1.0}),
+            ("mc", None, {"samples": 10_000, "seed": 2024}),
+            ("channel", ("kernel_a", "rician_k", "los"),
+             {"profile": "nonseparable", "kernel_a": 1.0, "rician_k": 10.0,
+              "los": {"kind": "single", "rank": 1, "seed": 0}}),
+        ]
+        for section, fields, filled in cases:
+            doc = make_doc()
+            if fields is None:
+                del doc[section]
+            else:
+                for name in fields:
+                    del doc[section][name]
+            cfg = RunConfig(doc)
+            assert cfg.doc[section] == filled, section
         assert cfg.solver_opts == {"tol": 1e-12, "max_iter": 10_000,
                                    "damping": 1.0}
+        # Filling in a copy leaves the defaults table as it was.
+        assert DEFAULT_CONFIG["channel"]["los"] == {"kind": "single"}
 
 
 class TestModelAssembly:

@@ -49,16 +49,16 @@ def dense_resolvents(model, delta, delta_tilde, rho):
     return hpd_inverse(t_inv) + hpd_inverse(tt_inv)
 
 
-def plain_gauss_seidel(model, rho, tol, max_iter=100_000):
+def plain_gauss_seidel(model, rho, tol, max_iter=100_000, start=1.0):
     """Oracle: the unaccelerated Gauss-Seidel iteration on dense resolvents.
 
-    The delta half-step uses the T of the previous iterate, the delta~
-    half-step the T~ built from the fresh delta; it stops when the
-    sup-norm update is <= tol.
+    Starting from delta = delta~ = ``start``, the delta half-step uses the T
+    of the previous iterate, the delta~ half-step the T~ built from the
+    fresh delta; it stops when the sup-norm update is <= tol.
     """
     n, m = model.dims
     sigma = model.profile.matrix
-    delta, delta_tilde = np.ones(m), np.ones(n)
+    delta, delta_tilde = np.full(m, start), np.full(n, start)
     for _ in range(max_iter):
         t_mat = dense_resolvents(model, delta, delta_tilde, rho)[0]
         delta_new = sigma.T @ np.real(np.diag(t_mat)) / m
@@ -108,7 +108,7 @@ class TestLowRankResolvents:
         rho = model.zeta
         delta = 0.1 + 3.0 * rng.random(m)
         delta_tilde = 0.1 + 3.0 * rng.random(n)
-        res = compute_resolvents(model, delta, delta_tilde, rho)
+        res = compute_resolvents(model, delta, delta_tilde)
         t_ref, ld_ref, tt_ref, ldt_ref = dense_resolvents(
             model, delta, delta_tilde, rho)
         assert rel_err(res.t_diag, np.real(np.diag(t_ref))) <= 1e-12
@@ -136,9 +136,9 @@ class TestAndersonAcceleration:
     @pytest.mark.parametrize("rank", [0, 1, 4])
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_plain_gauss_seidel(self, seed, rank, rho):
-        model, _ = rank_r_model(seed, rank, complex_los=True)
+        model = rank_r_model(seed, rank, complex_los=True)[0].at_zeta(rho)
         delta_ref, delta_tilde_ref = plain_gauss_seidel(model, rho, tol=1e-14)
-        sol, _ = solve_deltas(model, rho=rho)
+        sol, _ = solve_deltas(model)
         assert rel_err(sol.delta, delta_ref) <= 1e-12
         assert rel_err(sol.delta_tilde, delta_tilde_ref) <= 1e-12
 
@@ -154,17 +154,17 @@ class TestAndersonAcceleration:
 
 class TestComputeResolvents:
     def test_centered_resolvent_is_diagonal(self):
-        model = iid_model(3, 4, 1.0)
+        model = iid_model(3, 4, 2.0)
         delta = np.full(4, 0.3)
         delta_tilde = np.full(3, 0.7)
-        res = compute_resolvents(model, delta, delta_tilde, 2.0)
+        res = compute_resolvents(model, delta, delta_tilde)
         expected = 1.0 / (2.0 * (1.0 + delta_tilde))
         assert np.allclose(res.t_mat, np.diag(expected), atol=1e-15)
         assert np.allclose(res.t_diag, expected, rtol=1e-14)
 
     def test_scalar_golden_ratio_point(self):
         model = iid_model(1, 1, 1.0)
-        res = compute_resolvents(model, np.array([GOLDEN]), np.array([GOLDEN]), 1.0)
+        res = compute_resolvents(model, np.array([GOLDEN]), np.array([GOLDEN]))
         expected = 2.0 / (1.0 + math.sqrt(5.0))
         assert res.t_diag[0] == pytest.approx(expected, rel=1e-14)
         assert res.t_tilde_diag[0] == pytest.approx(expected, rel=1e-14)
@@ -183,17 +183,15 @@ class TestComputeResolvents:
 
     def test_failed_factorization_raises_numerical_error(self):
         # delta = inf zeroes the LoS weights, so the r x r matrix is singular.
-        model = random_model(11)
+        model = random_model(11, rho=1.0)
         n, m = model.dims
         with pytest.raises(NumericalError, match="not positive definite"):
-            compute_resolvents(model, np.full(m, np.inf), np.ones(n), 1.0)
+            compute_resolvents(model, np.full(m, np.inf), np.ones(n))
 
     def test_rejects_nonpositive_parameters(self):
         model = iid_model(2, 2, 1.0)
         with pytest.raises(ValueError):
-            compute_resolvents(model, np.array([0.0, 1.0]), np.ones(2), 1.0)
-        with pytest.raises(ValueError):
-            compute_resolvents(model, np.ones(2), np.ones(2), -1.0)
+            compute_resolvents(model, np.array([0.0, 1.0]), np.ones(2))
 
 
 class TestSolveDeltas:
@@ -208,24 +206,27 @@ class TestSolveDeltas:
 
     def test_high_noise_limit(self):
         model = random_model(7, rho=1e6)
-        sol, _ = solve_deltas(model, rho=1e6)
-        bound_d, bound_dt = delta_upper_bounds(model, 1e6)
+        sol, _ = solve_deltas(model)
+        bound_d, bound_dt = delta_upper_bounds(model)
         assert np.all(sol.delta > 0)
         assert np.all(sol.delta <= bound_d)
         assert np.all(sol.delta_tilde <= bound_dt)
         assert sol.delta.max() < 1e-5
 
     def test_uniqueness_across_initializations(self):
+        # The plain sweep from other starts lands on the solver's fixed point.
         model = random_model(8, n=8, m=6)
-        sol_a, _ = solve_deltas(model, tol=1e-12, init=0.5)
-        sol_b, _ = solve_deltas(model, tol=1e-12, init=2.0)
-        assert np.abs(sol_a.delta - sol_b.delta).max() <= 1e-11
-        assert np.abs(sol_a.delta_tilde - sol_b.delta_tilde).max() <= 1e-11
+        sol, _ = solve_deltas(model, tol=1e-12)
+        for start in (0.5, 2.0):
+            delta, delta_tilde = plain_gauss_seidel(model, model.zeta,
+                                                    tol=1e-14, start=start)
+            assert np.abs(sol.delta - delta).max() <= 1e-11
+            assert np.abs(sol.delta_tilde - delta_tilde).max() <= 1e-11
 
     def test_deltas_decrease_with_rho(self):
         model = random_model(9)
-        lo, _ = solve_deltas(model, rho=0.5)
-        hi, _ = solve_deltas(model, rho=1.5)
+        lo, _ = solve_deltas(model.at_zeta(0.5))
+        hi, _ = solve_deltas(model.at_zeta(1.5))
         assert np.all(hi.delta < lo.delta)
         assert np.all(hi.delta_tilde < lo.delta_tilde)
 
@@ -269,10 +270,6 @@ class TestSolveDeltas:
             solve_deltas(model, max_iter=0)
         with pytest.raises(ValueError):
             solve_deltas(model, damping=1.5)
-        with pytest.raises(ValueError):
-            solve_deltas(model, rho=-1.0)
-        with pytest.raises(ValueError, match="rho"):
-            solve_deltas(model, rho=math.nan)
 
     def test_real_los_keeps_real_arithmetic(self):
         rng = np.random.default_rng(14)
@@ -289,8 +286,8 @@ class TestSolveDeltas:
     @given(st.integers(0, 2 ** 31), st.floats(min_value=0.05, max_value=20.0))
     def test_bounds_hold_on_random_models(self, seed, rho):
         model = random_model(seed, rho=rho)
-        sol, _ = solve_deltas(model, rho=rho)
-        bound_d, bound_dt = delta_upper_bounds(model, rho)
+        sol, _ = solve_deltas(model)
+        bound_d, bound_dt = delta_upper_bounds(model)
         assert np.all(sol.delta > 0)
         assert np.all(sol.delta_tilde > 0)
         assert np.all(sol.delta <= bound_d * (1 + 1e-9))

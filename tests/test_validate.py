@@ -1,8 +1,15 @@
+from pathlib import Path
+
 import pytest
 from scipy.stats import chi2
 
+from holo_rmt.asymptotics import analyze_model
+from holo_rmt.config import RunConfig
 from holo_rmt.normal import norm_cdf
-from holo_rmt.validate import SE_MULTIPLIER, chi2_ppf
+from holo_rmt.validate import (SE_MULTIPLIER, check_convergence,
+                               check_emi_vs_mc, chi2_ppf, desk_geometry)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.mark.parametrize("samples", [200, 1_000, 10_000, 100_000])
@@ -13,3 +20,25 @@ def test_chi2_ppf_equals_scipy_stats(samples):
     dof = samples - 1
     for p in (p_lo, 1.0 - p_lo, 5e-4):
         assert chi2_ppf(p, dof) == chi2.ppf(p, dof)
+
+
+def test_shipped_configs_are_the_reference_geometries():
+    assert RunConfig.from_file(CONFIGS / "desk.json").geometry == desk_geometry(3.38)
+    assert RunConfig.from_file(CONFIGS / "full.json").geometry == desk_geometry(10.0)
+
+
+def test_criteria_check_the_configured_channel():
+    # A separable desk channel with a rank-4 LoS: C1 and C3 must solve the
+    # model that analyze solves, not a single-LoS Gaussian-kernel stand-in
+    # (whose 10 dB EMI is 50.355 nats).
+    cfg = RunConfig.from_file(CONFIGS / "desk.json").with_channel(
+        profile="separable", los={"kind": "lowrank", "rank": 4, "seed": 701})
+    stats = analyze_model(cfg.build_model(10.0), **cfg.solver_opts)[0]
+    assert stats.emi_nats == pytest.approx(65.4108188838892, rel=1e-10)
+
+    k = cfg.doc["channel"]["rician_k"]
+    c3 = check_emi_vs_mc(cfg, snrs_db=(10.0,), rician_ks=(k,), samples=500,
+                         seed=11)
+    assert c3.details[0]["emi"] == stats.emi_nats
+    c1 = check_convergence(cfg, snr_db=10.0)
+    assert c1.measured.startswith(f"iters={stats.solution.iterations} ")
