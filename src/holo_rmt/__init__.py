@@ -9,14 +9,15 @@ from .channel import (ChannelModel, VarianceProfile, build_holographic,
                       profile_from_matrix, profile_nonseparable_gaussian,
                       profile_separable_isotropic, separable_profile,
                       synth_los)
-from .errors import (ConfigError, ConvergenceError, HoloRmtError,
-                     InvalidRegimeError, NumericalError)
+from .errors import (AssumptionError, ConfigError, ConvergenceError,
+                     HoloRmtError, InvalidRegimeError, NumericalError)
 from .geometry import (ArrayGeometry, WavenumberLattice, antenna_gain,
                        effective_zeta, enumerate_lattice, rx_lattice,
                        tx_lattice, zeta_from_snr_db)
 from .montecarlo import (MiSampleSet, compute_mi, empirical_outage,
                          ks_statistic, model_digest, normalized_samples,
-                         qq_data, qq_slope, run_mc, sample_channel, substream)
+                         qq_data, qq_slope, run_mc, run_mc_grid, sample_channel,
+                         substream)
 from .solver import (DeltaSolution, Resolvents, compute_resolvents,
                      delta_upper_bounds, self_consistency_residual,
                      solve_deltas)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import AssumptionError
 from .geometry import (ArrayGeometry, WavenumberLattice, effective_zeta,
                        rx_lattice, tx_lattice)
 
@@ -77,10 +78,11 @@ class VarianceProfile:
         return np.sqrt(self.matrix)
 
     def check_positive(self):
-        """Raise if any entry is non-positive (assumption gate, no flooring)."""
+        """Raise AssumptionError if any entry is non-positive (assumption
+        gate, no flooring)."""
         if self.sigma2_min <= 0:
             i, j = np.unravel_index(np.argmin(self.matrix), self.shape)
-            raise ValueError(
+            raise AssumptionError(
                 f"variance profile violates the positivity assumption: "
                 f"entry ({i},{j}) = {self.matrix[i, j]}")
 
@@ -89,6 +91,22 @@ def floor_count(matrix) -> int:
     """Number of entries at or below the positivity floor PROFILE_FLOOR_REL * max."""
     m = np.asarray(matrix, dtype=float)
     return int(np.count_nonzero(m <= PROFILE_FLOOR_REL * m.max()))
+
+
+def effective_width(matrix):
+    """How many entries carry each row's and each column's variance.
+
+    n_eff of row i is (sum_j s_ij)^2 / sum_j s_ij^2: m for a flat row of m
+    entries, 1 when a single entry carries the row.  Returns
+    ((min, median) over rows, (min, median) over columns).
+    """
+    m = np.asarray(matrix, dtype=float)
+
+    def side(axis):
+        n_eff = m.sum(axis=axis) ** 2 / (m * m).sum(axis=axis)
+        return float(n_eff.min()), float(np.median(n_eff))
+
+    return side(1), side(0)
 
 
 def _floored(matrix):

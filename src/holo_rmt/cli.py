@@ -18,11 +18,12 @@ import numpy as np
 
 from . import matio
 from .asymptotics import analyze_model, auto_rate_grid, outage_curve
-from .channel import floor_count
+from .channel import effective_width, floor_count
 from .config import RunConfig, validate_document
-from .errors import ConfigError, ConvergenceError, HoloRmtError, NumericalError
+from .errors import (AssumptionError, ConfigError, ConvergenceError,
+                     HoloRmtError, NumericalError)
 from .montecarlo import (ks_statistic, normalized_samples, qq_data, qq_slope,
-                         run_mc)
+                         run_mc_grid)
 
 KS_MIN_SAMPLES = 100
 
@@ -149,8 +150,9 @@ def mc(config_path, out_dir, seed, snr_db, samples, tol):
         analytic = {round(e["snr_db"], 9): e for e in prior.get("results", [])}
 
     entries = []
-    for snr, model in models:
-        ms = run_mc(model, cfg.mc_samples, cfg.mc_seed)
+    sets = run_mc_grid(models[0][1], [model.zeta for _, model in models],
+                       cfg.mc_samples, cfg.mc_seed)
+    for (snr, model), ms in zip(models, sets):
         csv_name = f"samples_snr{snr:g}.csv"
         matio.save_samples_csv(os.path.join(out_dir, csv_name), ms.samples)
         entry = {"snr_db": float(snr), "zeta": model.zeta,
@@ -198,17 +200,17 @@ def mc(config_path, out_dir, seed, snr_db, samples, tol):
 @_guard
 def validate(config_path, out_dir, seed, snr_db, samples, tol, rel_tol_scale):
     """Run the full criterion table at the configured size; exit 0 iff all pass."""
-    # Imported here: validate pulls in scipy, which no other command needs.
+    # Imported here: validate pulls in scipy.special, which no other command
+    # needs.
     from . import validate as validate_mod
 
     cfg = _load_config(config_path, seed, snr_db, samples, tol)
-    os.makedirs(out_dir, exist_ok=True)
     try:
         results = validate_mod.run_all(cfg, rel_tol_scale=rel_tol_scale)
-    except ValueError as exc:
-        # Pre-flight assumption gate (for instance a zero profile entry).
+    except AssumptionError as exc:
         click.echo(f"PRE-FLIGHT FAIL: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
+    os.makedirs(out_dir, exist_ok=True)
     header = f"{'criterion':<22} {'measured':<34} {'threshold':<30} verdict"
     click.echo(header)
     click.echo("-" * len(header))
@@ -244,9 +246,12 @@ def profile(config_path, out_dir, seed, snr_db, samples, tol):
     matio.save_json(os.path.join(out_dir, "lattice.json"), lattice_doc)
     click.echo(f"n_R={lat_rx.n} (estimate {lat_rx.estimate()})   "
                f"n_S={lat_tx.n} (estimate {lat_tx.estimate()})")
+    (row_min, row_med), (col_min, col_med) = effective_width(prof.matrix)
     click.echo(f"profile kind={prof.kind} shape={prof.shape} "
                f"sum={prof.matrix.sum():.6e} "
-               f"floored={floor_count(prof.matrix)} of {prof.matrix.size}")
+               f"floored={floor_count(prof.matrix)} of {prof.matrix.size} "
+               f"n_eff min/median rows={row_min:.2f}/{row_med:.2f} "
+               f"cols={col_min:.2f}/{col_med:.2f}")
     click.echo(f"wrote {os.path.join(out_dir, 'profile.json')} and lattice.json")
 
 

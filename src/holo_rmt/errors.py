@@ -9,6 +9,12 @@ class ConfigError(HoloRmtError):
     """Invalid or malformed run configuration (CLI exit code 2)."""
 
 
+class AssumptionError(HoloRmtError, ValueError):
+    """A model input violates an assumption the asymptotics rely on, such as
+    a non-positive profile entry (validate's pre-flight gate, CLI exit
+    code 1)."""
+
+
 class ConvergenceError(HoloRmtError):
     """Fixed-point iteration exhausted max_iter without converging.
 

@@ -7,20 +7,26 @@ parallel generation is order-independent and a run can be split across
 processes by index range).  Complex Gaussians come from Box-Muller applied
 to the generator's uniforms, which pins the exact sample values across
 platforms.
+
+The engine streams: a worker holds one sample's buffers, draws H in place,
+forms its Gram matrix once and runs one Cholesky per noise level, so one
+draw serves a whole SNR grid.  Worker processes take contiguous index
+ranges; the results land in index order.
 """
 
 import hashlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ChannelModel, check_zeta
+from .errors import NumericalError
 from .normal import norm_cdf, norm_inv_cdf
 
-_CHUNK = 512
+# Fewest samples worth a worker process of their own.
+MIN_SAMPLES_PER_WORKER = 512
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -44,30 +50,76 @@ def sample_channel(model: ChannelModel, rng: np.random.Generator) -> np.ndarray:
     return model.los + model.profile.sqrt_entries() * _gaussian_core(rng, n, m)
 
 
+def _lapack():
+    """BLAS zherk and LAPACK zpotrf, loaded on the first MI computation so
+    that importing the package (and the CLI) stays scipy-free."""
+    from scipy.linalg.blas import zherk
+    from scipy.linalg.lapack import zpotrf
+    return zherk, zpotrf
+
+
+def _gram(h, zherk):
+    """Lower triangle of the smaller Gram matrix, H^H H or H H^H."""
+    n, m = h.shape
+    return zherk(1.0, h, trans=2 if m <= n else 0, lower=1)
+
+
+def _log_det(g, zeta, zpotrf):
+    """log det(I + G/zeta) from the lower triangle of G, by Cholesky."""
+    c = g / zeta
+    c.flat[::c.shape[0] + 1] += 1.0
+    c, info = zpotrf(c, lower=1, overwrite_a=1, clean=0)
+    if info != 0:
+        raise NumericalError(f"Cholesky of I + G/zeta failed (info={info})")
+    return 2.0 * float(np.log(c.diagonal().real).sum())
+
+
 def compute_mi(h: np.ndarray, zeta: float) -> float:
     """Exact MI log det(I_d + zeta^{-1} G) in nats, d the smaller dimension.
 
     G is H^H H or H H^H, whichever is smaller (the determinant identity
     det(I+AB) = det(I+BA) makes them equal); the log-det goes through a
-    Cholesky factorization of the explicitly Hermitian argument.
+    Cholesky factorization of the lower triangle of I + G/zeta.  ``run_mc``
+    computes every sample through the same two calls.
     """
     check_zeta(zeta)
-    return float(_mi_batch(h[None, ...], zeta)[0])
+    zherk, zpotrf = _lapack()
+    return _log_det(_gram(np.asarray(h, dtype=complex), zherk), zeta, zpotrf)
 
 
-def _mi_batch(hs: np.ndarray, zeta: float) -> np.ndarray:
-    _, n, m = hs.shape
-    if m <= n:
-        g = np.conj(np.swapaxes(hs, 1, 2)) @ hs
-    else:
-        g = hs @ np.conj(np.swapaxes(hs, 1, 2))
-    d = g.shape[-1]
-    g = g / zeta
-    g[..., range(d), range(d)] += 1.0
-    g = 0.5 * (g + np.conj(np.swapaxes(g, 1, 2)))
-    chol = np.linalg.cholesky(g)
-    diag = np.real(chol[..., range(d), range(d)])
-    return 2.0 * np.sum(np.log(diag), axis=-1)
+def _mi_range(los, sqrt_sigma, zetas, seed, start, stop):
+    """MI of samples [start, stop) at every zeta, shape (len(zetas), stop - start).
+
+    Draws each H into one preallocated buffer with the arithmetic of
+    ``sample_channel`` (real and imaginary parts apart), so H is
+    bit-identical to it.
+    """
+    zherk, zpotrf = _lapack()
+    n, m = los.shape
+    los_re = np.ascontiguousarray(los.real)
+    los_im = np.ascontiguousarray(los.imag)
+    u = np.empty((2, n, m))
+    amp, phase, part = u[0], u[1], np.empty((n, m))
+    h = np.empty((n, m), dtype=complex)
+    sides = ((np.cos, h.real, los_re), (np.sin, h.imag, los_im))
+    out = np.empty((len(zetas), stop - start))
+    for k, index in enumerate(range(start, stop)):
+        substream(seed, index).random(out=u)
+        np.negative(amp, out=amp)
+        np.log1p(amp, out=amp)
+        np.negative(amp, out=amp)
+        np.divide(amp, m, out=amp)
+        np.sqrt(amp, out=amp)
+        np.multiply(phase, 2.0 * np.pi, out=phase)
+        for trig, dest, base in sides:
+            trig(phase, out=part)
+            part *= amp
+            part *= sqrt_sigma
+            np.add(base, part, out=dest)
+        g = _gram(h, zherk)
+        for z, zeta in enumerate(zetas):
+            out[z, k] = _log_det(g, zeta, zpotrf)
+    return out
 
 
 def model_digest(model: ChannelModel) -> str:
@@ -124,40 +176,58 @@ def _num_threads() -> int:
     return 1
 
 
-def run_mc(model: ChannelModel, samples: int, seed: int,
-           start_index: int = 0, threads: int | None = None) -> MiSampleSet:
-    """Draw ``samples`` MI realizations with per-index substreams.
+def run_mc_grid(model: ChannelModel, zetas, samples: int, seed: int,
+                start_index: int = 0,
+                threads: int | None = None) -> list[MiSampleSet]:
+    """MI samples of one channel at every noise level in ``zetas``.
 
+    Sample i is one draw of H (substream i of ``seed``) shared by every
+    zeta, so each set equals ``run_mc(model.at_zeta(zeta), ...)`` exactly.
     ``start_index`` offsets the substream indices so a run can be
     partitioned (indices [0, S/2) plus [S/2, S) reproduce one full run).
-    Threads (default from HOLO_RMT_THREADS, else 1) parallelize over
-    chunks; results land in index order, so the reduction is deterministic.
+    ``threads`` (default from HOLO_RMT_THREADS, else 1) caps the worker
+    processes, as do the CPU count and one worker per
+    MIN_SAMPLES_PER_WORKER samples; the parent works one index range
+    itself and forks a process for each other range.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    n, m = model.dims
-    zeta = model.zeta
-    sqrt_sigma = model.profile.sqrt_entries()
-    los = model.los
-    out = np.empty(samples)
-
-    def work(chunk_start):
-        count = min(_CHUNK, samples - chunk_start)
-        hs = np.empty((count, n, m), dtype=complex)
-        for k in range(count):
-            rng = substream(seed, start_index + chunk_start + k)
-            hs[k] = los + sqrt_sigma * _gaussian_core(rng, n, m)
-        out[chunk_start:chunk_start + count] = _mi_batch(hs, zeta)
-
-    starts = range(0, samples, _CHUNK)
-    nthreads = threads if threads is not None else _num_threads()
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(work, starts))
+    models = [model.at_zeta(z) for z in zetas]
+    cap = threads if threads is not None else _num_threads()
+    workers = max(1, min(cap, os.cpu_count() or 1,
+                         -(-samples // MIN_SAMPLES_PER_WORKER)))
+    edges = [start_index + samples * w // workers for w in range(workers + 1)]
+    ranges = list(zip(edges, edges[1:]))
+    args = (model.los, model.profile.sqrt_entries(),
+            [mz.zeta for mz in models], seed)
+    if workers == 1:
+        mi = _mi_range(*args, *ranges[0])
     else:
-        for s in starts:
-            work(s)
-    return MiSampleSet(samples=out, seed=seed, digest=model_digest(model))
+        # Imported here: most CLI calls never start a worker.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork: a worker starts with numpy and scipy already imported (a
+        # spawned one re-imports them, about 0.5 s).  The executor forks
+        # all its workers at the first submit, before it starts its
+        # management thread.
+        _lapack()
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers - 1, mp_context=ctx) as pool:
+            futures = [pool.submit(_mi_range, *args, *r) for r in ranges[1:]]
+            parts = [_mi_range(*args, *ranges[0])]
+            parts += [f.result() for f in futures]
+        mi = np.concatenate(parts, axis=1)
+    return [MiSampleSet(samples=row, seed=seed, digest=model_digest(mz))
+            for row, mz in zip(mi, models)]
+
+
+def run_mc(model: ChannelModel, samples: int, seed: int,
+           start_index: int = 0, threads: int | None = None) -> MiSampleSet:
+    """Draw ``samples`` MI realizations with per-index substreams at the
+    model's own zeta: the one-zeta case of ``run_mc_grid``."""
+    return run_mc_grid(model, [model.zeta], samples, seed,
+                       start_index=start_index, threads=threads)[0]
 
 
 def normalized_samples(sample_set: MiSampleSet, emi_nats: float,

@@ -20,7 +20,8 @@ from .asymptotics import (analyze_model, auto_rate_grid, build_b,
                           outage_probability, variance_clt,
                           variance_linear_system_oracle)
 from .montecarlo import (empirical_outage, ks_statistic, normalized_samples,
-                         qq_data, qq_slope, run_mc, sample_channel, substream)
+                         qq_data, qq_slope, run_mc_grid, sample_channel,
+                         substream)
 
 # Quantile multiplier shared by the mean gate (4 standard errors) and the
 # chi^2 sampling band on the variance.
@@ -58,10 +59,15 @@ def desk_geometry(aperture_wavelengths: float = 3.38,
 
 
 def _closed_form_and_mc(cfg, snrs_db, samples, seed):
-    """(snr, closed-form stats, MC sample set) per SNR of cfg's channel."""
-    for snr, model in cfg.build_models(snrs_db):
-        stats = analyze_model(model, **cfg.solver_opts)[0]
-        yield snr, stats, run_mc(model, samples, seed)
+    """(snr, closed-form stats, MC sample set) per SNR of cfg's channel.
+
+    One MC run serves every SNR: sample i is the same draw of H at each.
+    """
+    models = cfg.build_models(snrs_db)
+    sets = run_mc_grid(models[0][1], [model.zeta for _, model in models],
+                       samples, seed)
+    for (snr, model), ms in zip(models, sets):
+        yield snr, analyze_model(model, **cfg.solver_opts)[0], ms
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +435,8 @@ def run_all(run_config, rel_tol_scale=1.0):
     carry a row's variance at kernel_a = 1, carries a bias those
     distributional gates cannot absorb.  ``rel_tol_scale`` scales the
     relative thresholds (smaller = stricter).  The configured profile must
-    be entrywise positive; that pre-flight check runs before any criterion.
+    be entrywise positive; that pre-flight check runs before any criterion
+    and raises AssumptionError.
     """
     run_config.build_profile(*run_config.lattices()).check_positive()
     samples, seed = run_config.mc_samples, run_config.mc_seed

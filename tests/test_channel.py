@@ -10,7 +10,8 @@ from holo_rmt import matio
 from holo_rmt.channel import (PROFILE_FLOOR_REL, ChannelModel,
                               VarianceProfile, build_holographic,
                               build_kronecker, build_weichselberger,
-                              floor_count, profile_from_matrix,
+                              effective_width, floor_count,
+                              profile_from_matrix,
                               profile_nonseparable_gaussian,
                               profile_separable_isotropic, separable_profile,
                               synth_los, _cell_measure, _side_weights)
@@ -231,6 +232,30 @@ class TestProfileInvariants:
         prof = profile_from_matrix(np.array([[1.0, 0.2], [0.2, 1.0]]))
         assert prof.kind == "user"
         assert prof.factors is None
+
+    def test_effective_width_of_constant_profile(self):
+        # A flat n x m profile spreads each row over m entries and each
+        # column over n.
+        assert effective_width(np.ones((5, 3))) == ((3.0, 3.0), (5.0, 5.0))
+        assert effective_width(np.full((4, 7), 0.25)) == ((7.0, 7.0),
+                                                           (4.0, 4.0))
+
+    def test_effective_width_counts_carrying_entries(self):
+        # Row 0 is carried by one entry, row 1 by two equal ones.
+        (row_min, row_med), (col_min, col_med) = effective_width(
+            np.array([[1.0, 0.0], [1.0, 1.0]]))
+        assert (row_min, row_med) == (1.0, 1.5)
+        assert (col_min, col_med) == (1.0, 1.5)
+
+    def test_effective_width_of_desk_profiles(self, desk):
+        # The narrow Gaussian kernel (kernel_a = 1) leaves about 5 entries
+        # per row carrying the variance; the separable profile about 33.
+        (row_min, row_med), cols = effective_width(desk["nonsep"].matrix)
+        assert row_med == pytest.approx(5.13, abs=0.01)
+        assert row_min == pytest.approx(2.54, abs=0.01)
+        assert cols == pytest.approx((row_min, row_med), rel=1e-12)
+        (_, sep_med), _ = effective_width(desk["sep"].matrix)
+        assert sep_med == pytest.approx(33.47, abs=0.01)
 
     def test_check_positive_flags_zero_entry(self):
         m = np.ones((3, 3))

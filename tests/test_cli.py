@@ -175,7 +175,7 @@ class TestConfigErrors:
         result = runner.invoke(main, ["analyze", "--config", "missing.json"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("command", ["analyze", "mc"])
+    @pytest.mark.parametrize("command", ["analyze", "mc", "validate"])
     def test_non_finite_snr_exits_2(self, tmp_path, command):
         cfg = small_config(tmp_path)
         for snr in ("nan", "-inf", "10,nan", "-4000"):
@@ -189,11 +189,15 @@ class TestConfigErrors:
 
     def test_nan_tol_exits_2(self, tmp_path):
         cfg = small_config(tmp_path)
-        result = runner.invoke(main, ["analyze", "--config", str(cfg),
-                                      "--out", str(tmp_path / "o"),
-                                      "--tol", "nan"])
-        assert result.exit_code == 2, all_output(result)
-        assert "tol must be positive" in all_output(result)
+        for command in ("analyze", "validate"):
+            out = tmp_path / command
+            result = runner.invoke(main, [command, "--config", str(cfg),
+                                          "--out", str(out), "--tol", "nan"])
+            assert result.exit_code == 2, all_output(result)
+            assert "tol must be positive" in all_output(result)
+        # validate refuses the input before any criterion runs or --out exists.
+        assert "PRE-FLIGHT" not in all_output(result)
+        assert not out.exists()
 
     def test_solver_nonconvergence_exits_3(self, tmp_path):
         doc = json.loads(small_config(tmp_path).read_text())
@@ -306,6 +310,9 @@ class TestProfileCommand:
         floored = int((mat <= 1e-12 * mat.max()).sum())
         assert floored > 0
         assert f"floored={floored} of {mat.size}" in result.output
+        # The full nonseparable profile: a median row spreads over about 6
+        # entries, the narrowest over fewer than 2.
+        assert "n_eff min/median rows=1.63/6.17 cols=1.63/6.17" in result.output
 
     def test_lattice_file_and_estimate(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -1,17 +1,21 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holo_rmt import montecarlo
 from holo_rmt.asymptotics import analyze_model
 from holo_rmt.channel import (build_weichselberger, profile_from_matrix,
                               separable_profile)
+from holo_rmt.errors import NumericalError
 from holo_rmt.montecarlo import (MiSampleSet, compute_mi, empirical_outage,
                                  ks_statistic, model_digest,
                                  normalized_samples, qq_data, qq_slope,
-                                 run_mc, sample_channel, substream)
+                                 run_mc, run_mc_grid, sample_channel,
+                                 substream)
 from holo_rmt.normal import norm_cdf
 from holo_rmt.solver import solve_deltas
 
@@ -190,6 +194,56 @@ class TestRunMc:
             ms = run_mc(model, s, seed=61)
             gate = 4.0 * math.sqrt(ms.variance / s) + 0.005 * stats.emi_nats
             assert abs(ms.mean - stats.emi_nats) <= gate
+
+
+class TestRunMcGrid:
+    def test_grid_equals_one_run_per_zeta(self):
+        model = small_model(seed=9)
+        zetas = [0.05, 0.5, 5.0]
+        grid = run_mc_grid(model, zetas, 300, seed=17)
+        for zeta, ms in zip(zetas, grid):
+            single = run_mc(model.at_zeta(zeta), 300, seed=17)
+            assert np.array_equal(ms.samples, single.samples)
+            assert ms.digest == single.digest == model_digest(model.at_zeta(zeta))
+            assert ms.seed == 17
+
+    def test_worker_split_identical_off_chunk_boundary(self):
+        model = small_model(seed=10)
+        one = run_mc_grid(model, [0.2, 2.0], 1100, seed=8, start_index=777,
+                          threads=1)
+        two = run_mc_grid(model, [0.2, 2.0], 1100, seed=8, start_index=777,
+                          threads=2)
+        for a, b in zip(one, two):
+            assert np.array_equal(a.samples, b.samples)
+
+    def test_each_sample_is_compute_mi_of_its_draw(self):
+        # One MI path: the engine's streamed draw and log-det reproduce
+        # sample_channel + compute_mi exactly, not just to ulps.
+        model = small_model(seed=11)
+        ms = run_mc(model, 40, seed=12, start_index=5)
+        manual = [compute_mi(sample_channel(model, substream(12, 5 + i)),
+                             model.zeta) for i in range(40)]
+        assert np.array_equal(ms.samples, manual)
+
+    def test_worker_exception_keeps_its_type(self, monkeypatch):
+        parent = os.getpid()
+        real = montecarlo.substream
+
+        def failing(seed, index):
+            if index >= 600:
+                raise NumericalError(f"index {index} in pid {os.getpid()}")
+            return real(seed, index)
+
+        # Forked workers inherit the patched module attribute.
+        monkeypatch.setattr(montecarlo, "substream", failing)
+        with pytest.raises(NumericalError, match="index 600") as exc:
+            run_mc(small_model(), 1200, seed=3, threads=2)
+        if (os.cpu_count() or 1) >= 2:
+            assert f"pid {parent}" not in str(exc.value)
+
+    def test_rejects_bad_zeta(self):
+        with pytest.raises(ValueError, match="zeta"):
+            run_mc_grid(small_model(), [0.5, math.nan], 10, seed=1)
 
 
 class TestNormalizedSamples:
