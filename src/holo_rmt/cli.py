@@ -52,7 +52,7 @@ def _common_options(fn):
     fn = click.option("--out", "out_dir", default=".", show_default=True,
                       type=click.Path(file_okay=False),
                       help="Output directory.")(fn)
-    fn = click.option("--seed", type=click.IntRange(min=0), default=None,
+    fn = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
                       help="Override mc.seed.")(fn)
     fn = click.option("--snr-db", default=None,
                       help="Comma-separated SNR list overriding snr_db.")(fn)
@@ -232,9 +232,9 @@ def validate(config_path, out_dir, seed, snr_db, samples, tol, rel_tol_scale):
 def profile(config_path, out_dir, seed, snr_db, samples, tol):
     """Materialize the variance profile and wavenumber lattices to disk."""
     cfg = _load_config(config_path, seed, snr_db, samples, tol)
-    os.makedirs(out_dir, exist_ok=True)
     lat_rx, lat_tx = cfg.lattices()
     prof = cfg.build_profile(lat_rx, lat_tx)
+    os.makedirs(out_dir, exist_ok=True)
     matio.save_real_matrix(os.path.join(out_dir, "profile.json"), prof.matrix)
     lattice_doc = {
         "schema": 1,

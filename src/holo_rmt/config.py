@@ -38,6 +38,15 @@ DEFAULT_CONFIG = {
 }
 
 
+def _load_matrix(load, path, what):
+    """``load(path)``, with an unreadable or malformed file as ConfigError."""
+    try:
+        return load(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        detail = getattr(exc, "strerror", None) or f"{type(exc).__name__}: {exc}"
+        raise ConfigError(f"cannot read {what} {path}: {detail}") from exc
+
+
 def _load_schema(name):
     text = resources.files("holo_rmt.schemas").joinpath(name).read_text()
     return json.loads(text)
@@ -136,7 +145,8 @@ class RunConfig:
     def build_profile(self, lat_rx, lat_tx):
         ch = self.doc["channel"]
         if ch["profile"] == "file":
-            mat = matio.load_real_matrix(ch["profile_path"])
+            mat = _load_matrix(matio.load_real_matrix, ch["profile_path"],
+                               "profile file")
             if mat.shape != (lat_rx.n, lat_tx.n):
                 raise ConfigError(
                     f"profile file shape {mat.shape} does not match lattice "
@@ -152,7 +162,7 @@ class RunConfig:
     def build_los(self, n_rx, n_tx):
         los = self.doc["channel"]["los"]
         if "path" in los:
-            a = matio.load_complex_matrix(los["path"])
+            a = _load_matrix(matio.load_complex_matrix, los["path"], "LoS file")
             if a.shape != (n_rx, n_tx):
                 raise ConfigError(
                     f"LoS file shape {a.shape} does not match ({n_rx}, {n_tx})")

@@ -36,18 +36,41 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def _gaussian_core(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
-    """i.i.d. CN(0, 1/m) matrix via Box-Muller on the generator's uniforms."""
-    u = rng.random(size=(2, n, m))
-    amp = np.sqrt(-np.log1p(-u[0]) / m)       # 1 - u in (0, 1] avoids log(0)
-    phase = 2.0 * np.pi * u[1]
-    return amp * (np.cos(phase) + 1j * np.sin(phase))
+def _sampler(los: np.ndarray, sqrt_sigma: np.ndarray):
+    """``draw(rng)``: H = A + Sigma^(o1/2) .* X with X i.i.d. CN(0, 1/M).
+
+    Box-Muller runs in place on one sample's buffers (the uniforms, one
+    real scratch array and H), real and imaginary parts apart.  Each call
+    overwrites and returns the same H.
+    """
+    n, m = los.shape
+    u = np.empty((2, n, m))
+    amp, phase, part = u[0], u[1], np.empty((n, m))
+    h = np.empty((n, m), dtype=complex)
+    sides = ((np.cos, h.real, np.ascontiguousarray(los.real)),
+             (np.sin, h.imag, np.ascontiguousarray(los.imag)))
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        rng.random(out=u)
+        np.negative(amp, out=amp)
+        np.log1p(amp, out=amp)                # 1 - u in (0, 1] avoids log(0)
+        np.negative(amp, out=amp)
+        np.divide(amp, m, out=amp)
+        np.sqrt(amp, out=amp)
+        np.multiply(phase, 2.0 * np.pi, out=phase)
+        for trig, dest, base in sides:
+            trig(phase, out=part)
+            np.multiply(part, amp, out=part)
+            np.multiply(part, sqrt_sigma, out=part)
+            np.add(base, part, out=dest)
+        return h
+
+    return draw
 
 
 def sample_channel(model: ChannelModel, rng: np.random.Generator) -> np.ndarray:
     """One realization H = A + Sigma^(o1/2) .* X with X i.i.d. CN(0, 1/M)."""
-    n, m = model.dims
-    return model.los + model.profile.sqrt_entries() * _gaussian_core(rng, n, m)
+    return _sampler(model.los, model.profile.sqrt_entries())(rng)
 
 
 def _lapack():
@@ -88,35 +111,12 @@ def compute_mi(h: np.ndarray, zeta: float) -> float:
 
 
 def _mi_range(los, sqrt_sigma, zetas, seed, start, stop):
-    """MI of samples [start, stop) at every zeta, shape (len(zetas), stop - start).
-
-    Draws each H into one preallocated buffer with the arithmetic of
-    ``sample_channel`` (real and imaginary parts apart), so H is
-    bit-identical to it.
-    """
+    """MI of samples [start, stop) at every zeta, shape (len(zetas), stop - start)."""
     zherk, zpotrf = _lapack()
-    n, m = los.shape
-    los_re = np.ascontiguousarray(los.real)
-    los_im = np.ascontiguousarray(los.imag)
-    u = np.empty((2, n, m))
-    amp, phase, part = u[0], u[1], np.empty((n, m))
-    h = np.empty((n, m), dtype=complex)
-    sides = ((np.cos, h.real, los_re), (np.sin, h.imag, los_im))
+    draw = _sampler(los, sqrt_sigma)
     out = np.empty((len(zetas), stop - start))
     for k, index in enumerate(range(start, stop)):
-        substream(seed, index).random(out=u)
-        np.negative(amp, out=amp)
-        np.log1p(amp, out=amp)
-        np.negative(amp, out=amp)
-        np.divide(amp, m, out=amp)
-        np.sqrt(amp, out=amp)
-        np.multiply(phase, 2.0 * np.pi, out=phase)
-        for trig, dest, base in sides:
-            trig(phase, out=part)
-            part *= amp
-            part *= sqrt_sigma
-            np.add(base, part, out=dest)
-        g = _gram(h, zherk)
+        g = _gram(draw(substream(seed, index)), zherk)
         for z, zeta in enumerate(zetas):
             out[z, k] = _log_det(g, zeta, zpotrf)
     return out
@@ -166,36 +166,31 @@ class MiSampleSet:
         return self._sorted
 
 
-def _num_threads() -> int:
-    env = os.environ.get("HOLO_RMT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def _cpus() -> int:
+    """CPUs this process may run on (its affinity set where the platform
+    has one, so ``taskset`` limits it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def run_mc_grid(model: ChannelModel, zetas, samples: int, seed: int,
-                start_index: int = 0,
-                threads: int | None = None) -> list[MiSampleSet]:
+                start_index: int = 0) -> list[MiSampleSet]:
     """MI samples of one channel at every noise level in ``zetas``.
 
     Sample i is one draw of H (substream i of ``seed``) shared by every
     zeta, so each set equals ``run_mc(model.at_zeta(zeta), ...)`` exactly.
     ``start_index`` offsets the substream indices so a run can be
     partitioned (indices [0, S/2) plus [S/2, S) reproduce one full run).
-    ``threads`` (default from HOLO_RMT_THREADS, else 1) caps the worker
-    processes, as do the CPU count and one worker per
-    MIN_SAMPLES_PER_WORKER samples; the parent works one index range
-    itself and forks a process for each other range.
+    Worker processes: one per CPU this process may use, but no more than
+    one per MIN_SAMPLES_PER_WORKER samples; the parent works one index
+    range itself and forks a process for each other range.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     models = [model.at_zeta(z) for z in zetas]
-    cap = threads if threads is not None else _num_threads()
-    workers = max(1, min(cap, os.cpu_count() or 1,
-                         -(-samples // MIN_SAMPLES_PER_WORKER)))
+    workers = max(1, min(_cpus(), -(-samples // MIN_SAMPLES_PER_WORKER)))
     edges = [start_index + samples * w // workers for w in range(workers + 1)]
     ranges = list(zip(edges, edges[1:]))
     args = (model.los, model.profile.sqrt_entries(),
@@ -223,11 +218,11 @@ def run_mc_grid(model: ChannelModel, zetas, samples: int, seed: int,
 
 
 def run_mc(model: ChannelModel, samples: int, seed: int,
-           start_index: int = 0, threads: int | None = None) -> MiSampleSet:
+           start_index: int = 0) -> MiSampleSet:
     """Draw ``samples`` MI realizations with per-index substreams at the
     model's own zeta: the one-zeta case of ``run_mc_grid``."""
     return run_mc_grid(model, [model.zeta], samples, seed,
-                       start_index=start_index, threads=threads)[0]
+                       start_index=start_index)[0]
 
 
 def normalized_samples(sample_set: MiSampleSet, emi_nats: float,

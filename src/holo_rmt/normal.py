@@ -1,26 +1,19 @@
 """Standard normal CDF and inverse CDF.
 
-Both functions are self-contained so the statistics code does not pull in a
-probability library.  The CDF goes through ``math.erfc`` (the C library's
-rational minimax approximation, |abs err| < 1e-15).  The inverse CDF uses
-Acklam's rational approximation refined by one Halley step, which brings the
-absolute error below 1e-13 over (0, 1).
+Both come from the standard library, so the statistics code does not pull
+in a probability library.  The CDF goes through ``math.erfc`` (the C
+library's rational minimax approximation, |abs err| < 1e-15), which keeps
+full relative precision in the lower tail where ``NormalDist.cdf``, built
+on ``erf``, does not.  The inverse CDF is ``statistics.NormalDist``'s
+(Wichura's AS241 algorithm, accurate to about 1e-16 relative).
 """
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
-# Acklam's coefficients for the inverse normal CDF (central + tail regions).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
+_STANDARD = NormalDist()
 
 
 def norm_cdf(x):
@@ -32,30 +25,6 @@ def norm_cdf(x):
     return out
 
 
-def _acklam(p):
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) /
-                ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) /
-                 ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    q = p - 0.5
-    r = q * q
-    return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q /
-            (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-
-
-def _inv_half(p):
-    """Inverse CDF on (0, 0.5]: x <= 0, where erfc keeps full relative
-    precision, so one Halley step lands within a few ulp."""
-    x = _acklam(p)
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
-
-
 def _inv_scalar(p):
     if not 0.0 < p < 1.0:
         if p == 0.0:
@@ -63,11 +32,7 @@ def _inv_scalar(p):
         if p == 1.0:
             return math.inf
         raise ValueError(f"probability out of range: {p}")
-    if p > 0.5:
-        # 1 - p is exact for p in [0.5, 1] (Sterbenz), keeping the upper
-        # tail as accurate as the lower one.
-        return -_inv_half(1.0 - p)
-    return _inv_half(p)
+    return _STANDARD.inv_cdf(p)
 
 
 def norm_inv_cdf(p):

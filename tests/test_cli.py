@@ -199,6 +199,74 @@ class TestConfigErrors:
         assert "PRE-FLIGHT" not in all_output(result)
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, content", [
+        ("los", None), ("los", "{}"),
+        ("profile_path", None), ("profile_path", '{"rows": 13}')])
+    def test_bad_matrix_file_exits_2(self, tmp_path, field, content):
+        path = tmp_path / "matrix.json"
+        if content is not None:
+            path.write_text(content)
+        commands = ["analyze", "mc", "validate"]
+        if field == "los":
+            cfg = small_config(tmp_path, los={"path": str(path)})
+        else:
+            cfg = small_config(tmp_path, profile="file", profile_path=str(path))
+            commands.append("profile")
+        for command in commands:
+            out = tmp_path / command
+            result = runner.invoke(main, [command, "--config", str(cfg),
+                                          "--out", str(out)])
+            assert result.exit_code == 2, all_output(result)
+            assert "config error: cannot read" in all_output(result)
+            assert str(path) in all_output(result)
+            assert not out.exists()
+
+    def test_seed_beyond_64_bits_exits_2(self, tmp_path):
+        top = 2**64 - 1
+        doc = json.loads(small_config(tmp_path).read_text())
+        big_mc = dict(doc, mc={"samples": 10, "seed": top + 1})
+        big_los = dict(doc, channel=dict(doc["channel"], los={
+            "kind": "lowrank", "rank": 2, "seed": top + 1}))
+        cases = [(doc, ["--seed", str(top + 1)]), (big_mc, []), (big_los, [])]
+        for k, (case, flags) in enumerate(cases):
+            cfg = tmp_path / f"seed{k}.json"
+            cfg.write_text(json.dumps(case))
+            out = tmp_path / f"out{k}"
+            result = runner.invoke(main, ["mc", "--config", str(cfg),
+                                          "--out", str(out), *flags])
+            assert result.exit_code == 2, all_output(result)
+            assert not out.exists()
+        # The largest 64-bit seed still runs, for the samples and the LoS.
+        edge = dict(doc, channel=dict(doc["channel"], los={
+            "kind": "lowrank", "rank": 2, "seed": top}))
+        cfg = tmp_path / "edge.json"
+        cfg.write_text(json.dumps(edge))
+        result = runner.invoke(main, ["mc", "--config", str(cfg),
+                                      "--out", str(tmp_path / "edge"),
+                                      "--samples", "10", "--seed", str(top)])
+        assert result.exit_code == 0, all_output(result)
+        entry = json.loads((tmp_path / "edge" / "mc_summary.json")
+                           .read_text())["entries"][0]
+        assert entry["seed"] == top and entry["samples"] == 10
+        # validate's MC criteria take seeds mc.seed + 0..3, wrapped to 64 bits.
+        result = runner.invoke(main, ["validate", "--config", str(cfg),
+                                      "--out", str(tmp_path / "v"),
+                                      "--samples", "100", "--seed", str(top)])
+        assert result.exit_code in (0, 1), all_output(result)
+        assert (tmp_path / "v" / "validate.json").exists()
+
+    def test_bad_rel_tol_scale_exits_2(self, tmp_path):
+        cfg = small_config(tmp_path)
+        for scale in ("nan", "0", "-1", "inf"):
+            out = tmp_path / f"v{scale}"
+            result = runner.invoke(main, ["validate", "--config", str(cfg),
+                                          "--out", str(out),
+                                          f"--rel-tol-scale={scale}"])
+            assert result.exit_code == 2, all_output(result)
+            assert "rel_tol_scale must be finite and positive" in all_output(result)
+            assert "criterion" not in all_output(result)
+            assert not out.exists()
+
     def test_solver_nonconvergence_exits_3(self, tmp_path):
         doc = json.loads(small_config(tmp_path).read_text())
         doc["solver"] = {"tol": 1e-15, "max_iter": 1, "damping": 1.0}

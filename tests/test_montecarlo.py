@@ -25,6 +25,29 @@ def iid_model(n, m, zeta):
                                 profile_from_matrix(np.ones((n, m))), zeta)
 
 
+def with_cpus(monkeypatch, count, log_dir):
+    """Make the engine see ``count`` CPUs and log the pid and index of every
+    substream call to ``log_dir`` (forked workers inherit the patch); the
+    returned function maps each pid to the indices it drew."""
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: count)
+    log = log_dir / f"substreams{count}.log"
+
+    def logged(seed, index):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {index}\n")
+        return substream(seed, index)
+
+    def pids():
+        drawn = {}
+        for line in log.read_text().splitlines():
+            pid, index = map(int, line.split())
+            drawn.setdefault(pid, []).append(index)
+        return {pid: sorted(indices) for pid, indices in drawn.items()}
+
+    monkeypatch.setattr(montecarlo, "substream", logged)
+    return pids
+
+
 def small_model(seed=0, n=4, m=3, zeta=0.5):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
@@ -79,8 +102,9 @@ class TestSampleChannel:
         model = build_weichselberger(np.zeros((3, 2)),
                                      separable_profile(d, dt), 1.0)
         h = sample_channel(model, substream(5, 0))
-        from holo_rmt.montecarlo import _gaussian_core
-        x = _gaussian_core(substream(5, 0), 3, 2)
+        # The bare X: a centered channel with a unit profile (x1 and +0 are
+        # exact).
+        x = sample_channel(iid_model(3, 2, 1.0), substream(5, 0))
         assert np.array_equal(h, (np.sqrt(d)[:, None] * np.sqrt(dt)[None, :]) * x)
         assert np.allclose(h, np.diag(np.sqrt(d)) @ x @ np.diag(np.sqrt(dt)),
                            rtol=1e-13)
@@ -139,25 +163,27 @@ class TestRunMc:
         assert np.array_equal(merged, full.samples)
         assert np.mean(merged) == pytest.approx(full.mean, rel=1e-9)
 
-    def test_threaded_run_is_identical(self):
+    def test_threaded_run_is_identical(self, monkeypatch, tmp_path):
         model = small_model(seed=6)
-        seq = run_mc(model, 1200, seed=44, threads=1)
-        par = run_mc(model, 1200, seed=44, threads=4)
+        pids = with_cpus(monkeypatch, 1, tmp_path)
+        seq = run_mc(model, 1200, seed=44)
+        assert list(pids()) == [os.getpid()]
+        # 4 CPUs, but 1200 samples fill only 3 workers of 512 or more.
+        pids = with_cpus(monkeypatch, 4, tmp_path)
+        par = run_mc(model, 1200, seed=44)
+        assert len(pids()) == 3
         assert np.array_equal(seq.samples, par.samples)
 
-    def test_thread_cap_env_var(self, monkeypatch):
-        from holo_rmt.montecarlo import _num_threads
-        monkeypatch.delenv("HOLO_RMT_THREADS", raising=False)
-        assert _num_threads() == 1
-        monkeypatch.setenv("HOLO_RMT_THREADS", "3")
-        assert _num_threads() == 3
-        monkeypatch.setenv("HOLO_RMT_THREADS", "junk")
-        assert _num_threads() == 1
-        model = small_model(seed=6)
-        monkeypatch.setenv("HOLO_RMT_THREADS", "2")
-        env_run = run_mc(model, 600, seed=44)
-        assert np.array_equal(env_run.samples,
-                              run_mc(model, 600, seed=44, threads=1).samples)
+    def test_worker_count_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        assert montecarlo._cpus() == 3
+        # Platforms without an affinity call fall back to the CPU count.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert montecarlo._cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert montecarlo._cpus() == 1
 
     def test_samples_nonnegative_and_digest_stable(self):
         model = small_model(seed=7)
@@ -207,12 +233,17 @@ class TestRunMcGrid:
             assert ms.digest == single.digest == model_digest(model.at_zeta(zeta))
             assert ms.seed == 17
 
-    def test_worker_split_identical_off_chunk_boundary(self):
+    def test_worker_split_identical_off_chunk_boundary(self, monkeypatch,
+                                                       tmp_path):
         model = small_model(seed=10)
-        one = run_mc_grid(model, [0.2, 2.0], 1100, seed=8, start_index=777,
-                          threads=1)
-        two = run_mc_grid(model, [0.2, 2.0], 1100, seed=8, start_index=777,
-                          threads=2)
+        with_cpus(monkeypatch, 1, tmp_path)
+        one = run_mc_grid(model, [0.2, 2.0], 1100, seed=8, start_index=777)
+        pids = with_cpus(monkeypatch, 2, tmp_path)
+        two = run_mc_grid(model, [0.2, 2.0], 1100, seed=8, start_index=777)
+        # The parent draws [777, 1327) and one forked worker [1327, 1877).
+        drawn = pids()
+        assert drawn.pop(os.getpid()) == list(range(777, 1327))
+        assert list(drawn.values()) == [list(range(1327, 1877))]
         for a, b in zip(one, two):
             assert np.array_equal(a.samples, b.samples)
 
@@ -234,12 +265,12 @@ class TestRunMcGrid:
                 raise NumericalError(f"index {index} in pid {os.getpid()}")
             return real(seed, index)
 
-        # Forked workers inherit the patched module attribute.
+        # Forked workers inherit the patched module attributes.
         monkeypatch.setattr(montecarlo, "substream", failing)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
         with pytest.raises(NumericalError, match="index 600") as exc:
-            run_mc(small_model(), 1200, seed=3, threads=2)
-        if (os.cpu_count() or 1) >= 2:
-            assert f"pid {parent}" not in str(exc.value)
+            run_mc(small_model(), 1200, seed=3)
+        assert f"pid {parent}" not in str(exc.value)
 
     def test_rejects_bad_zeta(self):
         with pytest.raises(ValueError, match="zeta"):
