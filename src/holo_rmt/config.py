@@ -1,6 +1,7 @@
 """Run configuration: defaults, schema validation, and model assembly."""
 
 import copy
+import functools
 import json
 from importlib import resources
 
@@ -52,12 +53,25 @@ def _load_schema(name):
     return json.loads(text)
 
 
-def validate_document(doc, schema_name):
-    """Validate a JSON document against a shipped schema; raise ConfigError."""
+@functools.cache
+def _validator(schema_name):
+    """Validator of a shipped schema, checked once per process (checking a
+    schema costs most of a ``jsonschema.validate`` call)."""
     schema = _load_schema(schema_name)
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_document(doc, schema_name):
+    """Validate a JSON document against a shipped schema; raise ConfigError.
+
+    Of several violations, the one reported is jsonschema's ``best_match``,
+    as ``jsonschema.validate`` picks it.
+    """
+    exc = jsonschema.exceptions.best_match(
+        _validator(schema_name).iter_errors(doc))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"schema violation at {path}: {exc.message}") from exc
 

@@ -8,10 +8,12 @@ processes by index range).  Complex Gaussians come from Box-Muller applied
 to the generator's uniforms, which pins the exact sample values across
 platforms.
 
-The engine streams: a worker holds one sample's buffers, draws H in place,
-forms its Gram matrix once and runs one Cholesky per noise level, so one
-draw serves a whole SNR grid.  Worker processes take contiguous index
-ranges; the results land in index order.
+The engine works in blocks of samples: numpy's per-call cost exceeds the
+arithmetic of one small sample, so a worker holds the buffers of one block,
+draws every H of the block in place, forms the block's Gram matrices once
+and runs one stacked Cholesky per noise level, so one draw serves a whole
+SNR grid.  Worker processes take contiguous index ranges; the results land
+in index order.  The module needs numpy only.
 """
 
 import hashlib
@@ -28,73 +30,92 @@ from .normal import norm_cdf, norm_inv_cdf
 # Fewest samples worth a worker process of their own.
 MIN_SAMPLES_PER_WORKER = 512
 
+# Bytes of draw buffers a worker holds for one block of samples: the
+# uniforms, one real scratch array and H, 40 n m bytes per sample: 19
+# samples at n = m = 37, and one sample once n m exceeds 13107, so the
+# full geometry (n = m = 317) holds no more than one sample's buffers.
+BLOCK_BYTES = 1 << 20
+
+
+def _rekey(rng: np.random.Generator, seed: int,
+           index: int) -> np.random.Generator:
+    """Set a Philox generator to the start of sample ``index`` under ``seed``.
+
+    The state is that of ``Philox(key=seed, counter=[0, 0, 0, index])``
+    fresh from its constructor; re-keying costs far less than building a
+    generator, which seeds an unused SeedSequence from the OS.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, index], "key": [seed, 0]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+def _philox() -> np.random.Generator:
+    """A Philox generator for ``_rekey`` to key."""
+    return np.random.Generator(np.random.Philox(key=0))
+
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Dedicated generator for one sample index under a master seed."""
-    bitgen = np.random.Philox(key=np.uint64(seed),
-                              counter=[0, 0, 0, np.uint64(index)])
-    return np.random.Generator(bitgen)
+    return _rekey(_philox(), seed, index)
 
 
-def _sampler(los: np.ndarray, sqrt_sigma: np.ndarray):
-    """``draw(rng)``: H = A + Sigma^(o1/2) .* X with X i.i.d. CN(0, 1/M).
+def _box_muller(u, los, sqrt_sigma, part, h):
+    """H = A + Sigma^(o1/2) .* X in place for a block, X i.i.d. CN(0, 1/M).
 
-    Box-Muller runs in place on one sample's buffers (the uniforms, one
-    real scratch array and H), real and imaginary parts apart.  Each call
-    overwrites and returns the same H.
+    ``u`` (shape (B, 2, n, m)) holds each sample's uniforms, amplitude
+    then phase, and is overwritten; ``part`` (B, n, m) is real scratch and
+    ``h`` (B, n, m) receives the block.  Real and imaginary parts are
+    formed apart.
     """
-    n, m = los.shape
-    u = np.empty((2, n, m))
-    amp, phase, part = u[0], u[1], np.empty((n, m))
-    h = np.empty((n, m), dtype=complex)
-    sides = ((np.cos, h.real, np.ascontiguousarray(los.real)),
-             (np.sin, h.imag, np.ascontiguousarray(los.imag)))
-
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        rng.random(out=u)
-        np.negative(amp, out=amp)
-        np.log1p(amp, out=amp)                # 1 - u in (0, 1] avoids log(0)
-        np.negative(amp, out=amp)
-        np.divide(amp, m, out=amp)
-        np.sqrt(amp, out=amp)
-        np.multiply(phase, 2.0 * np.pi, out=phase)
-        for trig, dest, base in sides:
-            trig(phase, out=part)
-            np.multiply(part, amp, out=part)
-            np.multiply(part, sqrt_sigma, out=part)
-            np.add(base, part, out=dest)
-        return h
-
-    return draw
+    amp, phase = u[:, 0], u[:, 1]
+    np.negative(amp, out=amp)
+    np.log1p(amp, out=amp)                # 1 - u in (0, 1] avoids log(0)
+    np.negative(amp, out=amp)
+    np.divide(amp, los.shape[1], out=amp)
+    np.sqrt(amp, out=amp)
+    np.multiply(phase, 2.0 * np.pi, out=phase)
+    for trig, dest, base in ((np.cos, h.real, los.real),
+                             (np.sin, h.imag, los.imag)):
+        trig(phase, out=part)
+        np.multiply(part, amp, out=part)
+        np.multiply(part, sqrt_sigma, out=part)
+        np.add(base, part, out=dest)
 
 
 def sample_channel(model: ChannelModel, rng: np.random.Generator) -> np.ndarray:
     """One realization H = A + Sigma^(o1/2) .* X with X i.i.d. CN(0, 1/M)."""
-    return _sampler(model.los, model.profile.sqrt_entries())(rng)
+    n, m = model.dims
+    u = rng.random((1, 2, n, m))
+    h = np.empty((1, n, m), dtype=complex)
+    _box_muller(u, model.los, model.profile.sqrt_entries(),
+                np.empty((1, n, m)), h)
+    return h[0]
 
 
-def _lapack():
-    """BLAS zherk and LAPACK zpotrf, loaded on the first MI computation so
-    that importing the package (and the CLI) stays scipy-free."""
-    from scipy.linalg.blas import zherk
-    from scipy.linalg.lapack import zpotrf
-    return zherk, zpotrf
+def _log_dets(h, zetas):
+    """log det(I + G/zeta) of each H in the stack ``h`` at each zeta, shape
+    (len(zetas), len(h)), G the smaller Gram matrix H^H H or H H^H.
 
-
-def _gram(h, zherk):
-    """Lower triangle of the smaller Gram matrix, H^H H or H H^H."""
-    n, m = h.shape
-    return zherk(1.0, h, trans=2 if m <= n else 0, lower=1)
-
-
-def _log_det(g, zeta, zpotrf):
-    """log det(I + G/zeta) from the lower triangle of G, by Cholesky."""
-    c = g / zeta
-    c.flat[::c.shape[0] + 1] += 1.0
-    c, info = zpotrf(c, lower=1, overwrite_a=1, clean=0)
-    if info != 0:
-        raise NumericalError(f"Cholesky of I + G/zeta failed (info={info})")
-    return 2.0 * float(np.log(c.diagonal().real).sum())
+    One Cholesky factorization per matrix: log det = 2 sum log Re diag L.
+    """
+    b, n, m = h.shape
+    hh = np.conjugate(h).swapaxes(1, 2)
+    g = hh @ h if m <= n else h @ hh
+    d = min(n, m)
+    out = np.empty((len(zetas), b))
+    for z, zeta in enumerate(zetas):
+        c = g / zeta
+        c.reshape(b, d * d)[:, ::d + 1] += 1.0
+        try:
+            low = np.linalg.cholesky(c)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Cholesky of I + G/zeta failed: {exc}") from None
+        out[z] = 2.0 * np.log(low.diagonal(axis1=1, axis2=2).real).sum(axis=1)
+    return out
 
 
 def compute_mi(h: np.ndarray, zeta: float) -> float:
@@ -102,23 +123,33 @@ def compute_mi(h: np.ndarray, zeta: float) -> float:
 
     G is H^H H or H H^H, whichever is smaller (the determinant identity
     det(I+AB) = det(I+BA) makes them equal); the log-det goes through a
-    Cholesky factorization of the lower triangle of I + G/zeta.  ``run_mc``
-    computes every sample through the same two calls.
+    Cholesky factorization of I + G/zeta.  This is the one-sample case of
+    the engine's block computation, so ``run_mc`` samples equal it exactly.
     """
     check_zeta(zeta)
-    zherk, zpotrf = _lapack()
-    return _log_det(_gram(np.asarray(h, dtype=complex), zherk), zeta, zpotrf)
+    return float(_log_dets(np.asarray(h, dtype=complex)[None], [zeta])[0, 0])
+
+
+def _block_size(n: int, m: int) -> int:
+    """Samples per block of an n x m channel within BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (40 * n * m))
 
 
 def _mi_range(los, sqrt_sigma, zetas, seed, start, stop):
     """MI of samples [start, stop) at every zeta, shape (len(zetas), stop - start)."""
-    zherk, zpotrf = _lapack()
-    draw = _sampler(los, sqrt_sigma)
+    n, m = los.shape
+    size = _block_size(n, m)
+    u = np.empty((size, 2, n, m))
+    part = np.empty((size, n, m))
+    h = np.empty((size, n, m), dtype=complex)
+    rng = _philox()
     out = np.empty((len(zetas), stop - start))
-    for k, index in enumerate(range(start, stop)):
-        g = _gram(draw(substream(seed, index)), zherk)
-        for z, zeta in enumerate(zetas):
-            out[z, k] = _log_det(g, zeta, zpotrf)
+    for lo in range(start, stop, size):
+        k = min(size, stop - lo)
+        for j in range(k):
+            _rekey(rng, seed, lo + j).random(out=u[j])
+        _box_muller(u[:k], los, sqrt_sigma, part[:k], h[:k])
+        out[:, lo - start:lo - start + k] = _log_dets(h[:k], zetas)
     return out
 
 
@@ -202,11 +233,9 @@ def run_mc_grid(model: ChannelModel, zetas, samples: int, seed: int,
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # fork: a worker starts with numpy and scipy already imported (a
-        # spawned one re-imports them, about 0.5 s).  The executor forks
-        # all its workers at the first submit, before it starts its
-        # management thread.
-        _lapack()
+        # fork: a worker starts with numpy already imported (a spawned one
+        # re-imports the package).  The executor forks all its workers at
+        # the first submit, before it starts its management thread.
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers - 1, mp_context=ctx) as pool:
             futures = [pool.submit(_mi_range, *args, *r) for r in ranges[1:]]

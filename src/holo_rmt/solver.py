@@ -187,8 +187,8 @@ def solve_deltas(model: ChannelModel, tol: float = DEFAULT_TOL,
     Raises ConvergenceError with the residual trace when max_iter is
     exhausted.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not 0.0 < damping <= 1.0:

@@ -189,15 +189,32 @@ class TestConfigErrors:
 
     def test_nan_tol_exits_2(self, tmp_path):
         cfg = small_config(tmp_path)
-        for command in ("analyze", "validate"):
-            out = tmp_path / command
-            result = runner.invoke(main, [command, "--config", str(cfg),
-                                          "--out", str(out), "--tol", "nan"])
-            assert result.exit_code == 2, all_output(result)
-            assert "tol must be positive" in all_output(result)
-        # validate refuses the input before any criterion runs or --out exists.
-        assert "PRE-FLIGHT" not in all_output(result)
-        assert not out.exists()
+        for tol in ("nan", "inf"):
+            for command in ("analyze", "validate"):
+                out = tmp_path / f"{command}{tol}"
+                result = runner.invoke(main, [command, "--config", str(cfg),
+                                              "--out", str(out), "--tol", tol])
+                assert result.exit_code == 2, all_output(result)
+                assert "tol must be positive" in all_output(result)
+                assert not (out / "analyze.json").exists()
+            # validate refuses the input before any criterion runs or --out
+            # exists.
+            assert "PRE-FLIGHT" not in all_output(result)
+            assert not out.exists()
+
+    def test_infinite_tol_in_config_exits_2(self, tmp_path):
+        # json reads the non-standard literal Infinity as a float.
+        cfg = small_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["solver"]["tol"] = float("inf")
+        cfg.write_text(json.dumps(doc))
+        assert "Infinity" in cfg.read_text()
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["analyze", "--config", str(cfg),
+                                      "--out", str(out)])
+        assert result.exit_code == 2, all_output(result)
+        assert "tol must be positive and finite" in all_output(result)
+        assert not (out / "analyze.json").exists()
 
     @pytest.mark.parametrize("field, content", [
         ("los", None), ("los", "{}"),
@@ -450,3 +467,22 @@ class TestImport:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_mc_loads_no_scipy(self, tmp_path):
+        # The MC engine is numpy-only: a whole `mc` run, forked workers
+        # included, leaves scipy unloaded.
+        cfg = small_config(tmp_path)
+        code = ("import sys; from holo_rmt.cli import main; "
+                f"main(['mc', '--config', {str(cfg)!r}, '--out', "
+                f"{str(tmp_path / 'out')!r}, '--samples', '1100'], "
+                "standalone_mode=False); "
+                "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src"),
+             env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        assert (tmp_path / "out" / "mc_summary.json").exists()

@@ -1,5 +1,8 @@
 import copy
+import json
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -175,6 +178,36 @@ def test_output_schema_validation_rejects_bad_doc():
                           "delta_tilde_min": 0.1, "delta_tilde_max": 0.2},
         "outage": [{"rate": 1.0, "p": 0.5}]}]}
     validate_document(good, "analyze.schema.json")
+
+
+def test_shipped_schemas_are_valid():
+    # validate_document checks a schema once per process, so every shipped
+    # schema must pass its metaschema.
+    files = [f for f in resources.files("holo_rmt.schemas").iterdir()
+             if f.name.endswith(".json")]
+    assert {f.name for f in files} >= {"config.schema.json",
+                                       "analyze.schema.json",
+                                       "mc_summary.schema.json"}
+    for f in files:
+        schema = json.loads(f.read_text())
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_reported_violation_is_jsonschemas_best_match():
+    doc = copy.deepcopy(DEFAULT_CONFIG)
+    doc["snr_db"] = []
+    doc["mc"] = {"samples": 0, "seed": -1}
+    doc["extra"] = 1
+    schema = json.loads(resources.files("holo_rmt.schemas")
+                        .joinpath("config.schema.json").read_text())
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(doc, schema)
+    path = "/".join(str(p) for p in expected.value.absolute_path) or "<root>"
+    for _ in range(2):
+        with pytest.raises(ConfigError) as got:
+            validate_document(doc, "config.schema.json")
+        assert str(got.value) == (f"schema violation at {path}: "
+                                  f"{expected.value.message}")
 
 
 def test_config_from_file_errors(tmp_path):

@@ -27,15 +27,16 @@ def iid_model(n, m, zeta):
 
 def with_cpus(monkeypatch, count, log_dir):
     """Make the engine see ``count`` CPUs and log the pid and index of every
-    substream call to ``log_dir`` (forked workers inherit the patch); the
+    generator re-key to ``log_dir`` (forked workers inherit the patch); the
     returned function maps each pid to the indices it drew."""
     monkeypatch.setattr(montecarlo, "_cpus", lambda: count)
     log = log_dir / f"substreams{count}.log"
+    rekey = montecarlo._rekey
 
-    def logged(seed, index):
+    def logged(rng, seed, index):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()} {index}\n")
-        return substream(seed, index)
+        return rekey(rng, seed, index)
 
     def pids():
         drawn = {}
@@ -44,7 +45,7 @@ def with_cpus(monkeypatch, count, log_dir):
             drawn.setdefault(pid, []).append(index)
         return {pid: sorted(indices) for pid, indices in drawn.items()}
 
-    monkeypatch.setattr(montecarlo, "substream", logged)
+    monkeypatch.setattr(montecarlo, "_rekey", logged)
     return pids
 
 
@@ -256,17 +257,37 @@ class TestRunMcGrid:
                              model.zeta) for i in range(40)]
         assert np.array_equal(ms.samples, manual)
 
+    @pytest.mark.parametrize("n, m", [(9, 6), (6, 9), (37, 37)])
+    def test_samples_across_block_edges_are_compute_mi(self, monkeypatch,
+                                                       n, m):
+        # Two full blocks and a partial one, from an odd start: each sample
+        # is still sample_channel + compute_mi of its own index.
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
+        model = small_model(seed=12, n=n, m=m)
+        samples = 2 * montecarlo._block_size(n, m) + 3
+        zetas = [0.1, 2.0]
+        grid = run_mc_grid(model, zetas, samples, seed=19, start_index=1001)
+        draws = [sample_channel(model, substream(19, 1001 + i))
+                 for i in range(samples)]
+        for zeta, ms in zip(zetas, grid):
+            assert np.array_equal(ms.samples,
+                                  [compute_mi(h, zeta) for h in draws])
+
+    def test_block_holds_one_sample_at_full_scale(self):
+        assert montecarlo._block_size(317, 317) == 1
+        assert montecarlo._block_size(37, 37) > 1
+
     def test_worker_exception_keeps_its_type(self, monkeypatch):
         parent = os.getpid()
-        real = montecarlo.substream
+        real = montecarlo._rekey
 
-        def failing(seed, index):
+        def failing(rng, seed, index):
             if index >= 600:
                 raise NumericalError(f"index {index} in pid {os.getpid()}")
-            return real(seed, index)
+            return real(rng, seed, index)
 
         # Forked workers inherit the patched module attributes.
-        monkeypatch.setattr(montecarlo, "substream", failing)
+        monkeypatch.setattr(montecarlo, "_rekey", failing)
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
         with pytest.raises(NumericalError, match="index 600") as exc:
             run_mc(small_model(), 1200, seed=3)

@@ -264,8 +264,9 @@ class TestSolveDeltas:
         model = iid_model(2, 2, 1.0)
         with pytest.raises(ValueError):
             solve_deltas(model, tol=0.0)
-        with pytest.raises(ValueError, match="tol"):
-            solve_deltas(model, tol=math.nan)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                solve_deltas(model, tol=tol)
         with pytest.raises(ValueError):
             solve_deltas(model, max_iter=0)
         with pytest.raises(ValueError):
