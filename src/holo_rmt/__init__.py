@@ -6,7 +6,7 @@ from .asymptotics import (AsymptoticStats, BMatrix, analyze_model, build_b,
                           variance_linear_system_oracle)
 from .channel import (ChannelModel, VarianceProfile, build_holographic,
                       build_kronecker, build_weichselberger,
-                      profile_from_matrix, profile_nonseparable_gaussian,
+                      profile_nonseparable_gaussian,
                       profile_separable_isotropic, separable_profile,
                       synth_los)
 from .errors import (AssumptionError, ConfigError, ConvergenceError,

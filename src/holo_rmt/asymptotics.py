@@ -38,9 +38,7 @@ class BMatrix:
         return self.pi.shape[0]
 
     def full(self) -> np.ndarray:
-        top = np.hstack([self.pi, self.gamma])
-        bottom = np.hstack([self.xi + np.diag(self.lambda_tilde), self.pi.T])
-        return np.vstack([top, bottom])
+        return self.leading(self.m)
 
     def leading(self, j: int) -> np.ndarray:
         """B_j: the 2j x 2j matrix built from the leading j x j blocks."""

@@ -1,8 +1,8 @@
 """Channel construction: H = A + Sigma^(o1/2) .* X.
 
 Variance-profile generators (isotropic separable, Gaussian-kernel
-non-separable), profile bookkeeping (positivity floor, separability
-detection), and the two model builders (Weichselberger and holographic).
+non-separable), profile bookkeeping (positivity floor, effective width),
+and the two model builders (Weichselberger and holographic).
 """
 
 import copy
@@ -21,21 +21,15 @@ from .geometry import (ArrayGeometry, WavenumberLattice, effective_zeta,
 # exact zeros at cells clipped by the propagation-disk edge.
 PROFILE_FLOOR_REL = 1e-12
 
-SEPARABLE_DETECT_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class VarianceProfile:
-    """Per-entry variance matrix of the random channel component.
+    """Per-entry variance matrix Sigma of the random channel component.
 
-    ``kind`` is one of ``separable`` / ``nonseparable`` / ``user``.  For
-    separable profiles the rank-1 factors are kept so sampling can use the
-    factorized square root (exactly the Kronecker form D^{1/2} X D~^{1/2}).
+    A separable (Kronecker) profile is the matrix outer(d, d~).
     """
 
     matrix: np.ndarray
-    kind: str
-    factors: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -47,10 +41,6 @@ class VarianceProfile:
             raise ValueError("variance profile entries must be nonnegative")
         if np.any(m.sum(axis=0) <= 0) or np.any(m.sum(axis=1) <= 0):
             raise ValueError("every row and column sum of the profile must be positive")
-        if self.kind not in ("separable", "nonseparable", "user"):
-            raise ValueError(f"unknown profile kind: {self.kind}")
-        if self.kind == "separable" and self.factors is None:
-            raise ValueError("separable profile requires its rank-1 factors")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -66,15 +56,7 @@ class VarianceProfile:
         return float(self.matrix.min())
 
     def sqrt_entries(self) -> np.ndarray:
-        """Elementwise square root used by the sampler.
-
-        Separable profiles return outer(sqrt(d), sqrt(d~)) so that the
-        general entrywise form and the Kronecker form produce identical
-        matrices for the same X.
-        """
-        if self.factors is not None:
-            d, dt = self.factors
-            return np.sqrt(d)[:, None] * np.sqrt(dt)[None, :]
+        """Elementwise square root Sigma^(o1/2) used by the sampler."""
         return np.sqrt(self.matrix)
 
     def check_positive(self):
@@ -121,36 +103,15 @@ def _floored(matrix):
     return m
 
 
-def separable_profile(d, d_tilde, kind="separable"):
-    """Profile Sigma = outer(d, d~) with the factors retained."""
+def separable_profile(d, d_tilde):
+    """Profile Sigma = outer(d, d~)."""
     d = np.asarray(d, dtype=float)
     dt = np.asarray(d_tilde, dtype=float)
     if d.ndim != 1 or dt.ndim != 1:
         raise ValueError("factors must be vectors")
     if np.any(d <= 0) or np.any(dt <= 0):
         raise ValueError("separable factors must be strictly positive")
-    return VarianceProfile(np.outer(d, dt), kind, factors=(d.copy(), dt.copy()))
-
-
-def profile_from_matrix(matrix, kind="user"):
-    """Wrap a user matrix, detecting and tagging exact rank-1 (separable) structure."""
-    m = np.asarray(matrix, dtype=float)
-    factors = _rank_one_factors(m)
-    if factors is not None:
-        return VarianceProfile(m, "separable", factors=factors)
-    return VarianceProfile(m, kind)
-
-
-def _rank_one_factors(m, rtol=SEPARABLE_DETECT_RTOL):
-    if np.any(m <= 0):
-        return None
-    i0 = int(np.argmax(m.max(axis=1)))
-    j0 = int(np.argmax(m[i0]))
-    d = m[:, j0].copy()
-    dt = m[i0, :] / m[i0, j0]
-    if np.allclose(np.outer(d, dt), m, rtol=rtol, atol=rtol * m.max()):
-        return d, dt
-    return None
+    return VarianceProfile(np.outer(d, dt))
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +251,15 @@ def _side_weights(lattice: WavenumberLattice, wavelength: float) -> np.ndarray:
 
 def profile_separable_isotropic(lat_rx: WavenumberLattice,
                                 lat_tx: WavenumberLattice,
-                                wavelength: float,
-                                scale: float = 1.0) -> VarianceProfile:
+                                wavelength: float) -> VarianceProfile:
     """Isotropic separable profile from per-side lattice solid angles.
 
     Each side's factor is the solid-angle measure of its lattice cell,
-    normalized to unit sum per side; ``scale`` multiplies the receive
-    factors (total profile power = scale).
+    normalized to unit sum per side (total profile power 1).
     """
     if lat_rx.n == 0 or lat_tx.n == 0:
         raise ValueError("lattices must be nonempty")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    d = _floored(scale * _side_weights(lat_rx, wavelength))
+    d = _floored(_side_weights(lat_rx, wavelength))
     dt = _floored(_side_weights(lat_tx, wavelength))
     return separable_profile(d, dt)
 
@@ -318,8 +275,6 @@ def profile_nonseparable_gaussian(sep: VarianceProfile,
     """
     if kernel_scale <= 0:
         raise ValueError("kernel scale must be positive")
-    if sep.factors is None:
-        raise ValueError("base profile must be separable with known factors")
     if sep.shape != (lat_rx.n, lat_tx.n):
         raise ValueError("profile shape does not match the lattices")
     rx = np.asarray(lat_rx.points, dtype=float)
@@ -327,7 +282,7 @@ def profile_nonseparable_gaussian(sep: VarianceProfile,
     dist2 = ((rx[:, None, 0] - tx[None, :, 0]) ** 2
              + (rx[:, None, 1] - tx[None, :, 1]) ** 2)
     kernel = np.exp(-dist2 / kernel_scale)
-    return VarianceProfile(_floored(sep.matrix * kernel), "nonseparable")
+    return VarianceProfile(_floored(sep.matrix * kernel))
 
 
 # ---------------------------------------------------------------------------
@@ -345,33 +300,26 @@ class ChannelModel:
     """Unified non-centered non-separable channel H = A + Sigma^(o1/2) .* X.
 
     ``los`` is the deterministic component already expressed in the domain
-    where the mutual information is computed; ``zeta`` the effective noise
-    parameter; ``rician_k`` the configured LoS/NLoS power ratio (0 when the
-    model was built directly from a Weichselberger mean).
+    where the mutual information is computed, shaped like the profile;
+    ``zeta`` the effective noise parameter.
 
     ``los_factors`` = (P, Q) is the thin factorization A = P Q^H from the
-    SVD that also gives ``los_norm``: Q has orthonormal columns and r =
-    P.shape[1] is the numerical rank of A (numpy's ``matrix_rank``
-    tolerance), 0 for a centered channel.  The factors are real when A is.
+    SVD of A: Q has orthonormal columns and r = P.shape[1] is the numerical
+    rank of A (numpy's ``matrix_rank`` tolerance), 0 for a centered
+    channel.  The factors are real when A is.
     """
 
     los: np.ndarray
     profile: VarianceProfile
     zeta: float
-    rician_k: float = 0.0
-    los_norm: float = field(init=False)
     los_factors: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.los)
-        if a.ndim != 2:
-            raise ValueError("LoS component must be a matrix")
         if a.shape != self.profile.shape:
             raise ValueError(
                 f"LoS shape {a.shape} does not match profile {self.profile.shape}")
         check_zeta(self.zeta)
-        if self.rician_k < 0:
-            raise ValueError("rician factor must be nonnegative")
         # LAPACK's SVD with singular vectors may never return on inf/nan.
         if not np.all(np.isfinite(a)):
             raise ValueError("LoS entries must be finite")
@@ -382,13 +330,12 @@ class ChannelModel:
             raise ValueError("LoS spectral norm must be finite")
         r = int(np.count_nonzero(s > norm * max(a.shape) * np.finfo(float).eps))
         object.__setattr__(self, "los", np.array(a, dtype=complex))
-        object.__setattr__(self, "los_norm", norm)
         object.__setattr__(self, "los_factors",
                            (u[:, :r] * s[:r], vh[:r].conj().T))
 
     def at_zeta(self, zeta):
         """This channel at noise parameter ``zeta``, sharing ``los``,
-        ``profile``, ``los_norm`` and ``los_factors``: no SVD runs."""
+        ``profile`` and ``los_factors``: no SVD runs."""
         check_zeta(zeta)
         model = copy.copy(self)
         object.__setattr__(model, "zeta", zeta)
@@ -411,10 +358,8 @@ def build_weichselberger(a_bar, profile: VarianceProfile,
     The unitary side factors are dropped on purpose: the mutual information
     depends only on the rotated mean and the coupling profile.
     """
-    a_bar = np.asarray(a_bar, dtype=complex)
-    if a_bar.shape != profile.shape:
-        raise ValueError("mean matrix and profile shapes disagree")
-    return ChannelModel(los=a_bar, profile=profile, zeta=float(noise_power))
+    return ChannelModel(los=np.asarray(a_bar, dtype=complex), profile=profile,
+                        zeta=float(noise_power))
 
 
 def build_kronecker(a_bar, d, d_tilde, noise_power: float) -> ChannelModel:
@@ -431,10 +376,6 @@ def build_holographic(geom: ArrayGeometry, profile: VarianceProfile,
     profile and LoS coefficients must be shaped (n_R, n_S) per the
     geometry's wavenumber lattices.
     """
-    a_h = np.asarray(los_coeffs, dtype=complex)
-    if a_h.shape != profile.shape:
-        raise ValueError(
-            f"LoS coefficients {a_h.shape} do not match profile {profile.shape}")
     expected = (rx_lattice(geom).n, tx_lattice(geom).n)
     if profile.shape != expected:
         raise ValueError(
@@ -444,8 +385,9 @@ def build_holographic(geom: ArrayGeometry, profile: VarianceProfile,
         raise ValueError("rician factor must be nonnegative")
     n_s = profile.shape[1]
     zeta = effective_zeta(geom, noise_power)
+    a_h = np.asarray(los_coeffs, dtype=complex)
     return ChannelModel(los=np.sqrt(rician_k / n_s) * a_h, profile=profile,
-                        zeta=zeta, rician_k=float(rician_k))
+                        zeta=zeta)
 
 
 def synth_los(n_rx: int, n_tx: int, kind: str = "single",

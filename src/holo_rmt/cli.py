@@ -1,6 +1,14 @@
 """Command-line interface.
 
-    holo-rmt analyze|mc|validate|profile --config <path> [options]
+    holo-rmt profile  --config <path> [--out <dir>]
+    holo-rmt analyze  --config <path> [--out <dir>] [--snr-db <list>] [--tol <f>]
+    holo-rmt mc       --config <path> [--out <dir>] [--snr-db <list>]
+                      [--seed <u64>] [--samples <n>]
+    holo-rmt validate --config <path> [--out <dir>] [--snr-db <list>]
+                      [--seed <u64>] [--samples <n>] [--tol <f>]
+                      [--rel-tol-scale <f>]
+
+Each command takes only the flags it reads; any other is a usage error.
 
 Exit codes: 0 success, 1 validation failure, 2 usage/config error,
 3 numerical failure.  All outputs are deterministic functions of the
@@ -32,7 +40,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _load_config(path, seed, snr_db, samples, tol):
+def _load_config(path, seed=None, snr_db=None, samples=None, tol=None):
     cfg = RunConfig.from_file(path)
     if snr_db:
         cfg.doc["snr_db"] = [float(s) for s in snr_db.split(",")]
@@ -49,18 +57,20 @@ def _common_options(fn):
     fn = click.option("--config", "config_path", required=True,
                       type=click.Path(exists=True, dir_okay=False),
                       help="JSON run configuration.")(fn)
-    fn = click.option("--out", "out_dir", default=".", show_default=True,
-                      type=click.Path(file_okay=False),
-                      help="Output directory.")(fn)
-    fn = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
-                      help="Override mc.seed.")(fn)
-    fn = click.option("--snr-db", default=None,
-                      help="Comma-separated SNR list overriding snr_db.")(fn)
-    fn = click.option("--samples", type=click.IntRange(min=1), default=None,
-                      help="Override mc.samples.")(fn)
-    fn = click.option("--tol", type=float, default=None,
-                      help="Override solver.tol.")(fn)
-    return fn
+    return click.option("--out", "out_dir", default=".", show_default=True,
+                        type=click.Path(file_okay=False),
+                        help="Output directory.")(fn)
+
+
+# Config overrides; each command declares the ones it reads.
+_seed_option = click.option("--seed", type=click.IntRange(0, 2**64 - 1),
+                            default=None, help="Override mc.seed.")
+_snr_db_option = click.option("--snr-db", default=None,
+                              help="Comma-separated SNR list overriding snr_db.")
+_samples_option = click.option("--samples", type=click.IntRange(min=1),
+                               default=None, help="Override mc.samples.")
+_tol_option = click.option("--tol", type=float, default=None,
+                           help="Override solver.tol.")
 
 
 def _guard(fn):
@@ -114,15 +124,17 @@ def _analyze_one(cfg, snr, model):
 
 @main.command()
 @_common_options
+@_snr_db_option
+@_tol_option
 @_guard
-def analyze(config_path, out_dir, seed, snr_db, samples, tol):
+def analyze(config_path, out_dir, snr_db, tol):
     """Closed-form EMI, variance and outage curve for each configured SNR."""
-    cfg = _load_config(config_path, seed, snr_db, samples, tol)
+    cfg = _load_config(config_path, snr_db=snr_db, tol=tol)
     models = cfg.build_models(cfg.snr_db)
-    os.makedirs(out_dir, exist_ok=True)
     doc = {"schema": 1,
            "results": [_analyze_one(cfg, snr, model) for snr, model in models]}
     validate_document(doc, "analyze.schema.json")
+    os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "analyze.json")
     matio.save_json(out_path, doc)
     for entry in doc["results"]:
@@ -135,11 +147,16 @@ def analyze(config_path, out_dir, seed, snr_db, samples, tol):
 
 @main.command()
 @_common_options
+@_snr_db_option
+@_seed_option
+@_samples_option
 @_guard
-def mc(config_path, out_dir, seed, snr_db, samples, tol):
+def mc(config_path, out_dir, snr_db, seed, samples):
     """Monte-Carlo MI sampling; writes per-SNR sample CSVs and a summary."""
-    cfg = _load_config(config_path, seed, snr_db, samples, tol)
+    cfg = _load_config(config_path, seed=seed, snr_db=snr_db, samples=samples)
     models = cfg.build_models(cfg.snr_db)
+    sets = run_mc_grid(models[0][1], [model.zeta for _, model in models],
+                       cfg.mc_samples, cfg.mc_seed)
     os.makedirs(out_dir, exist_ok=True)
 
     analytic = {}
@@ -150,8 +167,6 @@ def mc(config_path, out_dir, seed, snr_db, samples, tol):
         analytic = {round(e["snr_db"], 9): e for e in prior.get("results", [])}
 
     entries = []
-    sets = run_mc_grid(models[0][1], [model.zeta for _, model in models],
-                       cfg.mc_samples, cfg.mc_seed)
     for (snr, model), ms in zip(models, sets):
         csv_name = f"samples_snr{snr:g}.csv"
         matio.save_samples_csv(os.path.join(out_dir, csv_name), ms.samples)
@@ -195,16 +210,21 @@ def mc(config_path, out_dir, seed, snr_db, samples, tol):
 
 @main.command()
 @_common_options
+@_snr_db_option
+@_seed_option
+@_samples_option
+@_tol_option
 @click.option("--rel-tol-scale", type=float, default=1.0, show_default=True,
               help="Scale the relative acceptance thresholds (smaller = stricter).")
 @_guard
-def validate(config_path, out_dir, seed, snr_db, samples, tol, rel_tol_scale):
+def validate(config_path, out_dir, snr_db, seed, samples, tol, rel_tol_scale):
     """Run the full criterion table at the configured size; exit 0 iff all pass."""
     # Imported here: validate pulls in scipy.special, which no other command
     # needs.
     from . import validate as validate_mod
 
-    cfg = _load_config(config_path, seed, snr_db, samples, tol)
+    cfg = _load_config(config_path, seed=seed, snr_db=snr_db, samples=samples,
+                       tol=tol)
     try:
         results = validate_mod.run_all(cfg, rel_tol_scale=rel_tol_scale)
     except AssumptionError as exc:
@@ -229,9 +249,9 @@ def validate(config_path, out_dir, seed, snr_db, samples, tol, rel_tol_scale):
 @main.command()
 @_common_options
 @_guard
-def profile(config_path, out_dir, seed, snr_db, samples, tol):
+def profile(config_path, out_dir):
     """Materialize the variance profile and wavenumber lattices to disk."""
-    cfg = _load_config(config_path, seed, snr_db, samples, tol)
+    cfg = _load_config(config_path)
     lat_rx, lat_tx = cfg.lattices()
     prof = cfg.build_profile(lat_rx, lat_tx)
     os.makedirs(out_dir, exist_ok=True)
@@ -247,7 +267,7 @@ def profile(config_path, out_dir, seed, snr_db, samples, tol):
     click.echo(f"n_R={lat_rx.n} (estimate {lat_rx.estimate()})   "
                f"n_S={lat_tx.n} (estimate {lat_tx.estimate()})")
     (row_min, row_med), (col_min, col_med) = effective_width(prof.matrix)
-    click.echo(f"profile kind={prof.kind} shape={prof.shape} "
+    click.echo(f"profile={cfg.doc['channel']['profile']} shape={prof.shape} "
                f"sum={prof.matrix.sum():.6e} "
                f"floored={floor_count(prof.matrix)} of {prof.matrix.size} "
                f"n_eff min/median rows={row_min:.2f}/{row_med:.2f} "

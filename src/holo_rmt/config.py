@@ -55,12 +55,10 @@ def _load_schema(name):
 
 @functools.cache
 def _validator(schema_name):
-    """Validator of a shipped schema, checked once per process (checking a
-    schema costs most of a ``jsonschema.validate`` call)."""
+    """Validator of a shipped schema, built once per process.  The schema
+    itself is not checked here: the test suite checks every shipped schema."""
     schema = _load_schema(schema_name)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def validate_document(doc, schema_name):
@@ -165,7 +163,7 @@ class RunConfig:
                 raise ConfigError(
                     f"profile file shape {mat.shape} does not match lattice "
                     f"cardinalities ({lat_rx.n}, {lat_tx.n})")
-            return channel.profile_from_matrix(mat)
+            return channel.VarianceProfile(mat)
         sep = channel.profile_separable_isotropic(lat_rx, lat_tx,
                                                   self.geometry.wavelength)
         if ch["profile"] == "separable":

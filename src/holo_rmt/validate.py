@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaincinv
 
-from . import channel, geometry, montecarlo, solver
+from . import channel, montecarlo, solver
 from .asymptotics import (analyze_model, auto_rate_grid, build_b,
                           outage_probability, variance_clt,
                           variance_linear_system_oracle)
@@ -40,22 +40,6 @@ class CriterionResult:
     def row(self):
         verdict = "PASS" if self.passed else "FAIL"
         return f"{self.name:<22} {self.measured:<34} {self.threshold:<30} {verdict}"
-
-
-def desk_geometry(aperture_wavelengths: float = 3.38,
-                  wavelength: float = 0.01) -> geometry.ArrayGeometry:
-    """Square-aperture desk-scale geometry with the reference defaults.
-
-    3.38 wavelengths per side gives lattice cardinality 37 (the closest the
-    origin-symmetric lattice gets to 36, whose parity is always odd) with
-    large-aperture estimate exactly 36.
-    """
-    lam = wavelength
-    side = aperture_wavelengths * lam
-    return geometry.ArrayGeometry(
-        wavelength=lam, tx_aperture=(side, side), rx_aperture=(side, side),
-        tx_spacing=lam / 4, rx_spacing=lam / 4,
-        antenna_area=lam ** 2 / 64, antenna_efficiency=0.6)
 
 
 def _closed_form_and_mc(cfg, snrs_db, samples, seed):
@@ -101,7 +85,7 @@ def check_iid_closed_form(rhos=(0.1, 1.0, 10.0), size=16,
                           tol=1e-10) -> CriterionResult:
     t0 = time.time()
     worst = 0.0
-    prof = channel.profile_from_matrix(np.ones((size, size)))
+    prof = channel.VarianceProfile(np.ones((size, size)))
     a = np.zeros((size, size))
     for rho in rhos:
         model = channel.build_weichselberger(a, prof, rho)
@@ -192,7 +176,7 @@ def _oracle_family_model(size, seed, rho=0.5):
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     sig = 0.5 + rng.random((size, size))
     a = channel.synth_los(size, size, "lowrank", rank=2, seed=seed) * 0.8
-    return channel.build_weichselberger(a, channel.profile_from_matrix(sig), rho)
+    return channel.build_weichselberger(a, channel.VarianceProfile(sig), rho)
 
 
 def check_appendix_oracle(sizes=(8, 16, 32), trials=3, seed=101,
@@ -302,7 +286,7 @@ def check_reductions(seed=23, tol=1e-10) -> CriterionResult:
     # (b) centered variance reduces to -log det(I_M - Lambda~ Gamma).
     sig = 0.5 + rng.random((9, 9))
     model0 = channel.build_weichselberger(np.zeros((9, 9)),
-                                          channel.profile_from_matrix(sig), 0.8)
+                                          channel.VarianceProfile(sig), 0.8)
     sol0, res0 = solver.solve_deltas(model0)
     b0 = build_b(model0, sol0, res0)
     v_full = variance_clt(b0)
@@ -325,7 +309,7 @@ def check_reductions(seed=23, tol=1e-10) -> CriterionResult:
     h_k = sample_channel(model_k, substream(99, 0))
     bit_same = np.array_equal(h_w, h_k)
     model_x = channel.build_weichselberger(
-        np.zeros(a.shape), channel.profile_from_matrix(np.ones(a.shape)), 0.7)
+        np.zeros(a.shape), channel.VarianceProfile(np.ones(a.shape)), 0.7)
     x = sample_channel(model_x, substream(99, 0))
     h_kron = a + np.diag(np.sqrt(d)) @ x @ np.diag(np.sqrt(dt))
     kron_close = np.allclose(h_w, h_kron, rtol=1e-13, atol=0)
@@ -352,7 +336,7 @@ def random_model(rng, max_dim=16):
     a = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
     a *= rng.random() * 1.5 / max(np.linalg.norm(a, 2), 1e-12)
     rho = float(10.0 ** rng.uniform(-1.3, 0.7))
-    return channel.build_weichselberger(a, channel.profile_from_matrix(sig), rho)
+    return channel.build_weichselberger(a, channel.VarianceProfile(sig), rho)
 
 
 def _check_one_invariant_model(rng) -> list[str]:

@@ -3,7 +3,22 @@ import warnings
 import pytest
 
 from holo_rmt import channel, geometry
-from holo_rmt.validate import desk_geometry
+
+
+def desk_geometry(aperture_wavelengths: float = 3.38,
+                  wavelength: float = 0.01) -> geometry.ArrayGeometry:
+    """Square-aperture desk-scale geometry with the reference defaults.
+
+    3.38 wavelengths per side gives lattice cardinality 37 (the closest the
+    origin-symmetric lattice gets to 36, whose parity is always odd) with
+    large-aperture estimate exactly 36.
+    """
+    lam = wavelength
+    side = aperture_wavelengths * lam
+    return geometry.ArrayGeometry(
+        wavelength=lam, tx_aperture=(side, side), rx_aperture=(side, side),
+        tx_spacing=lam / 4, rx_spacing=lam / 4,
+        antenna_area=lam ** 2 / 64, antenna_efficiency=0.6)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ from holo_rmt.asymptotics import (AsymptoticStats, BMatrix, analyze_model,
                                   oracle_from_blocks, outage_curve,
                                   outage_probability, variance_clt,
                                   variance_linear_system_oracle)
-from holo_rmt.channel import (build_weichselberger, profile_from_matrix,
+from holo_rmt.channel import (VarianceProfile, build_weichselberger,
                               synth_los)
 from holo_rmt.errors import InvalidRegimeError
 from holo_rmt.solver import solve_deltas
@@ -18,7 +18,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def iid_model(n, m, rho):
     return build_weichselberger(np.zeros((n, m)),
-                                profile_from_matrix(np.ones((n, m))), rho)
+                                VarianceProfile(np.ones((n, m))), rho)
 
 
 def random_model(seed, n=5, m=4, rho=0.5, los_scale=0.6):
@@ -26,7 +26,7 @@ def random_model(seed, n=5, m=4, rho=0.5, los_scale=0.6):
     sig = 0.3 + rng.random((n, m))
     a = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
     a *= los_scale / np.linalg.norm(a, 2)
-    return build_weichselberger(a, profile_from_matrix(sig), rho)
+    return build_weichselberger(a, VarianceProfile(sig), rho)
 
 
 def zero_b(m):
@@ -63,7 +63,7 @@ class TestEmiDeterministic:
         # Same (A_bar, Sigma) twice: the builder keeps only what MI needs.
         model1 = random_model(3)
         model2 = build_weichselberger(model1.los.copy(),
-                                      profile_from_matrix(model1.profile.matrix.copy()),
+                                      VarianceProfile(model1.profile.matrix.copy()),
                                       model1.zeta)
         s1, r1 = solve_deltas(model1)
         s2, r2 = solve_deltas(model2)
@@ -182,7 +182,7 @@ class TestVarianceOracle:
             rng = np.random.default_rng(40)
             sig = 0.5 + rng.random((m, m))
             a = synth_los(m, m, "lowrank", rank=2, seed=1) * 0.7
-            model = build_weichselberger(a, profile_from_matrix(sig), 0.5)
+            model = build_weichselberger(a, VarianceProfile(sig), 0.5)
             stats, _, sol, res = analyze_model(model)
             oracle = variance_linear_system_oracle(model, sol, res)
             gaps.append(abs(oracle - stats.variance))

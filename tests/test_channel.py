@@ -3,15 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from conftest import desk_geometry
 
 from holo_rmt import matio
 from holo_rmt.channel import (PROFILE_FLOOR_REL, ChannelModel,
                               VarianceProfile, build_holographic,
                               build_kronecker, build_weichselberger,
                               effective_width, floor_count,
-                              profile_from_matrix,
                               profile_nonseparable_gaussian,
                               profile_separable_isotropic, separable_profile,
                               synth_los, _cell_measure, _side_weights)
@@ -110,10 +108,9 @@ class TestIsotropicProfile:
         assert w_origin == pytest.approx(riemann_cell_oracle(0.0, h, 0.0, h), rel=2e-2)
         # (1,0) cell touches the disk only at one corner: zero measure.
         assert w_right == 0.0
-        # Factor vector is normalized.
-        d, dt = prof.factors
-        assert d.sum() == pytest.approx(1.0, rel=1e-12)
-        assert dt.sum() == pytest.approx(1.0, rel=1e-12)
+        # Each side factor has unit sum up to its floored entries (about
+        # 7e-13 here), so outer(d, d~) sums to 1 within twice that.
+        assert prof.matrix.sum() == pytest.approx(1.0, rel=2e-12)
 
     def test_mirror_symmetry_of_cell_measure(self):
         # Integrand is even in each coordinate: the mirrored cell
@@ -147,14 +144,6 @@ class TestIsotropicProfile:
         assert oracle[i] == pytest.approx(oracle[j], rel=1e-9)
         assert w[i] == w[j]
 
-    def test_scale_knob(self):
-        lat = enumerate_lattice(2 * LAM, 2 * LAM, LAM)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            base = profile_separable_isotropic(lat, lat, LAM)
-            scaled = profile_separable_isotropic(lat, lat, LAM, scale=3.0)
-        assert scaled.matrix.sum() == pytest.approx(3 * base.matrix.sum(), rel=1e-12)
-
     def test_full_scale_zero_cells_stay_floored(self):
         # Corner-anchored cells of the lattice points on the positive disk
         # edge meet the disk at a point only: zero measure, floored factor.
@@ -162,9 +151,11 @@ class TestIsotropicProfile:
         w = _side_weights(lat, LAM)
         zero = sorted(lat.points[i] for i in np.flatnonzero(w == 0.0))
         assert zero == [(0, 10), (6, 8), (8, 6), (10, 0)]
-        d, _ = profile_separable_isotropic(lat, lat, LAM).factors
-        assert floor_count(d) == 4
-        assert np.all(d[w == 0.0] == PROFILE_FLOOR_REL * d.max())
+        # The row sums of outer(d, d~) are d times sum(d~) = 1.
+        d = profile_separable_isotropic(lat, lat, LAM).matrix.sum(axis=1)
+        floored = d <= PROFILE_FLOOR_REL * d.max() * (1 + 1e-12)
+        assert np.array_equal(floored, w == 0.0)
+        assert d[floored] == pytest.approx(PROFILE_FLOOR_REL * d.max(), rel=1e-12)
 
     def test_floor_warning_counts_entries(self, desk):
         sep = desk["sep"]
@@ -215,23 +206,11 @@ class TestGaussianKernelProfile:
 class TestProfileInvariants:
     def test_entries_must_be_nonnegative(self):
         with pytest.raises(ValueError):
-            VarianceProfile(np.array([[1.0, -0.1], [0.5, 0.2]]), "user")
+            VarianceProfile(np.array([[1.0, -0.1], [0.5, 0.2]]))
 
     def test_row_and_column_sums_positive(self):
         with pytest.raises(ValueError):
-            VarianceProfile(np.array([[0.0, 0.0], [1.0, 1.0]]), "user")
-
-    def test_rank_one_detection(self):
-        d = np.array([1.0, 2.0, 4.0])
-        dt = np.array([0.5, 0.25])
-        prof = profile_from_matrix(np.outer(d, dt))
-        assert prof.kind == "separable"
-        assert prof.factors is not None
-
-    def test_full_rank_not_tagged(self):
-        prof = profile_from_matrix(np.array([[1.0, 0.2], [0.2, 1.0]]))
-        assert prof.kind == "user"
-        assert prof.factors is None
+            VarianceProfile(np.array([[0.0, 0.0], [1.0, 1.0]]))
 
     def test_effective_width_of_constant_profile(self):
         # A flat n x m profile spreads each row over m entries and each
@@ -260,32 +239,21 @@ class TestProfileInvariants:
     def test_check_positive_flags_zero_entry(self):
         m = np.ones((3, 3))
         m[1, 2] = 0.0
-        prof = VarianceProfile(m, "user")
+        prof = VarianceProfile(m)
         with pytest.raises(ValueError, match="positivity"):
             prof.check_positive()
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=2, max_value=6),
-           st.integers(min_value=2, max_value=6), st.integers(0, 2 ** 31))
-    def test_separable_sqrt_is_factorized(self, n, m, seed):
-        rng = np.random.default_rng(seed)
-        d = 0.1 + rng.random(n)
-        dt = 0.1 + rng.random(m)
-        prof = separable_profile(d, dt)
-        expected = np.sqrt(d)[:, None] * np.sqrt(dt)[None, :]
-        assert np.array_equal(prof.sqrt_entries(), expected)
 
 
 class TestBuilders:
     def test_weichselberger_centered_iid(self):
-        prof = profile_from_matrix(np.ones((3, 4)))
+        prof = VarianceProfile(np.ones((3, 4)))
         model = build_weichselberger(np.zeros((3, 4)), prof, 0.5)
         assert model.zeta == 0.5
         assert not np.any(model.los)
-        assert model.los_norm == 0.0
+        assert model.los_factors[0].shape == (3, 0)
 
     def test_weichselberger_shape_mismatch(self):
-        prof = profile_from_matrix(np.ones((3, 4)))
+        prof = VarianceProfile(np.ones((3, 4)))
         with pytest.raises(ValueError):
             build_weichselberger(np.zeros((4, 3)), prof, 0.5)
 
@@ -296,7 +264,7 @@ class TestBuilders:
         matio.save_complex_matrix(tmp_path / "a.json", a)
         matio.save_real_matrix(tmp_path / "s.json", sig)
         model = build_weichselberger(matio.load_complex_matrix(tmp_path / "a.json"),
-                                     profile_from_matrix(matio.load_real_matrix(tmp_path / "s.json")),
+                                     VarianceProfile(matio.load_real_matrix(tmp_path / "s.json")),
                                      0.3)
         assert np.array_equal(model.los, a)
         assert np.array_equal(model.profile.matrix, sig)
@@ -313,9 +281,9 @@ class TestBuilders:
         n_r, n_s = desk["nonsep"].shape
         a_h = synth_los(n_r, n_s, "lowrank", rank=2, seed=1)
         model = build_holographic(geom, desk["nonsep"], a_h, 10.0, 0.1)
-        assert model.los_norm == pytest.approx(math.sqrt(10.0 / n_s), rel=1e-10)
+        assert np.linalg.norm(model.los, 2) == pytest.approx(math.sqrt(10.0 / n_s),
+                                                             rel=1e-10)
         assert model.zeta == pytest.approx(effective_zeta(geom, 0.1), rel=1e-15)
-        assert model.rician_k == 10.0
 
     def test_holographic_dimension_mismatch(self, desk):
         with pytest.raises(ValueError):
@@ -324,7 +292,6 @@ class TestBuilders:
 
     def test_holographic_lattice_cardinality_mismatch(self, desk):
         # Same profile, geometry with a different lattice: refuse to build.
-        from holo_rmt.validate import desk_geometry
         other = desk_geometry(5.0)
         n_r, n_s = desk["nonsep"].shape
         with pytest.raises(ValueError, match="lattice cardinalities"):
@@ -332,7 +299,7 @@ class TestBuilders:
                               synth_los(n_r, n_s, "single"), 1.0, 0.1)
 
     def test_zeta_must_be_positive(self):
-        prof = profile_from_matrix(np.ones((2, 2)))
+        prof = VarianceProfile(np.ones((2, 2)))
         model = ChannelModel(los=np.zeros((2, 2)), profile=prof, zeta=1.0)
         for zeta in (0.0, -1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="zeta must be finite and positive"):
@@ -343,13 +310,12 @@ class TestBuilders:
     def test_at_zeta_shares_the_channel(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
-        model = build_weichselberger(a, profile_from_matrix(0.5 + rng.random((5, 4))),
+        model = build_weichselberger(a, VarianceProfile(0.5 + rng.random((5, 4))),
                                      0.3)
         moved = model.at_zeta(0.6)
         assert (moved.zeta, model.zeta) == (0.6, 0.3)
         assert moved.los is model.los and moved.profile is model.profile
         assert moved.los_factors is model.los_factors
-        assert moved.los_norm == model.los_norm
         fresh = build_weichselberger(a, model.profile, 0.6)
         assert all(np.array_equal(f, g)
                    for f, g in zip(moved.los_factors, fresh.los_factors))

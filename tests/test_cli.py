@@ -188,18 +188,43 @@ class TestConfigErrors:
             assert not (out / "analyze.json").exists()
 
     def test_nan_tol_exits_2(self, tmp_path):
+        # A bad --tol is refused before --out exists, and by validate before
+        # any criterion runs.  The solver refuses it, or, where validate
+        # re-reads the configuration first, the schema does.
         cfg = small_config(tmp_path)
-        for tol in ("nan", "inf"):
+        for tol in ("nan", "inf", "-1", "0"):
             for command in ("analyze", "validate"):
                 out = tmp_path / f"{command}{tol}"
                 result = runner.invoke(main, [command, "--config", str(cfg),
                                               "--out", str(out), "--tol", tol])
                 assert result.exit_code == 2, all_output(result)
-                assert "tol must be positive" in all_output(result)
-                assert not (out / "analyze.json").exists()
-            # validate refuses the input before any criterion runs or --out
-            # exists.
-            assert "PRE-FLIGHT" not in all_output(result)
+                assert ("tol must be positive" in all_output(result)
+                        or "schema violation at solver/tol" in all_output(result))
+                assert "PRE-FLIGHT" not in all_output(result)
+                assert not out.exists()
+
+    @pytest.mark.parametrize("command, reads", [
+        ("profile", ()),
+        ("analyze", ("--snr-db", "--tol")),
+        ("mc", ("--seed", "--samples", "--snr-db")),
+        ("validate", ("--seed", "--samples", "--snr-db", "--tol",
+                      "--rel-tol-scale")),
+    ])
+    def test_command_takes_only_the_flags_it_reads(self, tmp_path, command,
+                                                   reads):
+        declared = {opt for p in main.commands[command].params for opt in p.opts}
+        assert declared == {"--config", "--out", *reads}
+        cfg = small_config(tmp_path)
+        for flag, value in (("--seed", "5"), ("--snr-db", "99"),
+                            ("--samples", "1"), ("--tol", "-1")):
+            if flag in reads:
+                continue
+            out = tmp_path / f"out{flag}"
+            result = runner.invoke(main, [command, "--config", str(cfg),
+                                          "--out", str(out), flag, value])
+            assert result.exit_code == 2, all_output(result)
+            assert "No such option" in all_output(result)
+            assert flag in all_output(result)
             assert not out.exists()
 
     def test_infinite_tol_in_config_exits_2(self, tmp_path):

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -121,7 +122,9 @@ class TestModelAssembly:
         lat_rx, lat_tx = cfg.lattices()
         model = cfg.build_model(10.0)
         assert model.shape == (lat_rx.n, lat_tx.n)
-        assert model.rician_k == 10.0
+        # K = 10 reached the model: the single LoS has norm sqrt(K / n_S).
+        assert np.linalg.norm(model.los, 2) == pytest.approx(
+            math.sqrt(10.0 / lat_tx.n), rel=1e-12)
 
     def test_build_models_share_one_channel(self):
         cfg = RunConfig(self.small_doc())
@@ -181,8 +184,8 @@ def test_output_schema_validation_rejects_bad_doc():
 
 
 def test_shipped_schemas_are_valid():
-    # validate_document checks a schema once per process, so every shipped
-    # schema must pass its metaschema.
+    # validate_document trusts the shipped schemas without checking them at
+    # run time, so this test is where every one must pass its metaschema.
     files = [f for f in resources.files("holo_rmt.schemas").iterdir()
              if f.name.endswith(".json")]
     assert {f.name for f in files} >= {"config.schema.json",

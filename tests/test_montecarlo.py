@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from holo_rmt import montecarlo
 from holo_rmt.asymptotics import analyze_model
-from holo_rmt.channel import (build_weichselberger, profile_from_matrix,
+from holo_rmt.channel import (VarianceProfile, build_weichselberger,
                               separable_profile)
 from holo_rmt.errors import NumericalError
 from holo_rmt.montecarlo import (MiSampleSet, compute_mi, empirical_outage,
@@ -22,7 +22,7 @@ from holo_rmt.solver import solve_deltas
 
 def iid_model(n, m, zeta):
     return build_weichselberger(np.zeros((n, m)),
-                                profile_from_matrix(np.ones((n, m))), zeta)
+                                VarianceProfile(np.ones((n, m))), zeta)
 
 
 def with_cpus(monkeypatch, count, log_dir):
@@ -53,14 +53,14 @@ def small_model(seed=0, n=4, m=3, zeta=0.5):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
     sig = 0.4 + rng.random((n, m))
-    return build_weichselberger(a * 0.4, profile_from_matrix(sig), zeta)
+    return build_weichselberger(a * 0.4, VarianceProfile(sig), zeta)
 
 
 class TestSampleChannel:
     def test_vanishing_profile_recovers_los(self):
         model = small_model()
         tiny = build_weichselberger(model.los,
-                                    profile_from_matrix(np.full((4, 3), 1e-24)),
+                                    VarianceProfile(np.full((4, 3), 1e-24)),
                                     0.5)
         h = sample_channel(tiny, substream(1, 0))
         assert np.abs(h - model.los).max() <= 1e-10
@@ -106,7 +106,7 @@ class TestSampleChannel:
         # The bare X: a centered channel with a unit profile (x1 and +0 are
         # exact).
         x = sample_channel(iid_model(3, 2, 1.0), substream(5, 0))
-        assert np.array_equal(h, (np.sqrt(d)[:, None] * np.sqrt(dt)[None, :]) * x)
+        assert np.array_equal(h, np.sqrt(np.outer(d, dt)) * x)
         assert np.allclose(h, np.diag(np.sqrt(d)) @ x @ np.diag(np.sqrt(dt)),
                            rtol=1e-13)
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holo_rmt import validate
-from holo_rmt.channel import (build_holographic, build_kronecker,
-                              build_weichselberger, profile_from_matrix,
+from holo_rmt.channel import (VarianceProfile, build_holographic,
+                              build_kronecker, build_weichselberger,
                               synth_los)
 from holo_rmt.errors import ConvergenceError, NumericalError
 from holo_rmt.solver import (DEFAULT_MAX_ITER, compute_resolvents,
@@ -20,7 +20,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def iid_model(n, m, rho):
     return build_weichselberger(np.zeros((n, m)),
-                                profile_from_matrix(np.ones((n, m))), rho)
+                                VarianceProfile(np.ones((n, m))), rho)
 
 
 def random_model(seed, n=6, m=5, rho=0.4, los_scale=0.5):
@@ -28,7 +28,7 @@ def random_model(seed, n=6, m=5, rho=0.4, los_scale=0.5):
     sig = 0.3 + rng.random((n, m))
     a = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
     a *= los_scale / np.linalg.norm(a, 2)
-    return build_weichselberger(a, profile_from_matrix(sig), rho)
+    return build_weichselberger(a, VarianceProfile(sig), rho)
 
 
 def hpd_inverse(mat):
@@ -88,7 +88,7 @@ def rank_r_model(seed, rank, complex_los):
         v = v + 1j * rng.normal(size=(m, r))
     a = u @ v.conj().T
     if r:
-        a *= base.los_norm / np.linalg.norm(a, 2)
+        a *= np.linalg.norm(base.los, 2) / np.linalg.norm(a, 2)
     model = build_weichselberger(a, base.profile, base.zeta)
     assert model.los_factors[0].shape[1] == r
     return model, rng
@@ -275,7 +275,7 @@ class TestSolveDeltas:
     def test_real_los_keeps_real_arithmetic(self):
         rng = np.random.default_rng(14)
         a = rng.normal(size=(4, 4)) * 0.3
-        model = build_weichselberger(a, profile_from_matrix(0.5 + rng.random((4, 4))), 0.7)
+        model = build_weichselberger(a, VarianceProfile(0.5 + rng.random((4, 4))), 0.7)
         sol, res = solve_deltas(model)
         assert not np.iscomplexobj(res.t_mat)
         # Complexified copy of the same model agrees.

@@ -1,13 +1,14 @@
 from pathlib import Path
 
 import pytest
+from conftest import desk_geometry
 from scipy.stats import chi2
 
 from holo_rmt.asymptotics import analyze_model
 from holo_rmt.config import RunConfig
 from holo_rmt.normal import norm_cdf
 from holo_rmt.validate import (SE_MULTIPLIER, check_convergence,
-                               check_emi_vs_mc, chi2_ppf, desk_geometry)
+                               check_emi_vs_mc, chi2_ppf)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
