@@ -193,7 +193,7 @@ def auto_rate_grid(stats: AsymptoticStats, half_width_sigmas: float = 5.0,
 def analyze_model(model: ChannelModel, **solver_opts):
     """Solve the fixed point and return (stats, b_matrix, solution, resolvents).
 
-    ``solver_opts`` (tol, max_iter, damping) go to solve_deltas unchanged.
+    ``solver_opts`` (tol, max_iter) go to solve_deltas unchanged.
     """
     solution, res = solve_deltas(model, **solver_opts)
     emi = emi_deterministic(model, solution, res)

@@ -342,10 +342,6 @@ class ChannelModel:
         return model
 
     @property
-    def shape(self):
-        return self.profile.shape
-
-    @property
     def dims(self):
         n, m = self.profile.shape
         return n, m

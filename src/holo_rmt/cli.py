@@ -41,16 +41,19 @@ EXIT_NUMERICAL = 3
 
 
 def _load_config(path, seed=None, snr_db=None, samples=None, tol=None):
+    """The configuration file with the given flags applied; the flags are
+    checked by the config schema like values written in the file."""
     cfg = RunConfig.from_file(path)
+    overrides = {}
     if snr_db:
-        cfg.doc["snr_db"] = [float(s) for s in snr_db.split(",")]
+        overrides["snr_db"] = [float(s) for s in snr_db.split(",")]
     if seed is not None:
-        cfg.doc["mc"]["seed"] = seed
+        overrides.setdefault("mc", {})["seed"] = seed
     if samples is not None:
-        cfg.doc["mc"]["samples"] = samples
+        overrides.setdefault("mc", {})["samples"] = samples
     if tol is not None:
-        cfg.doc["solver"]["tol"] = tol
-    return cfg
+        overrides["solver"] = {"tol": tol}
+    return cfg.updated(**overrides) if overrides else cfg
 
 
 def _common_options(fn):

@@ -34,8 +34,7 @@ DEFAULT_CONFIG = {
     "snr_db": [10.0],
     "rates": "auto",
     "mc": {"samples": 10_000, "seed": 2024},
-    "solver": {"tol": solver.DEFAULT_TOL, "max_iter": solver.DEFAULT_MAX_ITER,
-               "damping": solver.DEFAULT_DAMPING},
+    "solver": {"tol": solver.DEFAULT_TOL, "max_iter": solver.DEFAULT_MAX_ITER},
 }
 
 
@@ -89,8 +88,9 @@ class RunConfig:
         if ch["profile"] == "file" and "profile_path" not in ch:
             raise ConfigError("channel.profile 'file' requires channel.profile_path")
         los = ch["los"]
-        if "path" in los and "kind" in los:
-            raise ConfigError("channel.los: give either a file path or a synthetic kind")
+        if "path" in los and los.keys() & {"kind", "rank", "seed"}:
+            raise ConfigError("channel.los: give either a file path ('path') or "
+                              "a synthetic LoS ('kind', 'rank', 'seed'), not both")
         if "path" not in los:
             los.setdefault("kind", defaults["channel"]["los"]["kind"])
             los.setdefault("rank", 1)
@@ -119,12 +119,6 @@ class RunConfig:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls(doc)
 
-    @classmethod
-    def defaults(cls, **overrides):
-        doc = copy.deepcopy(DEFAULT_CONFIG)
-        doc.update(overrides)
-        return cls(doc)
-
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -146,8 +140,7 @@ class RunConfig:
     @property
     def solver_opts(self):
         s = self.doc["solver"]
-        return {"tol": float(s["tol"]), "max_iter": int(s["max_iter"]),
-                "damping": float(s["damping"])}
+        return {"tol": float(s["tol"]), "max_iter": int(s["max_iter"])}
 
     # -- model assembly ----------------------------------------------------
 
@@ -201,8 +194,15 @@ class RunConfig:
         """Holographic channel model for one SNR point."""
         return self.build_models([snr_db], profile, lattices)[0][1]
 
-    def with_channel(self, **fields):
-        """This configuration with the given ``channel`` fields replaced."""
+    def updated(self, **sections):
+        """A new configuration with the given top-level keys changed.
+
+        A dict value is merged into that section (its other fields stay); any
+        other value replaces the key.  The result is validated and filled in
+        like a configuration file; this one is left unchanged.
+        """
         doc = copy.deepcopy(self.doc)
-        doc["channel"].update(fields)
+        for key, value in sections.items():
+            doc[key] = ({**doc.get(key, {}), **value} if isinstance(value, dict)
+                        else value)
         return RunConfig(doc)

@@ -24,12 +24,11 @@ the last ANDERSON_DEPTH differences dX, dF of iterates and of f, the step
 is
 
     gamma   = argmin || f(x_k) - dF gamma ||_2          (np.linalg.lstsq)
-    x_{k+1} = x_k + beta f(x_k) - (dX + beta dF) gamma,
+    x_{k+1} = x_k + f(x_k) - (dX + dF) gamma,
 
-where beta in (0, 1] is the ``damping`` argument (1 = undamped: x_{k+1} is
-G(x_k) corrected by the secant history).  An extrapolated iterate that is
-not entrywise positive lies outside the domain of G; the history is then
-cleared and the plain step x_k + beta f(x_k) taken.  The stop is the same
+that is G(x_k) corrected by the secant history.  An extrapolated iterate
+that is not entrywise positive lies outside the domain of G; the history is
+then cleared and the plain step G(x_k) taken.  The stop is the same
 as for the plain sweep, sup |G(x) - x| <= tol with an absolute tol, and the
 solution returned is G(x).  Every iteration costs one sweep plus a least
 squares problem of ANDERSON_DEPTH columns.
@@ -54,7 +53,6 @@ from .errors import ConvergenceError, NumericalError
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
-DEFAULT_DAMPING = 1.0
 ANDERSON_DEPTH = 5  # secant pairs kept in the Anderson history
 
 
@@ -173,13 +171,11 @@ def _gauss_seidel_map(model: ChannelModel):
 
 
 def solve_deltas(model: ChannelModel, tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER,
-                 damping: float = DEFAULT_DAMPING):
+                 max_iter: int = DEFAULT_MAX_ITER):
     """Anderson-accelerated fixed point, stopped when sup |G(x) - x| <= tol.
 
     The solve runs at rho = the model's zeta (``ChannelModel.at_zeta`` moves
     a channel to another noise level) and starts from delta = delta~ = 1.
-    ``damping`` in (0, 1] is the Anderson mixing parameter (1 = undamped).
     Each iteration costs one evaluation of the Gauss-Seidel map G; the
     returned solution is G(x) at the first iterate x whose update meets
     ``tol``.  Returns (DeltaSolution, Resolvents).
@@ -191,8 +187,6 @@ def solve_deltas(model: ChannelModel, tol: float = DEFAULT_TOL,
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
 
     n, m = model.dims
     sweep = _gauss_seidel_map(model)
@@ -217,11 +211,11 @@ def solve_deltas(model: ChannelModel, tol: float = DEFAULT_TOL,
             d_x.append(x - x_prev)
             d_f.append(f - f_prev)
         x_prev, f_prev = x, f
-        x = x + damping * f
+        x = x + f
         if d_f:
             dx, df = np.column_stack(d_x), np.column_stack(d_f)
             gamma = np.linalg.lstsq(df, f, rcond=None)[0]
-            x_acc = x - (dx + damping * df) @ gamma
+            x_acc = x - (dx + df) @ gamma
             if np.all(x_acc > 0):
                 x = x_acc
             else:

@@ -17,11 +17,12 @@ from scipy.special import gammaincinv
 
 from . import channel, montecarlo, solver
 from .asymptotics import (analyze_model, auto_rate_grid, build_b,
-                          outage_probability, variance_clt,
+                          emi_deterministic, outage_probability, variance_clt,
                           variance_linear_system_oracle)
 from .montecarlo import (empirical_outage, ks_statistic, normalized_samples,
                          qq_data, qq_slope, run_mc_grid, sample_channel,
                          substream)
+from .normal import norm_cdf
 
 # Quantile multiplier shared by the mean gate (4 standard errors) and the
 # chi^2 sampling band on the variance.
@@ -62,8 +63,7 @@ def check_convergence(cfg, snr_db=10.0, tol=1e-12, max_iter=10_000,
                       selfcons_tol=1e-10, time_limit_s=60.0) -> CriterionResult:
     t0 = time.time()
     model = cfg.build_model(snr_db)
-    sol, res = solver.solve_deltas(model, tol=tol, max_iter=max_iter,
-                                   damping=cfg.solver_opts["damping"])
+    sol, res = solver.solve_deltas(model, tol=tol, max_iter=max_iter)
     sc = solver.self_consistency_residual(model, sol, res)
     elapsed = time.time() - t0
     ok = (sol.iterations < max_iter and sol.residual <= tol
@@ -111,8 +111,8 @@ def check_emi_vs_mc(cfg, snrs_db=(0.0, 10.0, 20.0), rician_ks=(0.0, 10.0),
     t0 = time.time()
     details = []
     for k in rician_ks:
-        sweep = _closed_form_and_mc(cfg.with_channel(rician_k=k), snrs_db,
-                                    samples, seed)
+        sweep = _closed_form_and_mc(cfg.updated(channel={"rician_k": k}),
+                                    snrs_db, samples, seed)
         for snr, stats, ms in sweep:
             rel = float(abs(ms.mean - stats.emi_nats) / abs(stats.emi_nats))
             se = math.sqrt(ms.variance / samples)
@@ -139,12 +139,11 @@ def check_variance_vs_mc(cfg, snrs_db=(0.0, 10.0, 20.0), rician_ks=(0.0, 10.0),
                          samples=100_000, seed=13, rel_tol=0.05,
                          se_mult=SE_MULTIPLIER) -> CriterionResult:
     t0 = time.time()
-    from .normal import norm_cdf
     p_lo = norm_cdf(-se_mult)
     details = []
     for k in rician_ks:
-        sweep = _closed_form_and_mc(cfg.with_channel(rician_k=k), snrs_db,
-                                    samples, seed)
+        sweep = _closed_form_and_mc(cfg.updated(channel={"rician_k": k}),
+                                    snrs_db, samples, seed)
         for snr, stats, ms in sweep:
             s2 = ms.variance
             rel = float(abs(s2 - stats.variance) / stats.variance)
@@ -370,7 +369,6 @@ def _check_one_invariant_model(rng) -> list[str]:
     v = variance_clt(b)
     if not v > 0:
         failures.append("variance not positive")
-    from .asymptotics import emi_deterministic
     emi1 = emi_deterministic(model, sol, res)
     if emi1 < 0:
         failures.append("EMI negative")
@@ -436,7 +434,7 @@ def run_all(run_config, rel_tol_scale=1.0):
     snrs = tuple(run_config.snr_db)
     k = float(run_config.doc["channel"]["rician_k"])
     sopts = run_config.solver_opts
-    separable = run_config.with_channel(profile="separable")
+    separable = run_config.updated(channel={"profile": "separable"})
     return [
         check_convergence(run_config, snr_db=snrs[0], tol=sopts["tol"],
                           max_iter=sopts["max_iter"]),

@@ -44,7 +44,7 @@ def desk_cfg():
 
 @pytest.fixture(scope="module")
 def desk_sep(desk_cfg):
-    return desk_cfg.with_channel(profile="separable")
+    return desk_cfg.updated(channel={"profile": "separable"})
 
 
 def report(tag, result):
@@ -132,7 +132,7 @@ class TestAcceptance:
         with it (about +7.6, +1.8 and -0.3)."""
         widths, gaps = [], []
         for kernel_a in (1.0, 4.0, 16.0):
-            cfg = desk_cfg.with_channel(kernel_a=kernel_a)
+            cfg = desk_cfg.updated(channel={"kernel_a": kernel_a})
             (_, row_median), _ = effective_width(
                 cfg.build_profile(*cfg.lattices()).matrix)
             res = report(f"E1 kernel_a={kernel_a:g} n_eff={row_median:.1f}",

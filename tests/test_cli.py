@@ -189,19 +189,36 @@ class TestConfigErrors:
 
     def test_nan_tol_exits_2(self, tmp_path):
         # A bad --tol is refused before --out exists, and by validate before
-        # any criterion runs.  The solver refuses it, or, where validate
-        # re-reads the configuration first, the schema does.
+        # any criterion runs.  The schema refuses -1 and 0, as it does in
+        # the file; nan and inf pass its exclusiveMinimum and the solver
+        # refuses them.
         cfg = small_config(tmp_path)
-        for tol in ("nan", "inf", "-1", "0"):
+        for tol, message in (("nan", "tol must be positive and finite"),
+                             ("inf", "tol must be positive and finite"),
+                             ("-1", "schema violation at solver/tol"),
+                             ("0", "schema violation at solver/tol")):
             for command in ("analyze", "validate"):
                 out = tmp_path / f"{command}{tol}"
                 result = runner.invoke(main, [command, "--config", str(cfg),
                                               "--out", str(out), "--tol", tol])
                 assert result.exit_code == 2, all_output(result)
-                assert ("tol must be positive" in all_output(result)
-                        or "schema violation at solver/tol" in all_output(result))
+                assert message in all_output(result), (command, tol)
                 assert "PRE-FLIGHT" not in all_output(result)
                 assert not out.exists()
+
+    def test_flag_and_file_values_get_one_message(self, tmp_path):
+        doc = json.loads(small_config(tmp_path).read_text())
+        doc["solver"] = {"tol": -1.0}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        flag = runner.invoke(main, ["analyze", "--config",
+                                    str(small_config(tmp_path)),
+                                    "--out", str(tmp_path / "a"),
+                                    "--tol", "-1"])
+        file = runner.invoke(main, ["analyze", "--config", str(bad),
+                                    "--out", str(tmp_path / "b")])
+        assert flag.exit_code == file.exit_code == 2
+        assert all_output(flag) == all_output(file)
 
     @pytest.mark.parametrize("command, reads", [
         ("profile", ()),
@@ -311,7 +328,7 @@ class TestConfigErrors:
 
     def test_solver_nonconvergence_exits_3(self, tmp_path):
         doc = json.loads(small_config(tmp_path).read_text())
-        doc["solver"] = {"tol": 1e-15, "max_iter": 1, "damping": 1.0}
+        doc["solver"] = {"tol": 1e-15, "max_iter": 1}
         cfg = tmp_path / "hard.json"
         cfg.write_text(json.dumps(doc))
         result = runner.invoke(main, ["analyze", "--config", str(cfg),

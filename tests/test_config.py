@@ -53,10 +53,10 @@ class TestSchemaValidation:
         with pytest.raises(ConfigError):
             RunConfig(doc)
 
-    def test_damping_above_one_rejected(self):
+    def test_damping_key_rejected(self):
         doc = make_doc()
-        doc["solver"] = {"damping": 1.5}
-        with pytest.raises(ConfigError):
+        doc["solver"] = {"tol": 1e-12, "damping": 1.0}
+        with pytest.raises(ConfigError, match="damping"):
             RunConfig(doc)
 
     def test_wrong_schema_version(self):
@@ -71,10 +71,40 @@ class TestSchemaValidation:
 
     def test_los_path_and_kind_conflict(self):
         doc = make_doc()
-        doc["channel"] = {"profile": "separable",
-                          "los": {"path": "a.json", "kind": "single"}}
-        with pytest.raises(ConfigError, match="los"):
-            RunConfig(doc)
+        for synthetic in ({"kind": "single"}, {"rank": 4}, {"seed": 9},
+                          {"rank": 4, "seed": 9}):
+            doc["channel"] = {"profile": "separable",
+                              "los": {"path": "a.json", **synthetic}}
+            with pytest.raises(ConfigError, match="los.*path.*kind"):
+                RunConfig(doc)
+
+
+class TestUpdated:
+    def test_flag_values_go_through_the_schema(self):
+        cfg = RunConfig(make_doc())
+        with pytest.raises(ConfigError,
+                           match="schema violation at solver/tol"):
+            cfg.updated(solver={"tol": -1})
+
+    def test_source_left_unchanged(self):
+        cfg = RunConfig(make_doc())
+        before = copy.deepcopy(cfg.doc)
+        new = cfg.updated(snr_db=[0.0, 20.0], solver={"tol": 1e-9},
+                          channel={"profile": "separable"})
+        assert cfg.doc == before
+        assert new.snr_db == [0.0, 20.0]
+        assert new.solver_opts == {"tol": 1e-9, "max_iter": 10_000}
+        assert new.doc["channel"]["profile"] == "separable"
+
+    def test_section_merge_keeps_other_fields(self):
+        cfg = RunConfig(make_doc())
+        new = cfg.updated(mc={"seed": 5})
+        assert new.mc_seed == 5
+        assert new.mc_samples == cfg.mc_samples
+
+    def test_unknown_key_is_a_schema_violation(self):
+        with pytest.raises(ConfigError, match="surprise"):
+            RunConfig(make_doc()).updated(surprise={"x": 1})
 
 
 class TestAccessors:
@@ -89,7 +119,7 @@ class TestAccessors:
     def test_solver_defaults_filled(self):
         # A section left out, or its optional fields left out, is filled in.
         cases = [
-            ("solver", None, {"tol": 1e-12, "max_iter": 10_000, "damping": 1.0}),
+            ("solver", None, {"tol": 1e-12, "max_iter": 10_000}),
             ("mc", None, {"samples": 10_000, "seed": 2024}),
             ("channel", ("kernel_a", "rician_k", "los"),
              {"profile": "nonseparable", "kernel_a": 1.0, "rician_k": 10.0,
@@ -104,8 +134,7 @@ class TestAccessors:
                     del doc[section][name]
             cfg = RunConfig(doc)
             assert cfg.doc[section] == filled, section
-        assert cfg.solver_opts == {"tol": 1e-12, "max_iter": 10_000,
-                                   "damping": 1.0}
+        assert cfg.solver_opts == {"tol": 1e-12, "max_iter": 10_000}
         # Filling in a copy leaves the defaults table as it was.
         assert DEFAULT_CONFIG["channel"]["los"] == {"kind": "single"}
 
@@ -121,7 +150,7 @@ class TestModelAssembly:
         cfg = RunConfig(self.small_doc())
         lat_rx, lat_tx = cfg.lattices()
         model = cfg.build_model(10.0)
-        assert model.shape == (lat_rx.n, lat_tx.n)
+        assert model.dims == (lat_rx.n, lat_tx.n)
         # K = 10 reached the model: the single LoS has norm sqrt(K / n_S).
         assert np.linalg.norm(model.los, 2) == pytest.approx(
             math.sqrt(10.0 / lat_tx.n), rel=1e-12)

@@ -89,7 +89,7 @@ class TestSampleChannel:
     def test_entry_variance_matches_profile(self):
         model = small_model(seed=3)
         draws = 100_000
-        acc = np.zeros(model.shape)
+        acc = np.zeros(model.dims)
         for i in range(draws):
             h = sample_channel(model, substream(11, i))
             acc += np.abs(h - model.los) ** 2

@@ -32,8 +32,9 @@ def test_criteria_check_the_configured_channel():
     # A separable desk channel with a rank-4 LoS: C1 and C3 must solve the
     # model that analyze solves, not a single-LoS Gaussian-kernel stand-in
     # (whose 10 dB EMI is 50.355 nats).
-    cfg = RunConfig.from_file(CONFIGS / "desk.json").with_channel(
-        profile="separable", los={"kind": "lowrank", "rank": 4, "seed": 701})
+    cfg = RunConfig.from_file(CONFIGS / "desk.json").updated(channel={
+        "profile": "separable",
+        "los": {"kind": "lowrank", "rank": 4, "seed": 701}})
     stats = analyze_model(cfg.build_model(10.0), **cfg.solver_opts)[0]
     assert stats.emi_nats == pytest.approx(65.4108188838892, rel=1e-10)
 
