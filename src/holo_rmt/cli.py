@@ -56,6 +56,22 @@ def _load_config(path, seed=None, snr_db=None, samples=None, tol=None):
     return cfg.updated(**overrides) if overrides else cfg
 
 
+def _file_tags(snrs):
+    """The ``<db>`` in each SNR's ``samples_snr<db>.csv`` and
+    ``qq_snr<db>.csv``; two SNRs with one tag would write one file, so
+    that is a config error."""
+    seen = {}
+    for snr in snrs:
+        tag = f"{snr:g}"
+        if tag in seen:
+            raise ConfigError(
+                f"snr_db {seen[tag]!r} and {snr!r} both write "
+                f"samples_snr{tag}.csv and qq_snr{tag}.csv; give SNRs "
+                f"that differ within 6 significant digits")
+        seen[tag] = snr
+    return list(seen)
+
+
 def _common_options(fn):
     fn = click.option("--config", "config_path", required=True,
                       type=click.Path(exists=True, dir_okay=False),
@@ -157,6 +173,7 @@ def analyze(config_path, out_dir, snr_db, tol):
 def mc(config_path, out_dir, snr_db, seed, samples):
     """Monte-Carlo MI sampling; writes per-SNR sample CSVs and a summary."""
     cfg = _load_config(config_path, seed=seed, snr_db=snr_db, samples=samples)
+    tags = _file_tags(cfg.snr_db)
     models = cfg.build_models(cfg.snr_db)
     sets = run_mc_grid(models[0][1], [model.zeta for _, model in models],
                        cfg.mc_samples, cfg.mc_seed)
@@ -170,8 +187,8 @@ def mc(config_path, out_dir, snr_db, seed, samples):
         analytic = {round(e["snr_db"], 9): e for e in prior.get("results", [])}
 
     entries = []
-    for (snr, model), ms in zip(models, sets):
-        csv_name = f"samples_snr{snr:g}.csv"
+    for tag, (snr, model), ms in zip(tags, models, sets):
+        csv_name = f"samples_snr{tag}.csv"
         matio.save_samples_csv(os.path.join(out_dir, csv_name), ms.samples)
         entry = {"snr_db": float(snr), "zeta": model.zeta,
                  "samples": ms.count, "seed": cfg.mc_seed,
@@ -196,7 +213,7 @@ def mc(config_path, out_dir, snr_db, seed, samples):
             entry["ks"] = ks_statistic(norm)
             pairs = qq_data(norm)
             entry["qq_slope"] = qq_slope(pairs)
-            qq_name = f"qq_snr{snr:g}.csv"
+            qq_name = f"qq_snr{tag}.csv"
             matio.save_qq_csv(os.path.join(out_dir, qq_name), pairs)
             entry["qq_csv"] = qq_name
         entries.append(entry)

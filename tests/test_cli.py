@@ -394,6 +394,22 @@ class TestMcCommand:
             entry["mean"] - entry["analytic"]["emi_nats"], rel=1e-12)
         assert (out / entry["qq_csv"]).exists()
 
+    @pytest.mark.parametrize("snrs", ["10.0000001,10.0000002", "10,10"])
+    def test_snrs_sharing_a_file_name_exit_2(self, tmp_path, snrs):
+        # Both SNRs would write samples_snr10.csv and qq_snr10.csv: refused
+        # before --out exists.
+        cfg = small_config(tmp_path)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["mc", "--config", str(cfg),
+                                      "--out", str(out), "--snr-db", snrs,
+                                      "--samples", "200"])
+        assert result.exit_code == 2, all_output(result)
+        text = all_output(result)
+        assert "samples_snr10.csv" in text
+        for snr in snrs.split(","):
+            assert repr(float(snr)) in text
+        assert not out.exists()
+
     def test_seed_override_changes_samples(self, tmp_path):
         cfg = small_config(tmp_path)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -277,6 +277,22 @@ class TestRunMcGrid:
         assert montecarlo._block_size(317, 317) == 1
         assert montecarlo._block_size(37, 37) > 1
 
+    @pytest.mark.parametrize("n, m", [(9, 6), (6, 9), (37, 37)])
+    def test_reused_workspace_equals_a_fresh_one(self, n, m):
+        # One workspace serves a full block and then a shorter one with
+        # other channels: neither result depends on what the workspace
+        # held, and the conjugate buffer fits H whichever Gram side is used.
+        rng = np.random.default_rng(n * m)
+        size = montecarlo._block_size(n, m)
+        zetas = [0.1, 2.0]
+        work = montecarlo._workspace(size, n, m)
+        for count in (size, size // 2 + 1):
+            h = (rng.normal(size=(count, n, m))
+                 + 1j * rng.normal(size=(count, n, m)))
+            fresh = montecarlo._log_dets(
+                h, zetas, montecarlo._workspace(count, n, m))
+            assert np.array_equal(montecarlo._log_dets(h, zetas, work), fresh)
+
     def test_worker_exception_keeps_its_type(self, monkeypatch):
         parent = os.getpid()
         real = montecarlo._rekey
