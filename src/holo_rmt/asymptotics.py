@@ -1,14 +1,16 @@
 """Closed-form asymptotic statistics of the mutual information.
 
 Given a converged fixed-point solution this module evaluates the
-deterministic-equivalent ergodic MI, assembles the 2M x 2M block matrix B
-whose log-det gives the asymptotic variance, computes that variance, and
-provides two cross checks: a Gaussian outage approximation and an
-independent per-column linear-system evaluation of the same variance.
+deterministic-equivalent ergodic MI, assembles the M x M blocks of the
+2M x 2M matrix B whose log-det gives the asymptotic variance, computes that
+variance from one M x M log-det (a Schur complement over the low-rank LoS
+block Pi), and provides two cross checks: a Gaussian outage approximation
+and an independent per-column linear-system evaluation of the same
+variance.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,13 +27,20 @@ class BMatrix:
     """Blocks of B = [[Pi, Gamma], [Xi + Lambda~, Pi^T]].
 
     All blocks are M x M real and entrywise nonnegative; Xi has a zero
-    diagonal and Lambda~ is diagonal.
+    diagonal and Lambda~ is diagonal.  ``pi_factors`` = (U, V) are real
+    M x k factors with Pi = U V^T; left out, they are the trivial
+    (Pi, I_M).
     """
 
     pi: np.ndarray
     xi: np.ndarray
     gamma: np.ndarray
     lambda_tilde: np.ndarray
+    pi_factors: tuple[np.ndarray, np.ndarray] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.pi_factors is None:
+            object.__setattr__(self, "pi_factors", (self.pi, np.eye(self.m)))
 
     @property
     def m(self) -> int:
@@ -84,6 +93,22 @@ def emi_deterministic(model: ChannelModel, solution: DeltaSolution,
     return term1 + term2 - term3
 
 
+def abs2_factors(y: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real factors F (N x r^2) and G (M x r^2) with |Y Q^H|^2 = F G^T.
+
+    Entrywise, |sum_l y_l conj(q_l)|^2 expands into the r squared moduli
+    |y_l|^2 |q_l|^2 and, for each pair l < l', the cross term
+    2 Re(a b) = 2 Re(a) Re(b) - 2 Im(a) Im(b) with a = y_l conj(y_l') and
+    b = conj(q_l) q_l'.  r = 0 gives k = 0 columns.
+    """
+    first, second = np.triu_indices(y.shape[1], k=1)
+    a = y[:, first] * y[:, second].conj()
+    b = q[:, first].conj() * q[:, second]
+    f = np.hstack([np.abs(y) ** 2, 2.0 * a.real, -2.0 * a.imag])
+    g = np.hstack([np.abs(q) ** 2, b.real, b.imag])
+    return f, g
+
+
 def build_b(model: ChannelModel, solution: DeltaSolution,
             res: Resolvents) -> BMatrix:
     """Assemble the four blocks of the variance matrix B.
@@ -97,6 +122,8 @@ def build_b(model: ChannelModel, solution: DeltaSolution,
     |w|^2, and the Gamma double trace to Sigma^T |T|^2 Sigma, because T is
     Hermitian.  The LoS factors A = P Q^H give W = (T P) Q^H and
     A^H T A = Q (P^H T P) Q^H; a centered channel (r = 0) gives Pi = Xi = 0.
+    Since |W|^2 has rank <= r^2 (abs2_factors), so has Pi; its factors are
+    kept when r^2 < M, where they make variance_clt cheaper.
     """
     m = model.dims[1]
     sigma = model.profile.matrix
@@ -107,6 +134,10 @@ def build_b(model: ChannelModel, solution: DeltaSolution,
     tp = res.t_mat @ p
     w = tp @ q.conj().T                                # w[:, k] = T a_k
     pi = (sigma.T @ (np.abs(w) ** 2)) / (m * one_plus_sq[None, :])
+    pi_factors = None
+    if p.shape[1] ** 2 < m:
+        f, g = abs2_factors(tp, q)
+        pi_factors = (sigma.T @ f / m, g / one_plus_sq[:, None])
     gram = q @ (p.conj().T @ tp) @ q.conj().T          # a_j^H T a_k
     xi = np.abs(gram) ** 2 / np.outer(one_plus_sq, one_plus_sq)
     np.fill_diagonal(xi, 0.0)
@@ -115,24 +146,41 @@ def build_b(model: ChannelModel, solution: DeltaSolution,
     gamma = 0.5 * (gamma + gamma.T)
     lam = (rho * res.t_tilde_diag) ** 2
     return BMatrix(pi=np.ascontiguousarray(pi), xi=xi, gamma=gamma,
-                   lambda_tilde=lam)
+                   lambda_tilde=lam, pi_factors=pi_factors)
 
 
 def variance_clt(b: BMatrix) -> float:
     """Asymptotic variance -log det(I_{2M} - B), in nats^2.
 
-    The identity is 2M x 2M to match B's block structure.  Evaluated by
-    pivoted-LU log-det with sign tracking; a non-positive determinant means
-    the spectral-radius condition failed and is reported as an invalid
-    regime instead of a complex logarithm.
+    The identity is 2M x 2M to match B's block structure, but no 2M x 2M
+    matrix is formed.  A Schur complement on the top-left block gives
+
+        det(I - B) = det(I - Pi) det(S),
+        S = I - Pi^T - (Xi + Lambda~) (I - Pi)^{-1} Gamma,
+
+    and with Pi = U V^T (``pi_factors``, k columns) the matrix determinant
+    lemma and Woodbury give det(I - Pi) = det(I_k - V^T U) and
+    (I - Pi)^{-1} Gamma = Gamma + U (I_k - V^T U)^{-1} V^T Gamma.  So the
+    cost is one M x M and one k x k pivoted-LU log-det; a centered channel
+    has k = 0 and S = I - Lambda~ Gamma.  Pi is a principal block of the
+    nonnegative B, so rho(Pi) <= rho(B) < 1 and I - Pi is nonsingular
+    wherever the formula applies.  A non-positive determinant means the
+    spectral-radius condition failed and is reported as an invalid regime
+    instead of a complex logarithm.
     """
-    s = np.eye(2 * b.m) - b.full()
-    sign, logabsdet = np.linalg.slogdet(s)
+    u, v = b.pi_factors
+    core = np.eye(u.shape[1]) - v.T @ u
+    sign, logdet = np.linalg.slogdet(core)
+    if sign != 0:
+        y = b.gamma + u @ np.linalg.solve(core, v.T @ b.gamma)
+        s = np.eye(b.m) - b.pi.T - b.xi @ y - b.lambda_tilde[:, None] * y
+        sign_s, logdet_s = np.linalg.slogdet(s)
+        sign, logdet = sign * sign_s, logdet + logdet_s
     if sign <= 0:
         raise InvalidRegimeError(
             f"det(I - B) is not positive (sign {sign:+.0f}); the variance "
             "formula does not apply -- check solver convergence")
-    return -logabsdet
+    return -logdet
 
 
 def oracle_from_blocks(b: BMatrix) -> float:
@@ -179,7 +227,13 @@ def outage_probability(stats: AsymptoticStats, rate_nats: float) -> float:
 
 
 def outage_curve(stats: AsymptoticStats, rates) -> list[tuple[float, float]]:
-    return [(float(r), outage_probability(stats, float(r))) for r in rates]
+    """(rate, outage_probability) pairs for a whole rate grid, in one
+    vectorized norm_cdf call (the same IEEE operations per rate)."""
+    if stats.variance <= 0:
+        raise ValueError("variance must be positive")
+    rates = np.asarray(rates, dtype=float)
+    probs = norm_cdf((rates - stats.emi_nats) / stats.std)
+    return list(zip(rates.tolist(), probs.tolist()))
 
 
 def auto_rate_grid(stats: AsymptoticStats, half_width_sigmas: float = 5.0,

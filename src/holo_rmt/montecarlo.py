@@ -23,7 +23,8 @@ index ranges; the results land in index order.  The module needs numpy
 only.
 """
 
-import hashlib
+from __future__ import annotations
+
 import math
 import os
 from dataclasses import dataclass, field
@@ -185,6 +186,8 @@ def _mi_range(los, sqrt_sigma, zetas, seed, start, stop):
 
 def model_digest(model: ChannelModel) -> str:
     """Hash of (A, Sigma, zeta) identifying the sampled distribution."""
+    import hashlib  # only MC runs hash a model; keep it off CLI start
+
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(model.los).tobytes())
     h.update(np.ascontiguousarray(model.profile.matrix).tobytes())

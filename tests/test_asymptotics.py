@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from holo_rmt.asymptotics import (AsymptoticStats, BMatrix, analyze_model,
-                                  auto_rate_grid, build_b, emi_deterministic,
+from holo_rmt.asymptotics import (AsymptoticStats, BMatrix, abs2_factors,
+                                  analyze_model, auto_rate_grid, build_b,
+                                  emi_deterministic,
                                   oracle_from_blocks, outage_curve,
                                   outage_probability, variance_clt,
                                   variance_linear_system_oracle)
@@ -27,6 +28,19 @@ def random_model(seed, n=5, m=4, rho=0.5, los_scale=0.6):
     a = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
     a *= los_scale / np.linalg.norm(a, 2)
     return build_weichselberger(a, VarianceProfile(sig), rho)
+
+
+def los_of_rank(rng, n, m, rank, complex_los):
+    """Sum of ``rank`` random outer products, real or complex, with the
+    spectral norm drawn like C9's random_model (uniform in [0, 1.5))."""
+    def draw(size):
+        x = rng.normal(size=size)
+        return x + 1j * rng.normal(size=size) if complex_los else x
+    a = sum((np.outer(draw(n), draw(m)) for _ in range(rank)),
+            np.zeros((n, m)))
+    if rank:
+        a *= rng.random() * 1.5 / np.linalg.norm(a, 2)
+    return a
 
 
 def zero_b(m):
@@ -123,6 +137,43 @@ class TestBuildB:
                     / ((1 + sol.delta[j]) ** 2 * (1 + sol.delta[k]) ** 2))
                 assert b.xi[j, k] == pytest.approx(brute_xi, rel=1e-10, abs=1e-18)
 
+    @pytest.mark.parametrize("rank", [0, 1, 2, 4])
+    @pytest.mark.parametrize("complex_los", [False, True])
+    def test_abs2_factors(self, rank, complex_los):
+        rng = np.random.default_rng(100 + rank)
+        y, q = (rng.normal(size=(d, rank)) for d in (7, 9))
+        if complex_los:
+            y, q = y + 1j * rng.normal(size=y.shape), q + 1j * rng.normal(size=q.shape)
+        f, g = abs2_factors(y, q)
+        assert f.shape == (7, rank ** 2) and g.shape == (9, rank ** 2)
+        assert np.isrealobj(f) and np.isrealobj(g)
+        np.testing.assert_allclose(f @ g.T, np.abs(y @ q.conj().T) ** 2,
+                                   rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("rank, m", [(0, 19), (1, 19), (4, 19), (4, 16),
+                                         (13, 19)])
+    def test_pi_factors_width_and_product(self, rank, m):
+        # r^2 factor columns while r^2 < M, else the trivial (Pi, I_M).
+        rng = np.random.default_rng(rank)
+        a = los_of_rank(rng, 13, m, rank, True)
+        model = build_weichselberger(a, VarianceProfile(0.2 + rng.random((13, m))),
+                                     0.5)
+        sol, res = solve_deltas(model)
+        b = build_b(model, sol, res)
+        u, v = b.pi_factors
+        if rank ** 2 < m:
+            assert u.shape == v.shape == (m, rank ** 2)
+        else:
+            assert u is b.pi and np.array_equal(v, np.eye(m))
+        assert np.isrealobj(u) and np.isrealobj(v)
+        np.testing.assert_allclose(u @ v.T, b.pi, rtol=1e-12, atol=1e-15)
+
+    def test_hand_built_blocks_take_trivial_factors(self):
+        b = zero_b(3)
+        u, v = b.pi_factors
+        assert u is b.pi
+        assert np.array_equal(v, np.eye(3))
+
     def test_structural_invariants(self):
         model = random_model(7, n=6, m=5)
         sol, res = solve_deltas(model)
@@ -153,6 +204,27 @@ class TestVarianceClt:
                       gamma=np.array([[2.0]]), lambda_tilde=np.array([2.0]))
         with pytest.raises(InvalidRegimeError):
             variance_clt(bad)
+
+    @pytest.mark.parametrize("rho", [0.05, 0.5, 5.0])
+    @pytest.mark.parametrize("complex_los", [False, True])
+    @pytest.mark.parametrize("rank", [0, 1, 4, "full"])
+    def test_matches_dense_logdet(self, rank, complex_los, rho):
+        # C9's random_model family with the LoS rank, realness and noise
+        # level pinned; "full" rank takes the trivial (Pi, I_M) factors.
+        rng = np.random.default_rng(
+            [99 if rank == "full" else rank, int(complex_los), int(100 * rho)])
+        for _ in range(3):
+            n = int(rng.integers(4, 17))
+            m = int(rng.integers(17 if rank == 4 else 2, 25))
+            r = min(n, m) if rank == "full" else rank
+            a = los_of_rank(rng, n, m, r, complex_los)
+            model = build_weichselberger(
+                a, VarianceProfile(0.2 + rng.random((n, m))), rho)
+            stats, b, _, _ = analyze_model(model)
+            assert b.pi_factors[0].shape[1] == (r * r if r * r < m else m)
+            sign, logdet = np.linalg.slogdet(np.eye(2 * m) - b.full())
+            assert sign > 0
+            assert abs(stats.variance + logdet) <= 1e-13 * max(1.0, stats.variance)
 
     def test_positive_on_random_models(self):
         for seed in range(5):
@@ -243,6 +315,18 @@ class TestOutage:
         stats = make_stats(5.0, 0.0)
         with pytest.raises(ValueError):
             outage_probability(stats, 5.0)
+        with pytest.raises(ValueError):
+            outage_curve(stats, [5.0])
+
+    @pytest.mark.parametrize("seed", [30, 31, 32])
+    def test_curve_equals_scalar_loop(self, seed):
+        # One vectorized norm_cdf call runs the same IEEE operations per
+        # rate as the scalar path, so the curve is bit-identical.
+        stats = analyze_model(random_model(seed, n=6, m=5))[0]
+        grid = auto_rate_grid(stats)
+        curve = outage_curve(stats, grid)
+        assert curve == [(r, outage_probability(stats, r)) for r in grid]
+        assert all(type(r) is float and type(p) is float for r, p in curve)
 
 
 class TestStatsContainer:

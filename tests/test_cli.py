@@ -98,6 +98,28 @@ class TestAnalyzeCommand:
         assert result.exit_code == 0, all_output(result)
         assert len(calls) == 1
 
+    def test_variance_logdets_stay_m_by_m(self, tmp_path, monkeypatch):
+        # variance_clt works on the M x M Schur complement of I - B: no
+        # log-det of the 2M x 2M matrix runs at full scale (M = 317).
+        shapes = []
+        slogdet = np.linalg.slogdet
+
+        def recording_slogdet(a):
+            shapes.append(np.shape(a))
+            return slogdet(a)
+
+        monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
+        full = str(Path(DESK_CONFIG).with_name("full.json"))
+        result = runner.invoke(main, ["analyze", "--config", full,
+                                      "--out", str(tmp_path / "o"),
+                                      "--snr-db", "10"])
+        assert result.exit_code == 0, all_output(result)
+        doc = json.loads((tmp_path / "o" / "analyze.json").read_text())
+        m = doc["results"][0]["b_dims"][0] // 2
+        assert m == 317
+        assert (m, m) in shapes
+        assert max(max(shape) for shape in shapes) <= m
+
     def test_explicit_rates_respected(self, tmp_path):
         doc = json.loads(small_config(tmp_path).read_text())
         doc["rates"] = [1.0, 2.0, 3.0]
@@ -517,6 +539,21 @@ class TestImport:
         # scipy is needed only by `validate`, which imports it on demand.
         code = ("import sys, holo_rmt.cli; "
                 "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src"),
+             env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_leaves_mc_only_modules_unloaded(self):
+        # `analyze` and `profile` never draw or hash samples: numpy.random
+        # and hashlib load only when MC code runs.
+        code = ("import sys, holo_rmt.cli; "
+                "print(sorted(k for k in sys.modules "
+                "if k == 'hashlib' or k.startswith('numpy.random')))")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(__file__).resolve().parent.parent / "src"),
