@@ -3,10 +3,10 @@
 Given a converged fixed-point solution this module evaluates the
 deterministic-equivalent ergodic MI, assembles the M x M blocks of the
 2M x 2M matrix B whose log-det gives the asymptotic variance, computes that
-variance from one M x M log-det (a Schur complement over the low-rank LoS
-block Pi), and provides two cross checks: a Gaussian outage approximation
-and an independent per-column linear-system evaluation of the same
-variance.
+variance (from one M x M log-det, a Schur complement over the LoS block Pi,
+when Pi has low rank), and provides two cross checks: a Gaussian outage
+approximation and an independent per-column linear-system evaluation of the
+same variance.
 """
 
 import math
@@ -27,20 +27,16 @@ class BMatrix:
     """Blocks of B = [[Pi, Gamma], [Xi + Lambda~, Pi^T]].
 
     All blocks are M x M real and entrywise nonnegative; Xi has a zero
-    diagonal and Lambda~ is diagonal.  ``pi_factors`` = (U, V) are real
-    M x k factors with Pi = U V^T; left out, they are the trivial
-    (Pi, I_M).
+    diagonal and Lambda~ is diagonal.  ``pi_factors`` = (U, V), when given,
+    are real M x k factors with Pi = U V^T that variance_clt uses.
     """
 
     pi: np.ndarray
     xi: np.ndarray
     gamma: np.ndarray
     lambda_tilde: np.ndarray
-    pi_factors: tuple[np.ndarray, np.ndarray] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.pi_factors is None:
-            object.__setattr__(self, "pi_factors", (self.pi, np.eye(self.m)))
+    pi_factors: tuple[np.ndarray, np.ndarray] | None = field(default=None,
+                                                             repr=False)
 
     @property
     def m(self) -> int:
@@ -123,7 +119,8 @@ def build_b(model: ChannelModel, solution: DeltaSolution,
     Hermitian.  The LoS factors A = P Q^H give W = (T P) Q^H and
     A^H T A = Q (P^H T P) Q^H; a centered channel (r = 0) gives Pi = Xi = 0.
     Since |W|^2 has rank <= r^2 (abs2_factors), so has Pi; its factors are
-    kept when r^2 < M, where they make variance_clt cheaper.
+    kept when 2 r^2 <= M.  Past that width, building and using them costs
+    more than variance_clt's dense 2M x 2M log-det (measured at M = 317).
     """
     m = model.dims[1]
     sigma = model.profile.matrix
@@ -135,7 +132,7 @@ def build_b(model: ChannelModel, solution: DeltaSolution,
     w = tp @ q.conj().T                                # w[:, k] = T a_k
     pi = (sigma.T @ (np.abs(w) ** 2)) / (m * one_plus_sq[None, :])
     pi_factors = None
-    if p.shape[1] ** 2 < m:
+    if 2 * p.shape[1] ** 2 <= m:
         f, g = abs2_factors(tp, q)
         pi_factors = (sigma.T @ f / m, g / one_plus_sq[:, None])
     gram = q @ (p.conj().T @ tp) @ q.conj().T          # a_j^H T a_k
@@ -152,30 +149,34 @@ def build_b(model: ChannelModel, solution: DeltaSolution,
 def variance_clt(b: BMatrix) -> float:
     """Asymptotic variance -log det(I_{2M} - B), in nats^2.
 
-    The identity is 2M x 2M to match B's block structure, but no 2M x 2M
-    matrix is formed.  A Schur complement on the top-left block gives
+    Without ``pi_factors`` this is the pivoted-LU log-det of the dense
+    2M x 2M matrix.  With Pi = U V^T (k columns) a Schur complement on the
+    top-left block gives
 
         det(I - B) = det(I - Pi) det(S),
         S = I - Pi^T - (Xi + Lambda~) (I - Pi)^{-1} Gamma,
 
-    and with Pi = U V^T (``pi_factors``, k columns) the matrix determinant
-    lemma and Woodbury give det(I - Pi) = det(I_k - V^T U) and
+    and the matrix determinant lemma and Woodbury give
+    det(I - Pi) = det(I_k - V^T U) and
     (I - Pi)^{-1} Gamma = Gamma + U (I_k - V^T U)^{-1} V^T Gamma.  So the
-    cost is one M x M and one k x k pivoted-LU log-det; a centered channel
-    has k = 0 and S = I - Lambda~ Gamma.  Pi is a principal block of the
-    nonnegative B, so rho(Pi) <= rho(B) < 1 and I - Pi is nonsingular
-    wherever the formula applies.  A non-positive determinant means the
-    spectral-radius condition failed and is reported as an invalid regime
-    instead of a complex logarithm.
+    cost is one M x M and one k x k log-det; a centered channel has k = 0
+    and S = I - Lambda~ Gamma.  Pi is a principal block of the nonnegative
+    B, so rho(Pi) <= rho(B) < 1 and I - Pi is nonsingular wherever the
+    formula applies.  A non-positive determinant means the spectral-radius
+    condition failed and is reported as an invalid regime instead of a
+    complex logarithm.
     """
-    u, v = b.pi_factors
-    core = np.eye(u.shape[1]) - v.T @ u
-    sign, logdet = np.linalg.slogdet(core)
-    if sign != 0:
-        y = b.gamma + u @ np.linalg.solve(core, v.T @ b.gamma)
-        s = np.eye(b.m) - b.pi.T - b.xi @ y - b.lambda_tilde[:, None] * y
-        sign_s, logdet_s = np.linalg.slogdet(s)
-        sign, logdet = sign * sign_s, logdet + logdet_s
+    if b.pi_factors is None:
+        sign, logdet = np.linalg.slogdet(np.eye(2 * b.m) - b.full())
+    else:
+        u, v = b.pi_factors
+        core = np.eye(u.shape[1]) - v.T @ u
+        sign, logdet = np.linalg.slogdet(core)
+        if sign != 0:
+            y = b.gamma + u @ np.linalg.solve(core, v.T @ b.gamma)
+            s = np.eye(b.m) - b.pi.T - b.xi @ y - b.lambda_tilde[:, None] * y
+            sign_s, logdet_s = np.linalg.slogdet(s)
+            sign, logdet = sign * sign_s, logdet + logdet_s
     if sign <= 0:
         raise InvalidRegimeError(
             f"det(I - B) is not positive (sign {sign:+.0f}); the variance "
@@ -221,14 +222,12 @@ def variance_linear_system_oracle(model: ChannelModel, solution: DeltaSolution,
 
 def outage_probability(stats: AsymptoticStats, rate_nats: float) -> float:
     """Gaussian outage approximation P(C < R) = Phi((R - mean)/std)."""
-    if stats.variance <= 0:
-        raise ValueError("variance must be positive")
-    return float(norm_cdf((rate_nats - stats.emi_nats) / stats.std))
+    return outage_curve(stats, [rate_nats])[0][1]
 
 
 def outage_curve(stats: AsymptoticStats, rates) -> list[tuple[float, float]]:
     """(rate, outage_probability) pairs for a whole rate grid, in one
-    vectorized norm_cdf call (the same IEEE operations per rate)."""
+    vectorized norm_cdf call."""
     if stats.variance <= 0:
         raise ValueError("variance must be positive")
     rates = np.asarray(rates, dtype=float)

@@ -12,6 +12,7 @@ from holo_rmt.asymptotics import (AsymptoticStats, BMatrix, abs2_factors,
 from holo_rmt.channel import (VarianceProfile, build_weichselberger,
                               synth_los)
 from holo_rmt.errors import InvalidRegimeError
+from holo_rmt.normal import norm_cdf
 from holo_rmt.solver import solve_deltas
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -150,29 +151,35 @@ class TestBuildB:
         np.testing.assert_allclose(f @ g.T, np.abs(y @ q.conj().T) ** 2,
                                    rtol=1e-13, atol=1e-15)
 
-    @pytest.mark.parametrize("rank, m", [(0, 19), (1, 19), (4, 19), (4, 16),
-                                         (13, 19)])
+    @pytest.mark.parametrize("rank, m", [(0, 19), (1, 19), (3, 18), (3, 17),
+                                         (4, 32), (4, 31), (13, 19)])
     def test_pi_factors_width_and_product(self, rank, m):
-        # r^2 factor columns while r^2 < M, else the trivial (Pi, I_M).
+        # r^2 factor columns while 2 r^2 <= M, else no factors.
         rng = np.random.default_rng(rank)
         a = los_of_rank(rng, 13, m, rank, True)
         model = build_weichselberger(a, VarianceProfile(0.2 + rng.random((13, m))),
                                      0.5)
         sol, res = solve_deltas(model)
         b = build_b(model, sol, res)
+        if 2 * rank ** 2 > m:
+            assert b.pi_factors is None
+            return
         u, v = b.pi_factors
-        if rank ** 2 < m:
-            assert u.shape == v.shape == (m, rank ** 2)
-        else:
-            assert u is b.pi and np.array_equal(v, np.eye(m))
+        assert u.shape == v.shape == (m, rank ** 2)
         assert np.isrealobj(u) and np.isrealobj(v)
         np.testing.assert_allclose(u @ v.T, b.pi, rtol=1e-12, atol=1e-15)
 
-    def test_hand_built_blocks_take_trivial_factors(self):
-        b = zero_b(3)
-        u, v = b.pi_factors
-        assert u is b.pi
-        assert np.array_equal(v, np.eye(3))
+    def test_hand_built_blocks_take_dense_logdet(self):
+        # No factors: variance_clt is the dense 2M x 2M log-det, bit for bit.
+        rng = np.random.default_rng(5)
+        pi, xi, gamma = (0.05 * rng.random((6, 6)) for _ in range(3))
+        np.fill_diagonal(xi, 0.0)
+        b = BMatrix(pi=pi, xi=xi, gamma=gamma,
+                    lambda_tilde=0.05 * rng.random(6))
+        assert b.pi_factors is None
+        sign, logdet = np.linalg.slogdet(np.eye(12) - b.full())
+        assert sign > 0
+        assert variance_clt(b) == -logdet
 
     def test_structural_invariants(self):
         model = random_model(7, n=6, m=5)
@@ -210,18 +217,19 @@ class TestVarianceClt:
     @pytest.mark.parametrize("rank", [0, 1, 4, "full"])
     def test_matches_dense_logdet(self, rank, complex_los, rho):
         # C9's random_model family with the LoS rank, realness and noise
-        # level pinned; "full" rank takes the trivial (Pi, I_M) factors.
+        # level pinned; "full" rank keeps no factors.
         rng = np.random.default_rng(
             [99 if rank == "full" else rank, int(complex_los), int(100 * rho)])
         for _ in range(3):
             n = int(rng.integers(4, 17))
-            m = int(rng.integers(17 if rank == 4 else 2, 25))
+            m = int(rng.integers(32, 40) if rank == 4 else rng.integers(2, 25))
             r = min(n, m) if rank == "full" else rank
             a = los_of_rank(rng, n, m, r, complex_los)
             model = build_weichselberger(
                 a, VarianceProfile(0.2 + rng.random((n, m))), rho)
             stats, b, _, _ = analyze_model(model)
-            assert b.pi_factors[0].shape[1] == (r * r if r * r < m else m)
+            width = None if b.pi_factors is None else b.pi_factors[0].shape[1]
+            assert width == (r * r if 2 * r * r <= m else None)
             sign, logdet = np.linalg.slogdet(np.eye(2 * m) - b.full())
             assert sign > 0
             assert abs(stats.variance + logdet) <= 1e-13 * max(1.0, stats.variance)
@@ -321,10 +329,12 @@ class TestOutage:
     @pytest.mark.parametrize("seed", [30, 31, 32])
     def test_curve_equals_scalar_loop(self, seed):
         # One vectorized norm_cdf call runs the same IEEE operations per
-        # rate as the scalar path, so the curve is bit-identical.
+        # rate as scalar ones, so the curve is bit-identical to them.
         stats = analyze_model(random_model(seed, n=6, m=5))[0]
         grid = auto_rate_grid(stats)
         curve = outage_curve(stats, grid)
+        assert curve == [(r, norm_cdf((r - stats.emi_nats) / stats.std))
+                         for r in grid.tolist()]
         assert curve == [(r, outage_probability(stats, r)) for r in grid]
         assert all(type(r) is float and type(p) is float for r, p in curve)
 
