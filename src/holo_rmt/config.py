@@ -3,9 +3,9 @@
 import copy
 import functools
 import json
+import math
+import numbers
 from importlib import resources
-
-import jsonschema
 
 from . import channel, geometry, matio, solver
 from .errors import ConfigError
@@ -47,15 +47,128 @@ def _load_matrix(load, path, what):
         raise ConfigError(f"cannot read {what} {path}: {detail}") from exc
 
 
+@functools.cache
 def _load_schema(name):
     text = resources.files("holo_rmt.schemas").joinpath(name).read_text()
     return json.loads(text)
 
 
+# -- schema check ----------------------------------------------------------
+#
+# ``_conforms`` decides validity under the Draft 2020-12 keywords that the
+# shipped schemas use, with jsonschema's semantics: a bool is neither a number
+# nor an integer, 1.0 is an integer, True does not equal 1 in const and enum,
+# and NaN passes every numeric bound.  Any other keyword raises, so a schema
+# edit cannot drop a check unnoticed.  jsonschema itself is loaded only to
+# word a violation.
+
+def _is_number(x):
+    # int and float first: the abstract class check is several times slower.
+    return ((isinstance(x, (int, float)) or isinstance(x, numbers.Number))
+            and not isinstance(x, bool))
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": _is_number,
+    "integer": lambda x: ((isinstance(x, int) and not isinstance(x, bool))
+                          or (isinstance(x, float) and x.is_integer())),
+}
+
+
+def _equal(a, b):
+    """JSON equality: True and 1 differ; arrays and objects compare by item."""
+    if a is b:
+        return True
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return len(a) == len(b) and all(k in b and _equal(v, b[k])
+                                        for k, v in a.items())
+    if isinstance(a, bool) or isinstance(b, bool):
+        return False
+    return a == b
+
+
+def _type(doc, types, schema, root):
+    if isinstance(types, str):
+        return _TYPES[types](doc)
+    return any(_TYPES[name](doc) for name in types)
+
+
+def _ref(doc, ref, schema, root):
+    prefix = "#/$defs/"
+    if not ref.startswith(prefix):
+        raise NotImplementedError(f"schema $ref {ref!r} outside {prefix}")
+    return _conforms(doc, root["$defs"][ref[len(prefix):]], root)
+
+
+def _additional_properties(doc, extra, schema, root):
+    known = schema.get("properties", {})
+    return (not isinstance(doc, dict)
+            or all(_conforms(v, extra, root) for k, v in doc.items()
+                   if k not in known))
+
+
+# keyword -> check(doc, keyword value, schema, root schema)
+_KEYWORDS = {
+    "type": _type,
+    "const": lambda doc, c, s, r: _equal(doc, c),
+    "enum": lambda doc, e, s, r: any(_equal(doc, v) for v in e),
+    "oneOf": lambda doc, subs, s, r: sum(_conforms(doc, sub, r)
+                                         for sub in subs) == 1,
+    "$ref": _ref,
+    "properties": lambda doc, props, s, r: not isinstance(doc, dict) or all(
+        _conforms(doc[k], sub, r) for k, sub in props.items() if k in doc),
+    "required": lambda doc, req, s, r: not isinstance(doc, dict) or all(
+        k in doc for k in req),
+    "additionalProperties": _additional_properties,
+    "items": lambda doc, sub, s, r: not isinstance(doc, list) or all(
+        _conforms(x, sub, r) for x in doc),
+    "minItems": lambda doc, n, s, r: not isinstance(doc, list) or len(doc) >= n,
+    "maxItems": lambda doc, n, s, r: not isinstance(doc, list) or len(doc) <= n,
+    "minimum": lambda doc, b, s, r: not (_is_number(doc) and doc < b),
+    "maximum": lambda doc, b, s, r: not (_is_number(doc) and doc > b),
+    "exclusiveMinimum": lambda doc, b, s, r: not (_is_number(doc) and doc <= b),
+    "exclusiveMaximum": lambda doc, b, s, r: not (_is_number(doc) and doc >= b),
+}
+_ANNOTATIONS = frozenset({"$schema", "title", "description", "$defs"})
+
+
+def _conforms(doc, schema, root=None):
+    """Whether ``doc`` is valid under ``schema``, as jsonschema's ``is_valid``
+    would say; ``root`` is the schema that ``$ref`` resolves against.
+
+    Raises NotImplementedError on a keyword it does not implement, unless a
+    keyword checked before it has already failed.
+    """
+    if isinstance(schema, bool):
+        return schema
+    root = schema if root is None else root
+    for key, value in schema.items():
+        check = _KEYWORDS.get(key)
+        if check is not None:
+            if not check(doc, value, schema, root):
+                return False
+        elif key not in _ANNOTATIONS:
+            raise NotImplementedError(f"schema keyword {key!r}")
+    return True
+
+
 @functools.cache
 def _validator(schema_name):
-    """Validator of a shipped schema, built once per process.  The schema
-    itself is not checked here: the test suite checks every shipped schema."""
+    """jsonschema validator of a shipped schema, built on the first violation
+    of that schema in a process; jsonschema is imported only then.  The
+    schema itself is not checked here: the test suite checks every shipped
+    schema."""
+    import jsonschema
+
     schema = _load_schema(schema_name)
     return jsonschema.validators.validator_for(schema)(schema)
 
@@ -63,14 +176,20 @@ def _validator(schema_name):
 def validate_document(doc, schema_name):
     """Validate a JSON document against a shipped schema; raise ConfigError.
 
-    Of several violations, the one reported is jsonschema's ``best_match``,
-    as ``jsonschema.validate`` picks it.
+    Validity is ``_conforms``; a valid document returns without loading
+    jsonschema.  Of several violations, the one reported is jsonschema's
+    ``best_match``, as ``jsonschema.validate`` picks it.
     """
-    exc = jsonschema.exceptions.best_match(
-        _validator(schema_name).iter_errors(doc))
-    if exc is not None:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"schema violation at {path}: {exc.message}") from exc
+    if _conforms(doc, _load_schema(schema_name)):
+        return
+    from jsonschema.exceptions import best_match
+
+    exc = best_match(_validator(schema_name).iter_errors(doc))
+    if exc is None:
+        raise RuntimeError(f"{schema_name}: _conforms rejects a document "
+                           "that jsonschema accepts")
+    path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+    raise ConfigError(f"schema violation at {path}: {exc.message}") from exc
 
 
 class RunConfig:
@@ -84,6 +203,11 @@ class RunConfig:
         self.doc = {**defaults, **copy.deepcopy(doc)}
         for section in ("channel", "mc", "solver"):
             self.doc[section] = {**defaults[section], **self.doc[section]}
+        rates = self.doc["rates"]
+        if rates != "auto" and not all(abs(r) < math.inf for r in rates):
+            # The schema lets NaN and Infinity through, and analyze.json
+            # would carry them as tokens that RFC 8259 JSON does not have.
+            raise ConfigError(f"rates must be finite, got {rates!r}")
         ch = self.doc["channel"]
         if ch["profile"] == "file" and "profile_path" not in ch:
             raise ConfigError("channel.profile 'file' requires channel.profile_path")

@@ -29,8 +29,9 @@ class ArrayGeometry:
     def __post_init__(self):
         lengths = (self.wavelength, *self.tx_aperture, *self.rx_aperture,
                    self.tx_spacing, self.rx_spacing, self.antenna_area)
-        if any(not (v > 0) for v in lengths):
-            raise ValueError("all geometry lengths must be strictly positive")
+        if not all(0 < v < math.inf for v in lengths):
+            raise ValueError("all geometry lengths must be finite and "
+                             "strictly positive")
         if not 0.0 < self.antenna_efficiency < 1.0:
             raise ValueError("antenna efficiency must lie in (0, 1)")
         side = math.sqrt(self.antenna_area)

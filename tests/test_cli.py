@@ -280,6 +280,38 @@ class TestConfigErrors:
         assert "tol must be positive and finite" in all_output(result)
         assert not (out / "analyze.json").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("wavelength", float("inf")), ("tx_aperture", [float("inf"), 0.1])])
+    @pytest.mark.parametrize("command", ["profile", "analyze"])
+    def test_infinite_geometry_length_exits_2(self, tmp_path, command, field,
+                                              value):
+        # The schema's exclusiveMinimum lets Infinity through.
+        cfg = small_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["geometry"][field] = value
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--config", str(cfg),
+                                      "--out", str(out)])
+        assert result.exit_code == 2, all_output(result)
+        assert ("invalid geometry: all geometry lengths must be finite"
+                in all_output(result))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rates", [[float("nan")], [1.0, float("inf")]])
+    def test_non_finite_rates_exit_2(self, tmp_path, rates):
+        # analyze.json would otherwise carry NaN or Infinity tokens.
+        cfg = small_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["rates"] = rates
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["analyze", "--config", str(cfg),
+                                      "--out", str(out)])
+        assert result.exit_code == 2, all_output(result)
+        assert "rates must be finite" in all_output(result)
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, content", [
         ("los", None), ("los", "{}"),
         ("profile_path", None), ("profile_path", '{"rows": 13}')])
@@ -562,6 +594,28 @@ class TestImport:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_and_analyze_leave_jsonschema_unloaded(self, tmp_path):
+        # A document that passes its schema check never loads jsonschema;
+        # it is imported only to word a violation.
+        names = ("print(sorted(k for k in sys.modules "
+                 "if k.split('.')[0] in ('jsonschema', 'referencing')))")
+        cfg = small_config(tmp_path)
+        out = tmp_path / "out"
+        code = (f"import sys, holo_rmt.cli; {names}; "
+                "from holo_rmt.cli import main; "
+                f"main(['analyze', '--config', {str(cfg)!r}, '--out', "
+                f"{str(out)!r}], standalone_mode=False); {names}")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src"),
+             env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.strip().splitlines()
+        assert lines[0] == lines[-1] == "[]"
+        assert (out / "analyze.json").exists()
 
     def test_mc_loads_no_scipy(self, tmp_path):
         # The MC engine is numpy-only: a whole `mc` run, forked workers

@@ -1,13 +1,19 @@
 import copy
 import json
 import math
+import warnings
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holo_rmt import matio
+from holo_rmt import config, matio
+from holo_rmt.cli import main
 from holo_rmt.config import DEFAULT_CONFIG, RunConfig, validate_document
 from holo_rmt.errors import ConfigError
 from holo_rmt.geometry import effective_zeta, zeta_from_snr_db
@@ -68,6 +74,15 @@ class TestSchemaValidation:
         doc["channel"] = {"profile": "file"}
         with pytest.raises(ConfigError, match="profile_path"):
             RunConfig(doc)
+
+    @pytest.mark.parametrize("rates", [[math.nan], [1.0, math.inf],
+                                       [-math.inf]])
+    def test_non_finite_rates_rejected(self, rates):
+        # The schema accepts NaN and Infinity as numbers; RunConfig does not.
+        assert config._conforms(make_doc(rates=rates),
+                                config._load_schema("config.schema.json"))
+        with pytest.raises(ConfigError, match="rates must be finite"):
+            RunConfig(make_doc(rates=rates))
 
     def test_los_path_and_kind_conflict(self):
         doc = make_doc()
@@ -212,17 +227,70 @@ def test_output_schema_validation_rejects_bad_doc():
     validate_document(good, "analyze.schema.json")
 
 
+def _schema_keywords(schema):
+    """Every keyword used in a schema and in the subschemas it holds."""
+    if isinstance(schema, bool):
+        return set()
+    subs = [*schema.get("properties", {}).values(),
+            *schema.get("$defs", {}).values(), *schema.get("oneOf", []),
+            *(schema[k] for k in ("items", "additionalProperties")
+              if k in schema)]
+    return set(schema).union(*map(_schema_keywords, subs))
+
+
 def test_shipped_schemas_are_valid():
     # validate_document trusts the shipped schemas without checking them at
-    # run time, so this test is where every one must pass its metaschema.
+    # run time, so this test is where every one must pass its metaschema,
+    # and use only keywords that _conforms implements.
     files = [f for f in resources.files("holo_rmt.schemas").iterdir()
              if f.name.endswith(".json")]
     assert {f.name for f in files} >= {"config.schema.json",
                                        "analyze.schema.json",
                                        "mc_summary.schema.json"}
+    used = set()
     for f in files:
         schema = json.loads(f.read_text())
         jsonschema.validators.validator_for(schema).check_schema(schema)
+        used |= _schema_keywords(schema)
+    # Exactly the keywords the shipped schemas use, no more.
+    assert used - config._ANNOTATIONS == set(config._KEYWORDS)
+
+
+@pytest.mark.parametrize("doc, schema", [
+    ("a", {"type": "string", "pattern": "^a$"}),
+    ({"x": "a"}, {"type": "object",
+                  "properties": {"x": {"type": "string", "pattern": "^a$"}}}),
+    ("a", {"$ref": "#/definitions/x", "definitions": {"x": {}}}),
+])
+def test_unimplemented_keyword_raises(doc, schema):
+    # A keyword _conforms does not know must not pass a document unchecked.
+    with pytest.raises(NotImplementedError):
+        config._conforms(doc, schema)
+
+
+@pytest.mark.parametrize("doc, schema", [
+    # A bool is neither a number nor an integer; 1.0 is an integer.
+    (True, {"type": "number"}), (False, {"type": "integer"}),
+    (1.0, {"type": "integer"}), (1.5, {"type": "integer"}),
+    (math.inf, {"type": "integer"}), (2**64, {"type": "integer"}),
+    # True is not 1 in const and enum; 1.0 is.
+    (True, {"const": 1}), (1.0, {"const": 1}), (False, {"enum": [0, "a"]}),
+    ([True], {"const": [1]}), ({"a": 1.0}, {"const": {"a": 1}}),
+    # NaN passes every numeric bound; Infinity does not.
+    (math.nan, {"minimum": 0, "maximum": 1}),
+    (math.nan, {"exclusiveMinimum": 0, "exclusiveMaximum": 1}),
+    (math.inf, {"exclusiveMaximum": 1}), (-math.inf, {"minimum": 0}),
+    (2**64, {"maximum": 2**64 - 1}), (float(2**64), {"maximum": 2**64 - 1}),
+    (0, {"minimum": 0}), (-0.0, {"exclusiveMinimum": 0}),
+    (1, {"maximum": 1}), (1.0, {"exclusiveMaximum": 1}),
+    # Bounds, sizes and object keywords ignore other types.
+    ("a", {"minimum": 0, "maxItems": 0, "required": ["x"]}),
+    ([1, 2], {"minItems": 3}), (None, {"type": ["number", "null"]}),
+    ("auto", {"oneOf": [{"const": "auto"}, {"type": "string"}]}),
+])
+def test_conforms_follows_draft_2020_12(doc, schema):
+    expected = jsonschema.validators.validator_for(schema)(schema).is_valid(doc)
+    assert config._conforms(doc, schema) == expected
 
 
 def test_reported_violation_is_jsonschemas_best_match():
@@ -249,3 +317,102 @@ def test_config_from_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):
         RunConfig.from_file(bad)
+
+
+# -- _conforms against jsonschema on mutated real documents -----------------
+
+# Replacement values: each JSON type, with the numbers where bools, integer
+# floats, the 2**64 seed bound and non-finite values behave differently.
+POOL = [True, False, None, 0, 1, -1, -0.0, 0.5, 1.0, 2**64, 2**64 - 1,
+        float(2**64), math.nan, math.inf, -math.inf, "", "auto", "single",
+        "file", [], [1.0], [0.1, 0.1], [1, 2, 3], {}, {"kind": "single"},
+        {"rate": 1.0, "p": 0.5}]
+# Keys to add: unknown ones, and optional keys the schemas know.
+EXTRA_KEYS = ["extra", "path", "kind", "rank", "seed", "rates", "mc",
+              "profile_path", "variance", "ks", "qq_csv", "analytic"]
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _paths(value, path + (index,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one or two random edits: a value replaced, a key or
+    item deleted, or a key or item added.  Each edit picks a place in the
+    document (a path with array indices left out) uniformly, so the 101
+    outage points of an SNR weigh no more than its EMI."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 2))):
+        places = {}
+        for path in _paths(doc):
+            place = tuple("*" if isinstance(k, int) else k for k in path)
+            places.setdefault(place, []).append(path)
+        path = draw(st.sampled_from(
+            places[draw(st.sampled_from(sorted(places)))]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        target = parent[path[-1]] if path else doc
+        value = copy.deepcopy(draw(st.sampled_from(POOL)))
+        op = draw(st.sampled_from(["replace", "delete", "add"]))
+        if op == "add" and isinstance(target, dict):
+            target[draw(st.sampled_from(EXTRA_KEYS))] = value
+        elif op == "add" and isinstance(target, list):
+            target.append(value)
+        elif not path:
+            continue  # the root itself stays
+        elif op == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def real_documents(tmp_path_factory):
+    """The shipped configs, the defaults, and the analyze.json and
+    mc_summary.json of one small CLI run."""
+    repo = Path(__file__).resolve().parent.parent
+    docs = {name: json.loads((repo / "configs" / f"{name}.json").read_text())
+            for name in ("desk", "full")}
+    docs["default"] = DEFAULT_CONFIG
+    tmp = tmp_path_factory.mktemp("cli")
+    doc = make_doc(snr_db=[0.0, 10.0], mc={"samples": 200, "seed": 3})
+    doc["geometry"] = dict(doc["geometry"], tx_aperture=[0.02, 0.02],
+                           rx_aperture=[0.02, 0.02])
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    for command in ("analyze", "mc"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = CliRunner().invoke(main, [command, "--config", str(cfg),
+                                               "--out", str(tmp)])
+        assert result.exit_code == 0, result.output
+    docs["analyze"] = json.loads((tmp / "analyze.json").read_text())
+    docs["mc"] = json.loads((tmp / "mc_summary.json").read_text())
+    return docs
+
+
+@pytest.mark.parametrize("name, schema_name", [
+    ("desk", "config.schema.json"), ("full", "config.schema.json"),
+    ("default", "config.schema.json"), ("analyze", "analyze.schema.json"),
+    ("mc", "mc_summary.schema.json")])
+def test_conforms_agrees_with_jsonschema(real_documents, name, schema_name):
+    schema = config._load_schema(schema_name)
+    reference = jsonschema.validators.validator_for(schema)(schema)
+    original = real_documents[name]
+    assert config._conforms(original, schema) and reference.is_valid(original)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated(original))
+    def agrees(doc):
+        assert config._conforms(doc, schema) == reference.is_valid(doc)
+
+    agrees()
