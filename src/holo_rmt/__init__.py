@@ -2,8 +2,7 @@
 
 from .asymptotics import (AsymptoticStats, BMatrix, analyze_model, build_b,
                           emi_deterministic, oracle_from_blocks, outage_curve,
-                          outage_probability, variance_clt,
-                          variance_linear_system_oracle)
+                          variance_clt)
 from .channel import (ChannelModel, VarianceProfile, build_holographic,
                       build_kronecker, build_weichselberger,
                       profile_nonseparable_gaussian,

@@ -185,15 +185,20 @@ def variance_clt(b: BMatrix) -> float:
 
 
 def oracle_from_blocks(b: BMatrix) -> float:
-    """Per-column linear-system variance evaluation on given B blocks.
+    """Independent per-column linear-system evaluation of the variance.
 
     For each j the vector p_j solves (I_{2j} - B_j) p_j = q_j with
     q_j = M [Gamma_{j,1..j}, Pi_{j,1..j}]^T, and the variance accumulates
     (1/M) sum_j (2 p_j[2j] - rho^2 t~_jj^2 p_j[j]).  The j systems are
     solved independently so this code path shares nothing with
-    variance_clt beyond the blocks; agreement improves as M grows.
+    variance_clt beyond the blocks; agreement improves as M grows.  Its
+    cost grows like M^4, so B is limited to M <= ORACLE_MAX_COLUMNS.
     """
     m = b.m
+    if m > ORACLE_MAX_COLUMNS:
+        raise ValueError(
+            f"oracle limited to M <= {ORACLE_MAX_COLUMNS} columns (got {m}); "
+            "its cost grows like M^4")
     lam = b.lambda_tilde
     total = 0.0
     for j in range(1, m + 1):
@@ -208,26 +213,9 @@ def oracle_from_blocks(b: BMatrix) -> float:
     return total / m
 
 
-def variance_linear_system_oracle(model: ChannelModel, solution: DeltaSolution,
-                                  res: Resolvents,
-                                  max_columns: int = ORACLE_MAX_COLUMNS) -> float:
-    """Independent variance cross-check of variance_clt (see oracle_from_blocks)."""
-    m = model.dims[1]
-    if m > max_columns:
-        raise ValueError(
-            f"oracle limited to M <= {max_columns} columns (got {m}); "
-            "its cost grows like M^4")
-    return oracle_from_blocks(build_b(model, solution, res))
-
-
-def outage_probability(stats: AsymptoticStats, rate_nats: float) -> float:
-    """Gaussian outage approximation P(C < R) = Phi((R - mean)/std)."""
-    return outage_curve(stats, [rate_nats])[0][1]
-
-
 def outage_curve(stats: AsymptoticStats, rates) -> list[tuple[float, float]]:
-    """(rate, outage_probability) pairs for a whole rate grid, in one
-    vectorized norm_cdf call."""
+    """(rate, P(C < rate)) pairs for a rate grid under the Gaussian outage
+    approximation Phi((rate - mean) / std), in one vectorized norm_cdf call."""
     if stats.variance <= 0:
         raise ValueError("variance must be positive")
     rates = np.asarray(rates, dtype=float)
@@ -235,12 +223,10 @@ def outage_curve(stats: AsymptoticStats, rates) -> list[tuple[float, float]]:
     return list(zip(rates.tolist(), probs.tolist()))
 
 
-def auto_rate_grid(stats: AsymptoticStats, half_width_sigmas: float = 5.0,
-                   points: int = 101) -> np.ndarray:
+def auto_rate_grid(stats: AsymptoticStats) -> np.ndarray:
     """Default rate grid: mean +/- 5 sigma, 101 points."""
-    lo = stats.emi_nats - half_width_sigmas * stats.std
-    hi = stats.emi_nats + half_width_sigmas * stats.std
-    return np.linspace(lo, hi, points)
+    return np.linspace(stats.emi_nats - 5.0 * stats.std,
+                       stats.emi_nats + 5.0 * stats.std, 101)
 
 
 def analyze_model(model: ChannelModel, **solver_opts):

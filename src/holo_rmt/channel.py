@@ -145,15 +145,27 @@ def _outer_rule(a, e, bound):
 
 
 def _cell_measures(x0, x1, y0, y1, kappa):
-    """``_cell_measure`` for arrays of cells with 0 <= x0 <= x1, 0 <= y0 <= y1.
+    """Integral of (kappa^2 - kx^2 - ky^2)^(-1/2) over each cell
+    [x0, x1] x [y0, y1] of the first quadrant (0 <= x0 <= x1, 0 <= y0 <= y1).
 
-    Inner integral in closed form, for c = sqrt(kappa^2 - kx^2):
-    int dky / sqrt(c^2 - ky^2) = arcsin(ky / c), taken as
-    arctan2(ky, sqrt(c^2 - ky^2)) with c^2 - ky^2 formed without
+    The domain is clipped to kz > CELL_CLIP_REL * kappa, which bounds the
+    edge singularity.  Inner integral in closed form, for
+    c = sqrt(kappa^2 - kx^2): int dky / sqrt(c^2 - ky^2) = arcsin(ky / c),
+    taken as arctan2(ky, sqrt(c^2 - ky^2)) with c^2 - ky^2 formed without
     cancellation.  The ky range is [y0, min(y1, s)], where s(kx) =
     sqrt(kappa^2 - eps^2 - kx^2) is the clipped disk edge, so the kx range
     splits at xk = sqrt(kappa^2 - eps^2 - y1^2), where s falls below y1, and
     ends at xe = sqrt(kappa^2 - eps^2 - y0^2), where it falls below y0.
+
+    The kx integral takes a fixed 64-point Gauss-Legendre rule on each side
+    of xk, the point where the disk edge enters the cell, mapped so that
+    the square-root behaviour at the edge is integrated smoothly.  Lattice
+    cells of apertures up to 100 wavelengths come out within about 1e-12
+    relative of an arbitrary-precision oracle, except a cell holding the
+    disk's kx-axis end (kappa, 0): there the rule does not resolve the
+    clip's own O(eps^2 / kappa) rounding of the edge (2e-11 relative for a
+    10-wavelength lattice).  Cells that meet the disk only at a point, or
+    not at all, measure exactly 0.
     """
     x0, x1, y0, y1 = (np.atleast_1d(np.asarray(v, dtype=float))
                       for v in (x0, x1, y0, y1))
@@ -179,36 +191,6 @@ def _cell_measures(x0, x1, y0, y1, kappa):
     inner = (np.arctan2(np.sqrt(y0c * y0c + d), eps)
              - np.arctan2(y0c, np.sqrt(eps2 + d)))
     return total + (w * inner).sum(axis=1)
-
-
-def _fold(lo, hi):
-    """[lo, hi] as nonnegative intervals of equal total measure under k -> -k."""
-    if hi <= 0.0:
-        return [(-hi, -lo)]
-    if lo >= 0.0:
-        return [(lo, hi)]
-    return [(0.0, -lo), (0.0, hi)]
-
-
-def _cell_measure(x0, x1, y0, y1, kappa):
-    """Integral of (kappa^2 - kx^2 - ky^2)^(-1/2) over [x0, x1] x [y0, y1].
-
-    The domain is clipped to kz > CELL_CLIP_REL * kappa, which bounds the
-    edge singularity.  The integrand is even in each coordinate, so the
-    cell is folded into the first quadrant and measured by
-    ``_cell_measures``: the ky integral in closed form, the kx integral by a
-    fixed 64-point Gauss-Legendre rule on each side of the point where the
-    disk edge enters the cell, mapped so that the square-root behaviour at
-    the edge is integrated smoothly.  Lattice cells of apertures up to 100
-    wavelengths come out within about 1e-12 relative of an
-    arbitrary-precision oracle, except a cell holding the disk's kx-axis
-    end (kappa, 0): there the rule does not resolve the clip's own
-    O(eps^2 / kappa) rounding of the edge (2e-11 relative for a
-    10-wavelength lattice).  Cells that meet the disk only at a point, or
-    not at all, measure exactly 0.
-    """
-    parts = [(a, b, c, d) for a, b in _fold(x0, x1) for c, d in _fold(y0, y1)]
-    return float(_cell_measures(*np.array(parts).T, kappa).sum())
 
 
 def _side_weights(lattice: WavenumberLattice, wavelength: float) -> np.ndarray:

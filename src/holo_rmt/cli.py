@@ -17,7 +17,6 @@ config file, flags and seed.
 
 import functools
 import json
-import math
 import os
 import sys
 
@@ -45,8 +44,9 @@ def _load_config(path, seed=None, snr_db=None, samples=None, tol=None):
     checked by the config schema like values written in the file."""
     cfg = RunConfig.from_file(path)
     overrides = {}
-    if snr_db:
-        overrides["snr_db"] = [float(s) for s in snr_db.split(",")]
+    if snr_db is not None:
+        overrides["snr_db"] = ([float(s) for s in snr_db.split(",")]
+                               if snr_db else [])
     if seed is not None:
         overrides.setdefault("mc", {})["seed"] = seed
     if samples is not None:
@@ -206,7 +206,7 @@ def mc(config_path, out_dir, snr_db, seed, samples):
             }
         elif ms.count >= 2 and ms.variance > 0:
             # No analytic reference: self-normalize with the sample moments.
-            norm = (ms.samples - ms.mean) / math.sqrt(ms.variance)
+            norm = normalized_samples(ms, ms.mean, ms.variance)
         else:
             norm = None
         if norm is not None and not entry["ks_low_sample"]:

@@ -192,6 +192,15 @@ def validate_document(doc, schema_name):
     raise ConfigError(f"schema violation at {path}: {exc.message}") from exc
 
 
+def _beyond_float(x):
+    """True for an integer that float() cannot hold."""
+    try:
+        float(x)
+    except OverflowError:
+        return True
+    return False
+
+
 class RunConfig:
     """Validated run configuration with reference defaults filled in."""
 
@@ -209,6 +218,20 @@ class RunConfig:
             # would carry them as tokens that RFC 8259 JSON does not have.
             raise ConfigError(f"rates must be finite, got {rates!r}")
         ch = self.doc["channel"]
+        # The schema takes an integer literal of any size as a number; one
+        # beyond the float range would end the run in an OverflowError.
+        geom = self.doc["geometry"]
+        floats = {**{f"geometry.{k}": v for k, v in geom.items()},
+                  "rates": rates, "channel.kernel_a": ch["kernel_a"],
+                  "channel.rician_k": ch["rician_k"],
+                  "solver.tol": self.doc["solver"]["tol"]}
+        for name, value in floats.items():
+            entries = ({f"{name}[{i}]": x for i, x in enumerate(value)}
+                       if isinstance(value, list) else {name: value})
+            for where, x in entries.items():
+                if isinstance(x, int) and _beyond_float(x):
+                    raise ConfigError(f"{where} must be finite, got an "
+                                      "integer beyond the float range")
         if ch["profile"] == "file" and "profile_path" not in ch:
             raise ConfigError("channel.profile 'file' requires channel.profile_path")
         los = ch["los"]

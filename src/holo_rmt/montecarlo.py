@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,18 +197,16 @@ def model_digest(model: ChannelModel) -> str:
 
 @dataclass
 class MiSampleSet:
-    """MI samples with seed provenance and cached order statistics."""
+    """MI samples with seed provenance."""
 
     samples: np.ndarray
     seed: int
     digest: str
-    _sorted: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("sample set must be a nonempty vector")
-        self._sorted = np.sort(self.samples)
 
     @property
     def count(self) -> int:
@@ -224,10 +222,6 @@ class MiSampleSet:
         if self.count < 2:
             return None
         return float(self.samples.var(ddof=1))
-
-    @property
-    def sorted_samples(self) -> np.ndarray:
-        return self._sorted
 
 
 def _cpus() -> int:
@@ -332,7 +326,7 @@ def qq_slope(pairs: np.ndarray) -> float:
     return float(tc @ (e - e.mean())) / denom
 
 
-def empirical_outage(sample_set: MiSampleSet, rate_nats: float) -> float:
-    """Fraction of samples strictly below the rate threshold."""
-    idx = np.searchsorted(sample_set.sorted_samples, rate_nats, side="left")
+def empirical_outage(sample_set: MiSampleSet, rates) -> np.ndarray:
+    """Fraction of samples strictly below each rate of ``rates``."""
+    idx = np.searchsorted(np.sort(sample_set.samples), rates, side="left")
     return idx / sample_set.count

@@ -9,9 +9,10 @@ cardinality to the nominal 36), and the Gaussianity and outage criteria on
 its separable variant (profile "separable").
 
 Known-red criteria: the mean/variance-vs-MC secondary clauses at 20 dB
-fail for the unit-scale Gaussian-kernel profile, whose asymptotic mean and
-variance are off by about 0.11 nats and 4% there, more than pure sampling
-noise; the primary tolerance clauses (1% mean, 5% variance) hold.  The
+fail for the unit-scale Gaussian-kernel profile: there the MC mean is
++0.129/+0.120 nats (0.34%/0.26%, K = 0/10) above the asymptotic mean and
+the MC variance 3.8% above V, more than pure sampling noise; the primary
+tolerance clauses (1% mean, 5% variance) hold.  The
 cause is the kernel's effective width: at kernel_a = 1 about 5 entries per
 row carry a row's variance, at every aperture, while the deterministic
 equivalents need that mass spread over many entries.  It is not finite n

@@ -5,10 +5,8 @@ import pytest
 
 from holo_rmt.asymptotics import (AsymptoticStats, BMatrix, abs2_factors,
                                   analyze_model, auto_rate_grid, build_b,
-                                  emi_deterministic,
-                                  oracle_from_blocks, outage_curve,
-                                  outage_probability, variance_clt,
-                                  variance_linear_system_oracle)
+                                  emi_deterministic, oracle_from_blocks,
+                                  outage_curve, variance_clt)
 from holo_rmt.channel import (VarianceProfile, build_weichselberger,
                               synth_los)
 from holo_rmt.errors import InvalidRegimeError
@@ -253,7 +251,7 @@ class TestVarianceOracle:
         g = b.gamma[0, 0]
         lam = b.lambda_tilde[0]
         hand = (2 * lam * g - lam * g) / (1 - lam * g)
-        oracle = variance_linear_system_oracle(model, sol, res)
+        oracle = oracle_from_blocks(b)
         assert oracle == pytest.approx(hand, rel=1e-12)
 
     def test_gap_shrinks_with_size(self):
@@ -263,16 +261,14 @@ class TestVarianceOracle:
             sig = 0.5 + rng.random((m, m))
             a = synth_los(m, m, "lowrank", rank=2, seed=1) * 0.7
             model = build_weichselberger(a, VarianceProfile(sig), 0.5)
-            stats, _, sol, res = analyze_model(model)
-            oracle = variance_linear_system_oracle(model, sol, res)
+            stats, b, _, _ = analyze_model(model)
+            oracle = oracle_from_blocks(b)
             gaps.append(abs(oracle - stats.variance))
         assert gaps[0] > gaps[1]
 
     def test_size_guard(self):
-        model = iid_model(70, 70, 1.0)
-        sol, res = solve_deltas(model)
         with pytest.raises(ValueError, match="M <= 64"):
-            variance_linear_system_oracle(model, sol, res)
+            oracle_from_blocks(zero_b(65))
 
     def test_zero_blocks_give_zero(self):
         assert oracle_from_blocks(zero_b(4)) == 0.0
@@ -280,8 +276,8 @@ class TestVarianceOracle:
     def test_code_path_disjointness_smoke(self):
         # The oracle must not simply reproduce variance_clt at finite M.
         model = random_model(41, n=6, m=6)
-        stats, _, sol, res = analyze_model(model)
-        oracle = variance_linear_system_oracle(model, sol, res)
+        stats, b, _, _ = analyze_model(model)
+        oracle = oracle_from_blocks(b)
         assert oracle != stats.variance
         assert oracle == pytest.approx(stats.variance, rel=0.15)
 
@@ -296,20 +292,20 @@ def make_stats(emi, var, zeta=1.0):
 class TestOutage:
     def test_median_at_mean(self):
         stats = make_stats(10.0, 4.0)
-        assert outage_probability(stats, 10.0) == pytest.approx(0.5, abs=1e-14)
+        [(_, p)] = outage_curve(stats, [10.0])
+        assert p == pytest.approx(0.5, abs=1e-14)
 
     def test_six_sigma_tail(self):
         stats = make_stats(10.0, 4.0)
-        assert outage_probability(stats, 10.0 - 6 * 2.0) == pytest.approx(
-            9.865876e-10, rel=1e-5)
+        [(_, p)] = outage_curve(stats, [10.0 - 6 * 2.0])
+        assert p == pytest.approx(9.865876e-10, rel=1e-5)
 
     def test_monotone_and_extremes(self):
         stats = make_stats(5.0, 1.0)
-        grid = auto_rate_grid(stats, points=101)
-        curve = [p for _, p in outage_curve(stats, grid)]
+        curve = [p for _, p in outage_curve(stats, auto_rate_grid(stats))]
         assert all(a <= b + 1e-15 for a, b in zip(curve, curve[1:]))
         wide = np.linspace(5.0 - 12, 5.0 + 12, 7)
-        probs = [outage_probability(stats, r) for r in wide]
+        probs = [p for _, p in outage_curve(stats, wide)]
         assert probs[0] <= 1e-12 and probs[-1] >= 1 - 1e-12
 
     def test_auto_grid_shape(self):
@@ -322,20 +318,19 @@ class TestOutage:
     def test_requires_positive_variance(self):
         stats = make_stats(5.0, 0.0)
         with pytest.raises(ValueError):
-            outage_probability(stats, 5.0)
-        with pytest.raises(ValueError):
             outage_curve(stats, [5.0])
 
     @pytest.mark.parametrize("seed", [30, 31, 32])
     def test_curve_equals_scalar_loop(self, seed):
         # One vectorized norm_cdf call runs the same IEEE operations per
-        # rate as scalar ones, so the curve is bit-identical to them.
+        # rate as scalar ones, so the curve is bit-identical to them and to
+        # one-rate curves.
         stats = analyze_model(random_model(seed, n=6, m=5))[0]
         grid = auto_rate_grid(stats)
         curve = outage_curve(stats, grid)
         assert curve == [(r, norm_cdf((r - stats.emi_nats) / stats.std))
                          for r in grid.tolist()]
-        assert curve == [(r, outage_probability(stats, r)) for r in grid]
+        assert curve == [outage_curve(stats, [r])[0] for r in grid]
         assert all(type(r) is float and type(p) is float for r, p in curve)
 
 

@@ -12,7 +12,7 @@ from holo_rmt.channel import (PROFILE_FLOOR_REL, ChannelModel,
                               effective_width, floor_count,
                               profile_nonseparable_gaussian,
                               profile_separable_isotropic, separable_profile,
-                              synth_los, _cell_measure, _side_weights)
+                              synth_los, _cell_measures, _side_weights)
 from holo_rmt.geometry import effective_zeta, enumerate_lattice
 
 LAM = 0.01
@@ -69,7 +69,7 @@ class TestIsotropicProfile:
         lx = 10 * LAM
         h = 2 * math.pi / lx
         oracle = riemann_cell_oracle(0.0, h, 0.0, h)
-        production = _cell_measure(0.0, h, 0.0, h, KAPPA)
+        production = _cell_measures(0.0, h, 0.0, h, KAPPA)[0]
         assert production == pytest.approx(oracle, rel=1e-5)
 
     def test_interior_cell_weight_against_dblquad(self):
@@ -79,7 +79,8 @@ class TestIsotropicProfile:
         val, err = dblquad(lambda y, x: 1.0 / math.sqrt(KAPPA ** 2 - x * x - y * y),
                            0.0, h, 0.0, h, epsabs=1e-12, epsrel=1e-12)
         assert err < 1e-8 * val
-        assert _cell_measure(0.0, h, 0.0, h, KAPPA) == pytest.approx(val, rel=1e-10)
+        assert _cell_measures(0.0, h, 0.0, h, KAPPA)[0] == pytest.approx(
+            val, rel=1e-10)
 
     @pytest.mark.parametrize("cell", [(2, 5), (3, 9), (9, 4)])
     def test_full_lattice_cells_against_mpmath(self, cell):
@@ -88,7 +89,7 @@ class TestIsotropicProfile:
         h = 2 * math.pi / (10 * LAM)
         mx, my = cell
         box = (mx * h, (mx + 1) * h, my * h, (my + 1) * h)
-        assert _cell_measure(*box, KAPPA) == pytest.approx(
+        assert _cell_measures(*box, KAPPA)[0] == pytest.approx(
             mpmath_cell_oracle(*box), rel=1e-9)
 
     def test_five_point_lattice_weights_against_oracle(self):
@@ -100,8 +101,8 @@ class TestIsotropicProfile:
             warnings.simplefilter("ignore")
             prof = profile_separable_isotropic(lat, lat, LAM)
         h = 2 * math.pi / LAM  # cell side = kappa
-        w_origin = _cell_measure(0.0, h, 0.0, h, KAPPA)
-        w_right = _cell_measure(h, 2 * h, 0.0, h, KAPPA)
+        w_origin, w_right = _cell_measures([0.0, h], [h, 2 * h], [0.0, 0.0],
+                                           [h, h], KAPPA)
         # (0,0) cell is the quarter disk: closed form (pi/2) kappa (1 - clip).
         exact = (math.pi / 2) * KAPPA * (1 - 1e-6)
         assert w_origin == pytest.approx(exact, rel=1e-12)
@@ -112,18 +113,11 @@ class TestIsotropicProfile:
         # 7e-13 here), so outer(d, d~) sums to 1 within twice that.
         assert prof.matrix.sum() == pytest.approx(1.0, rel=2e-12)
 
-    def test_mirror_symmetry_of_cell_measure(self):
-        # Integrand is even in each coordinate: the mirrored cell
-        # [-b,-a] x [c,d] has the same measure as [a,b] x [c,d].
+    def test_swap_symmetry_of_cell_measures(self):
         h = 2 * math.pi / (2.3 * LAM)
-        direct = _cell_measure(h, 2 * h, 0.0, h, KAPPA)
-        mirrored = _cell_measure(-2 * h, -h, 0.0, h, KAPPA)
-        assert mirrored == pytest.approx(direct, rel=1e-12)
-
-    def test_swap_symmetry_of_cell_measure(self):
-        h = 2 * math.pi / (2.3 * LAM)
-        a = _cell_measure(h, 2 * h, 0.0, h, KAPPA)
-        b = _cell_measure(0.0, h, h, 2 * h, KAPPA)
+        # [h, 2h] x [0, h] and its transpose [0, h] x [h, 2h].
+        a, b = _cell_measures([h, 0.0], [2 * h, h], [0.0, h], [h, 2 * h],
+                              KAPPA)
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_rectangular_aperture_weights_against_oracle(self):

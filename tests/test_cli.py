@@ -199,15 +199,20 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command", ["analyze", "mc", "validate"])
     def test_non_finite_snr_exits_2(self, tmp_path, command):
+        # An empty --snr-db is an empty list, refused like one in the file.
         cfg = small_config(tmp_path)
-        for snr in ("nan", "-inf", "10,nan", "-4000"):
+        for snr, message in (("nan", "zeta must be finite and positive"),
+                             ("-inf", "zeta must be finite and positive"),
+                             ("10,nan", "zeta must be finite and positive"),
+                             ("-4000", "zeta must be finite and positive"),
+                             ("", "schema violation at snr_db: [] should be "
+                                  "non-empty")):
             out = tmp_path / f"{command}{snr}"
             result = runner.invoke(main, [command, "--config", str(cfg),
                                           "--out", str(out), f"--snr-db={snr}"])
             assert result.exit_code == 2, all_output(result)
-            assert "zeta must be finite and positive" in all_output(result)
-            assert not (out / "mc_summary.json").exists()
-            assert not (out / "analyze.json").exists()
+            assert message in all_output(result)
+            assert not out.exists()
 
     def test_nan_tol_exits_2(self, tmp_path):
         # A bad --tol is refused before --out exists, and by validate before
@@ -297,6 +302,27 @@ class TestConfigErrors:
         assert ("invalid geometry: all geometry lengths must be finite"
                 in all_output(result))
         assert not out.exists()
+
+    @pytest.mark.parametrize("section, field, value, where", [
+        ("geometry", "wavelength", 10 ** 400, "geometry.wavelength"),
+        (None, "rates", [1.0, -10 ** 400], "rates[1]"),
+        ("channel", "kernel_a", 10 ** 400, "channel.kernel_a"),
+        ("solver", "tol", 10 ** 400, "solver.tol")])
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, section,
+                                                field, value, where):
+        # The schema takes an integer literal of any size as a number.
+        cfg = small_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        (doc if section is None else doc[section])[field] = value
+        cfg.write_text(json.dumps(doc))
+        for command in ("analyze", "mc"):
+            out = tmp_path / command
+            result = runner.invoke(main, [command, "--config", str(cfg),
+                                          "--out", str(out)])
+            assert result.exit_code == 2, all_output(result)
+            assert (f"config error: {where} must be finite, got an integer "
+                    "beyond the float range") in all_output(result)
+            assert not out.exists()
 
     @pytest.mark.parametrize("rates", [[float("nan")], [1.0, float("inf")]])
     def test_non_finite_rates_exit_2(self, tmp_path, rates):

@@ -409,3 +409,17 @@ class TestEmpiricalOutage:
         ms = self.make_set([1.0, 2.0, 2.0, 2.0, 3.0])
         assert empirical_outage(ms, 2.0) == pytest.approx(0.2)  # only 1.0 < R
         assert empirical_outage(ms, 2.0 + 1e-12) == pytest.approx(0.8)
+
+    @pytest.mark.parametrize("values, rates", [
+        # Tied samples, rates equal to a sample, both extremes, unsorted.
+        ([3.0, 2.0, 1.0, 2.0, 2.0, 5.5],
+         [2.0, 0.0, 1.0, 2.5, 5.5, 6.0, 2.0 + 1e-12, 3.0]),
+        # Rounding makes ties, and many rates equal some sample.
+        (np.round(substream(79, 0).standard_normal(500), 1),
+         np.concatenate([np.linspace(-4, 4, 41),
+                         np.round(substream(79, 1).standard_normal(40), 1)])),
+    ])
+    def test_grid_equals_direct_count(self, values, rates):
+        ms = self.make_set(values)
+        expected = [np.mean(ms.samples < r) for r in rates]
+        assert empirical_outage(ms, rates).tolist() == expected

@@ -78,7 +78,7 @@ def rank_r_model(seed, rank, complex_los):
     ``rank`` None keeps full rank; the LoS keeps C9's spectral-norm scale.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    base = validate.random_model(rng, max_dim=16)
+    base = validate.random_model(rng)
     n, m = base.dims
     r = min(n, m) if rank is None else min(rank, n, m)
     u = rng.normal(size=(n, r))

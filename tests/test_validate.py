@@ -1,14 +1,16 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import desk_geometry
 from scipy.stats import chi2
 
-from holo_rmt.asymptotics import analyze_model
+from holo_rmt.asymptotics import analyze_model, auto_rate_grid, outage_curve
 from holo_rmt.config import RunConfig
+from holo_rmt.montecarlo import run_mc
 from holo_rmt.normal import norm_cdf
 from holo_rmt.validate import (SE_MULTIPLIER, check_convergence,
-                               check_emi_vs_mc, chi2_ppf)
+                               check_emi_vs_mc, check_outage, chi2_ppf)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -44,3 +46,17 @@ def test_criteria_check_the_configured_channel():
     assert c3.details[0]["emi"] == stats.emi_nats
     c1 = check_convergence(cfg, snr_db=10.0)
     assert c1.measured.startswith(f"iters={stats.solution.iterations} ")
+
+
+def test_outage_sup_equals_direct_count():
+    # C7's sup against a per-rate count over the same samples.
+    cfg = RunConfig.from_file(CONFIGS / "desk.json").updated(
+        channel={"profile": "separable"})
+    c7 = check_outage(cfg, snrs_db=(10.0,), samples=500, seed=19)
+    model = cfg.build_model(10.0)
+    stats = analyze_model(model, **cfg.solver_opts)[0]
+    samples = run_mc(model, 500, 19).samples
+    sup = max(abs(p - np.mean(samples < r))
+              for r, p in outage_curve(stats, auto_rate_grid(stats)))
+    assert c7.details[0]["sup_dev"] == sup
+    assert c7.measured == f"sup |Prop - empirical| = {sup:.4f}"
