@@ -85,8 +85,11 @@ def effective_width(matrix):
     m = np.asarray(matrix, dtype=float)
 
     def side(axis):
-        n_eff = m.sum(axis=axis) ** 2 / (m * m).sum(axis=axis)
-        return float(n_eff.min()), float(np.median(n_eff))
+        n_eff = np.sort(m.sum(axis=axis) ** 2 / (m * m).sum(axis=axis))
+        # np.median's own formula, the mean of the one or two middle
+        # entries; np.median itself would import numpy.ma on first use.
+        middle = n_eff[(n_eff.size - 1) // 2:n_eff.size // 2 + 1]
+        return float(n_eff.min()), float(middle.mean())
 
     return side(1), side(0)
 

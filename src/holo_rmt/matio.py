@@ -4,6 +4,14 @@ Complex matrices go to JSON as row-major [re, im] pairs under a {rows, cols}
 header; real matrices use plain numbers.  Python's json emits the shortest
 round-trip decimal for floats, so reload is bit-exact.  All writes are
 atomic (temp file + rename).
+
+``save_real_matrix`` writes the bytes ``json.dumps`` of the document would,
+but formats each distinct entry only once; a variance profile repeats few
+values (the lattice's symmetries and the positivity floor).  Entries are
+told apart by their bit patterns, so -0.0 stays apart from 0.0.  Finite
+values are formatted with ``float.__repr__``, as json's encoder does; NaN
+and the infinities take json's own text.  The texts are then written in
+row-major order, a chunk at a time.
 """
 
 import json
@@ -13,8 +21,9 @@ import tempfile
 import numpy as np
 
 
-# Rows per tolist() call of the CSV writers: Python floats from tolist()
-# format far faster than numpy scalars, and a chunk bounds the lists built.
+# Rows per tolist() call of the CSV writers, and entries per joined chunk of
+# save_real_matrix: Python floats from tolist() format far faster than numpy
+# scalars, and a chunk bounds the lists and strings built.
 CSV_CHUNK = 4096
 
 
@@ -37,7 +46,7 @@ def save_complex_matrix(path, matrix):
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    data = [[float(v.real), float(v.imag)] for v in m.ravel(order="C")]
+    data = m.ravel(order="C").view(np.float64).reshape(-1, 2).tolist()
     doc = {"rows": m.shape[0], "cols": m.shape[1], "dtype": "complex", "data": data}
     _atomic_write_text(path, json.dumps(doc))
 
@@ -57,9 +66,21 @@ def save_real_matrix(path, matrix):
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    doc = {"rows": m.shape[0], "cols": m.shape[1], "dtype": "real",
-           "data": m.ravel(order="C").tolist()}
-    _atomic_write_text(path, json.dumps(doc))
+    bits, index = np.unique(m.ravel(order="C").view(np.uint64),
+                            return_inverse=True)
+    values = bits.view(np.float64)
+    texts = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = json.dumps(values[i].item())
+
+    def data():
+        for start in range(0, index.size, CSV_CHUNK):
+            chunk = texts[index[start:start + CSV_CHUNK]].tolist()
+            yield (", " if start else "") + ", ".join(chunk)
+        yield "]}"
+
+    _atomic_write_text(path, f'{{"rows": {m.shape[0]}, "cols": {m.shape[1]}, '
+                             '"dtype": "real", "data": [', data())
 
 
 def load_real_matrix(path):

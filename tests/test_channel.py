@@ -220,6 +220,15 @@ class TestProfileInvariants:
         assert (row_min, row_med) == (1.0, 1.5)
         assert (col_min, col_med) == (1.0, 1.5)
 
+    @pytest.mark.parametrize("shape", [(5, 8), (8, 5), (1, 2), (2, 1)])
+    def test_effective_width_median_is_numpy_median(self, shape):
+        # Odd and even row and column counts: the same bits as np.median.
+        m = np.random.default_rng(sum(shape)).random(shape)
+        for (low, med), axis in zip(effective_width(m), (1, 0)):
+            n_eff = m.sum(axis=axis) ** 2 / (m * m).sum(axis=axis)
+            assert low == n_eff.min()
+            assert med == np.median(n_eff)
+
     def test_effective_width_of_desk_profiles(self, desk):
         # The narrow Gaussian kernel (kernel_a = 1) leaves about 5 entries
         # per row carrying the variance; the separable profile about 33.

@@ -621,6 +621,26 @@ class TestImport:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_profile_leaves_numpy_ma_unloaded(self, tmp_path):
+        # The n_eff median and the profile writer use plain arrays; numpy.ma
+        # would cost every `profile` call about 15 ms of imports.
+        names = ("print(sorted(k for k in sys.modules "
+                 "if k.split('.')[:2] == ['numpy', 'ma']))")
+        cfg = small_config(tmp_path)
+        out = tmp_path / "out"
+        code = ("import sys; from holo_rmt.cli import main; "
+                f"main(['profile', '--config', {str(cfg)!r}, '--out', "
+                f"{str(out)!r}], standalone_mode=False); {names}")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src"),
+             env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        assert (out / "profile.json").exists()
+
     def test_cli_import_and_analyze_leave_jsonschema_unloaded(self, tmp_path):
         # A document that passes its schema check never loads jsonschema;
         # it is imported only to word a violation.

@@ -1,7 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from holo_rmt import matio
+from holo_rmt.config import RunConfig
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_complex_matrix_round_trip_bit_exact(tmp_path):
@@ -80,3 +86,74 @@ def test_csv_writers_match_per_value_formatting_across_chunks(tmp_path):
     assert same_s and same_q
     matio.save_samples_csv(tmp_path / "e.csv", np.array([]))
     assert (tmp_path / "e.csv").read_text() == "index,mi_nats\n"
+
+
+def _json_text(m):
+    """What save_real_matrix wrote before it formatted each value once."""
+    m = np.asarray(m, dtype=float)
+    return json.dumps({"rows": m.shape[0], "cols": m.shape[1],
+                       "dtype": "real", "data": m.ravel().tolist()})
+
+
+def _assert_json_bytes(tmp_path, m):
+    path = tmp_path / "m.json"
+    matio.save_real_matrix(path, m)
+    # Compared as a boolean: a diff of two 2 MB lines takes minutes.
+    same = path.read_text() == _json_text(m)
+    assert same
+
+
+@pytest.mark.parametrize("name", ["desk", "full"])
+@pytest.mark.parametrize("kind", ["nonseparable", "separable"])
+def test_real_matrix_bytes_equal_json_dumps_on_profiles(tmp_path, name, kind):
+    cfg = RunConfig.from_file(CONFIGS / f"{name}.json")
+    cfg = cfg.updated(channel={"profile": kind})
+    _assert_json_bytes(tmp_path, cfg.build_profile(*cfg.lattices()).matrix)
+
+
+def test_real_matrix_bytes_equal_json_dumps_all_distinct(tmp_path):
+    rng = np.random.default_rng(17)
+    m = rng.normal(size=(317, 317)) * 10.0 ** rng.integers(-300, 300,
+                                                            (317, 317))
+    assert np.unique(m).size == m.size
+    _assert_json_bytes(tmp_path, m)
+
+
+def test_real_matrix_bytes_equal_json_dumps_special_values(tmp_path):
+    # Keyed on bits: -0.0 keeps its sign next to 0.0, and every NaN and
+    # infinity is written as json writes it.
+    nan_payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
+    m = np.array([[0.0, -0.0, np.nan, -np.nan],
+                  [np.inf, -np.inf, 5e-324, -5e-324],
+                  [1e-300, -1e-300, nan_payload, 0.0]])
+    _assert_json_bytes(tmp_path, m)
+    text = (tmp_path / "m.json").read_text()
+    assert "[0.0, -0.0, NaN, NaN, Infinity, -Infinity, 5e-324," in text
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (0, 3), (3, 0)])
+def test_real_matrix_bytes_equal_json_dumps_small_shapes(tmp_path, shape):
+    m = np.arange(np.prod(shape), dtype=float).reshape(shape) + 0.1
+    _assert_json_bytes(tmp_path, m)
+    back = matio.load_real_matrix(tmp_path / "m.json")
+    assert back.shape == shape and np.array_equal(back, m)
+
+
+def test_real_matrix_bytes_equal_json_dumps_strided_and_integer(tmp_path):
+    rng = np.random.default_rng(5)
+    m = rng.random((4, 7)).round(2)
+    assert not m.T.flags.c_contiguous
+    _assert_json_bytes(tmp_path, m.T)
+    ints = rng.integers(-3, 4, size=(5, 6))
+    _assert_json_bytes(tmp_path, ints)
+
+
+def test_complex_matrix_bytes_equal_per_entry_pairs(tmp_path):
+    rng = np.random.default_rng(6)
+    m = (rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))).T
+    m[0, 0] = complex(-0.0, np.inf)
+    matio.save_complex_matrix(tmp_path / "c.json", m)
+    data = [[float(v.real), float(v.imag)] for v in m.ravel()]
+    expected = json.dumps({"rows": 5, "cols": 6, "dtype": "complex",
+                           "data": data})
+    assert (tmp_path / "c.json").read_text() == expected
