@@ -128,7 +128,8 @@ def build_b(model: ChannelModel, solution: DeltaSolution,
     rho = solution.rho
     p, q = model.los_factors
 
-    tp = res.t_mat @ p
+    t = res.t_dense()
+    tp = t @ p
     w = tp @ q.conj().T                                # w[:, k] = T a_k
     pi = (sigma.T @ (np.abs(w) ** 2)) / (m * one_plus_sq[None, :])
     pi_factors = None
@@ -139,7 +140,7 @@ def build_b(model: ChannelModel, solution: DeltaSolution,
     xi = np.abs(gram) ** 2 / np.outer(one_plus_sq, one_plus_sq)
     np.fill_diagonal(xi, 0.0)
 
-    gamma = sigma.T @ (np.abs(res.t_mat) ** 2) @ sigma / m ** 2
+    gamma = sigma.T @ (np.abs(t) ** 2) @ sigma / m ** 2
     gamma = 0.5 * (gamma + gamma.T)
     lam = (rho * res.t_tilde_diag) ** 2
     return BMatrix(pi=np.ascontiguousarray(pi), xi=xi, gamma=gamma,
@@ -230,9 +231,9 @@ def auto_rate_grid(stats: AsymptoticStats) -> np.ndarray:
 
 
 def analyze_model(model: ChannelModel, **solver_opts):
-    """Solve the fixed point and return (stats, b_matrix, solution, resolvents).
-
-    ``solver_opts`` (tol, max_iter) go to solve_deltas unchanged.
+    """Solve the fixed point and return (stats, b_matrix); the solution is
+    ``stats.solution``, and ``solver_opts`` (tol, max_iter) go to
+    solve_deltas unchanged.
     """
     solution, res = solve_deltas(model, **solver_opts)
     emi = emi_deterministic(model, solution, res)
@@ -240,4 +241,4 @@ def analyze_model(model: ChannelModel, **solver_opts):
     variance = variance_clt(b)
     stats = AsymptoticStats(emi_nats=emi, variance=variance,
                             zeta=solution.rho, solution=solution)
-    return stats, b, solution, res
+    return stats, b

@@ -10,9 +10,9 @@
 
 Each command takes only the flags it reads; any other is a usage error.
 
-Exit codes: 0 success, 1 validation failure, 2 usage/config error,
-3 numerical failure.  All outputs are deterministic functions of the
-config file, flags and seed.
+Exit codes: 0 success, 1 validation failure, 2 usage/config error (a
+failed allocation counts as one), 3 numerical failure.  All outputs are
+deterministic functions of the config file, flags and seed.
 """
 
 import functools
@@ -110,6 +110,10 @@ def _guard(fn):
         except ValueError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
+        except MemoryError as exc:
+            click.echo(f"config error: out of memory ({exc}); lower "
+                       "mc.samples (--samples) or the apertures", err=True)
+            sys.exit(EXIT_CONFIG)
     return wrapper
 
 
@@ -119,7 +123,8 @@ def main():
 
 
 def _analyze_one(cfg, snr, model):
-    stats, b, sol, _ = analyze_model(model, **cfg.solver_opts)
+    stats, b = analyze_model(model, **cfg.solver_opts)
+    sol = stats.solution
     rates = cfg.rates
     grid = auto_rate_grid(stats) if rates == "auto" else np.asarray(rates, float)
     return {
@@ -164,6 +169,43 @@ def analyze(config_path, out_dir, snr_db, tol):
     click.echo(f"wrote {out_path}")
 
 
+def _analytic_references(path, models):
+    """The entries of an existing ``analyze.json`` at the SNRs of
+    ``models``, keyed by SNR; none when the file is absent.
+
+    The file must pass the analyze schema, and each entry used must hold a
+    finite EMI and variance and this run's zeta and B dimensions.  Anything
+    else is a ConfigError, raised before any sample is drawn.  A file from
+    the same geometry and SNRs but another channel passes.
+    """
+    if not os.path.exists(path):
+        return {}
+    fix = "remove it or use another --out"
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        validate_document(doc, "analyze.schema.json")
+    except (OSError, ValueError, ConfigError) as exc:
+        raise ConfigError(f"{path}: {exc}; {fix}") from None
+    by_snr = {round(e["snr_db"], 9): e for e in doc["results"]}
+    refs = {}
+    for snr, model in models:
+        ref = by_snr.get(round(float(snr), 9))
+        if ref is None:
+            continue
+        m = model.dims[1]
+        if not (np.isfinite(ref["emi_nats"]) and np.isfinite(ref["variance"])):
+            raise ConfigError(f"{path}: emi_nats and variance at snr_db "
+                              f"{snr:g} must be finite; {fix}")
+        if ref["zeta"] != model.zeta or ref["b_dims"] != [2 * m, 2 * m]:
+            raise ConfigError(
+                f"{path}: zeta or b_dims at snr_db {snr:g} differ from this "
+                f"run's (zeta {model.zeta!r}, b_dims {[2 * m, 2 * m]}), so "
+                f"it was written for another configuration; {fix}")
+        refs[snr] = ref
+    return refs
+
+
 @main.command()
 @_common_options
 @_snr_db_option
@@ -175,16 +217,11 @@ def mc(config_path, out_dir, snr_db, seed, samples):
     cfg = _load_config(config_path, seed=seed, snr_db=snr_db, samples=samples)
     tags = _file_tags(cfg.snr_db)
     models = cfg.build_models(cfg.snr_db)
+    analytic = _analytic_references(os.path.join(out_dir, "analyze.json"),
+                                    models)
     sets = run_mc_grid(models[0][1], [model.zeta for _, model in models],
                        cfg.mc_samples, cfg.mc_seed)
     os.makedirs(out_dir, exist_ok=True)
-
-    analytic = {}
-    analyze_path = os.path.join(out_dir, "analyze.json")
-    if os.path.exists(analyze_path):
-        with open(analyze_path) as fh:
-            prior = json.load(fh)
-        analytic = {round(e["snr_db"], 9): e for e in prior.get("results", [])}
 
     entries = []
     for tag, (snr, model), ms in zip(tags, models, sets):
@@ -195,7 +232,7 @@ def mc(config_path, out_dir, snr_db, seed, samples):
                  "mean": ms.mean, "variance": ms.variance,
                  "ks": None, "ks_low_sample": ms.count < KS_MIN_SAMPLES,
                  "qq_slope": None, "csv": csv_name}
-        ref = analytic.get(round(float(snr), 9))
+        ref = analytic.get(snr)
         if ref is not None:
             norm = normalized_samples(ms, ref["emi_nats"], ref["variance"])
             entry["analytic"] = {

@@ -174,7 +174,10 @@ def _mi_range(los, sqrt_sigma, zetas, seed, start, stop):
     h = np.empty((size, n, m), dtype=complex)
     work = _workspace(size, n, m)
     rng = _philox()
-    out = np.empty((len(zetas), stop - start))
+    try:
+        out = np.empty((len(zetas), stop - start))
+    except ValueError as exc:  # a size past numpy's index range
+        raise MemoryError(str(exc)) from None
     for lo in range(start, stop, size):
         k = min(size, stop - lo)
         for j in range(k):

@@ -39,8 +39,8 @@ minus rank-r corrections.  Each half-step reads diag T from an r x r
 Woodbury capacitance system: an iteration costs O(NM + (N + M) r^2), the
 two Sigma products included, against two dense O(N^3 + M^3) inverses.  A
 centered channel is the case r = 0, where T = diag(psi) and T~ =
-diag(psi~).  The full matrices are formed only once, after convergence, in
-O(N^2 r + M^2 r).
+diag(psi~).  The solve keeps T and T~ factored; ``Resolvents`` forms the
+full matrices, in O(N^2 r + M^2 r), only when B or a check asks for them.
 """
 
 from collections import deque
@@ -69,21 +69,25 @@ class DeltaSolution:
 
 @dataclass(frozen=True)
 class Resolvents:
-    """Resolvent equivalents and their diagonals at z = -rho.
+    """Resolvent equivalents at z = -rho in factored form.
 
-    ``t_diag`` and ``t_tilde_diag`` are the real diagonals of T and T~;
-    ``psi`` / ``psi_tilde`` the diagonal weight vectors.  T and T~ are
-    Hermitian positive definite by construction.
+    T = diag(psi) - X^H X with the r x N factor ``x`` of ``_woodbury``, T~
+    likewise with the r x M ``x_tilde``; ``t_diag`` and ``t_tilde_diag`` are
+    their real diagonals.  Both are Hermitian positive definite by
+    construction; ``t_dense()`` and ``t_tilde_dense()`` form them in full.
     """
 
-    t_mat: np.ndarray
-    t_tilde_mat: np.ndarray
-    psi: np.ndarray
-    psi_tilde: np.ndarray
     t_diag: np.ndarray
     t_tilde_diag: np.ndarray
+    x: np.ndarray
+    x_tilde: np.ndarray
     logdet_t_inv: float
-    logdet_t_tilde_inv: float
+
+    def t_dense(self) -> np.ndarray:
+        return _full(self.t_diag, self.x)
+
+    def t_tilde_dense(self) -> np.ndarray:
+        return _full(self.t_tilde_diag, self.x_tilde)
 
 
 def _cholesky(mat):
@@ -97,20 +101,24 @@ def _cholesky(mat):
             f"(min eigenvalue {eigmin:.3e})") from None
 
 
-def _woodbury(psi, p, q, weights):
+def _woodbury(rho, own, other, p, q):
     """Low-rank form of T = (diag(1/psi) + P Q^H diag(weights) Q P^H)^{-1}.
 
-    With L = chol(Q^H diag(weights) Q), V = P L and the r x r capacitance
+    psi = 1/(rho (1 + own)) and weights = 1/(1 + other); T takes
+    (delta~, delta, P, Q) and T~ (delta, delta~, Q, P).  With
+    L = chol(Q^H diag(weights) Q), V = P L and the r x r capacitance
     C = I + V^H diag(psi) V, Woodbury gives T = diag(psi) - X^H X with
-    X = chol(C)^{-1} V^H diag(psi).  Returns (diag T, X, chol(C)); r = 0
-    leaves T = diag(psi).
+    X = chol(C)^{-1} V^H diag(psi).  Returns (diag T, X, chol(C), psi);
+    r = 0 leaves T = diag(psi).
     """
+    psi = 1.0 / (rho * (1.0 + own))
+    weights = 1.0 / (1.0 + other)
     r = p.shape[1]
     v = p @ _cholesky(q.conj().T @ (weights[:, None] * q))
     pvh = (psi[:, None] * v).conj().T
     lc = _cholesky(np.eye(r) + pvh @ v)
     x = np.linalg.solve(lc, pvh) if r else pvh
-    return psi - (np.abs(x) ** 2).sum(axis=0), x, lc
+    return psi - (np.abs(x) ** 2).sum(axis=0), x, lc, psi
 
 
 def _logdet_inv(psi, lc):
@@ -128,23 +136,16 @@ def _full(t_diag, x):
 
 
 def compute_resolvents(model: ChannelModel, delta, delta_tilde) -> Resolvents:
-    """Materialize T, T~, psi, psi~ for given fixed-point parameters."""
+    """Factored T and T~ for given fixed-point parameters."""
     delta = np.asarray(delta, dtype=float)
     delta_tilde = np.asarray(delta_tilde, dtype=float)
-    if np.any(delta <= 0) or np.any(delta_tilde <= 0):
+    if not (np.all(delta > 0) and np.all(delta_tilde > 0)):
         raise ValueError("delta parameters must be entrywise positive")
     rho = model.zeta
     p, q = model.los_factors
-    psi = 1.0 / (rho * (1.0 + delta_tilde))
-    psi_tilde = 1.0 / (rho * (1.0 + delta))
-    # rho psi~ = 1 / (1 + delta) and rho psi = 1 / (1 + delta~).
-    t_diag, x, lc = _woodbury(psi, p, q, 1.0 / (1.0 + delta))
-    tt_diag, xt, lct = _woodbury(psi_tilde, q, p, 1.0 / (1.0 + delta_tilde))
-    return Resolvents(t_mat=_full(t_diag, x), t_tilde_mat=_full(tt_diag, xt),
-                      psi=psi, psi_tilde=psi_tilde, t_diag=t_diag,
-                      t_tilde_diag=tt_diag,
-                      logdet_t_inv=_logdet_inv(psi, lc),
-                      logdet_t_tilde_inv=_logdet_inv(psi_tilde, lct))
+    t_diag, x, lc, psi = _woodbury(rho, delta_tilde, delta, p, q)
+    tt_diag, xt = _woodbury(rho, delta, delta_tilde, q, p)[:2]
+    return Resolvents(t_diag, tt_diag, x, xt, _logdet_inv(psi, lc))
 
 
 def _gauss_seidel_map(model: ChannelModel):
@@ -160,11 +161,9 @@ def _gauss_seidel_map(model: ChannelModel):
 
     def sweep(x):
         delta, delta_tilde = x[:m], x[m:]
-        psi = 1.0 / (rho * (1.0 + delta_tilde))
-        t_diag = _woodbury(psi, p, q, 1.0 / (1.0 + delta))[0]
+        t_diag = _woodbury(rho, delta_tilde, delta, p, q)[0]
         delta_new = sigma.T @ t_diag / m
-        psi_tilde = 1.0 / (rho * (1.0 + delta_new))
-        tt_diag = _woodbury(psi_tilde, q, p, 1.0 / (1.0 + delta_tilde))[0]
+        tt_diag = _woodbury(rho, delta_new, delta_tilde, q, p)[0]
         return np.concatenate([delta_new, sigma @ tt_diag / m])
 
     return sweep

@@ -188,7 +188,7 @@ def check_appendix_oracle(sizes=(8, 16, 32), trials=3, seed=101,
         gaps = []
         for t in range(trials):
             model = _oracle_family_model(size, seed + t)
-            stats, b, _, _ = analyze_model(model)
+            stats, b = analyze_model(model)
             oracle = oracle_from_blocks(b)
             gap = abs(oracle - stats.variance)
             gaps.append(gap)
@@ -350,7 +350,7 @@ def _check_one_invariant_model(rng) -> list[str]:
     if not (np.all(sol.delta_tilde > 0)
             and np.all(sol.delta_tilde <= bound_dt * (1 + 1e-9))):
         failures.append("delta~ bound")
-    for mat, label in ((res.t_mat, "T"), (res.t_tilde_mat, "T~")):
+    for mat, label in ((res.t_dense(), "T"), (res.t_tilde_dense(), "T~")):
         if np.abs(mat - mat.conj().T).max() > 1e-12:
             failures.append(f"{label} not Hermitian")
         if np.linalg.eigvalsh(mat).min() <= 0:
@@ -421,13 +421,18 @@ def run_all(run_config, rel_tol_scale=1.0):
     carry a row's variance at kernel_a = 1, carries a bias those
     distributional gates cannot absorb.  ``rel_tol_scale`` scales the
     relative thresholds (smaller = stricter) and must be finite and
-    positive.  The configured profile must be entrywise positive; that
-    pre-flight check runs before any criterion and raises AssumptionError.
-    The MC criteria take seeds mc.seed + 0..3, modulo 2^64.
+    positive, and mc.samples must be at least 2, as the criteria compare
+    sample variances.  The configured profile must be entrywise positive;
+    that pre-flight check runs before any criterion and raises
+    AssumptionError.  The MC criteria take seeds mc.seed + 0..3, modulo
+    2^64.
     """
     if not (math.isfinite(rel_tol_scale) and rel_tol_scale > 0):
         raise ValueError(f"rel_tol_scale must be finite and positive, "
                          f"got {rel_tol_scale!r}")
+    if run_config.mc_samples < 2:
+        raise ValueError(f"validate needs mc.samples (--samples) >= 2 for "
+                         f"sample variances, got {run_config.mc_samples}")
     run_config.build_profile(*run_config.lattices()).check_positive()
     samples = run_config.mc_samples
     seeds = [(run_config.mc_seed + i) % 2**64 for i in range(4)]

@@ -107,7 +107,7 @@ class TestBuildB:
         sol, res = solve_deltas(model)
         b = build_b(model, sol, res)
         sig = model.profile.matrix
-        t = res.t_mat
+        t = res.t_dense()
         m = 4
         for j in range(m):
             for k in range(m):
@@ -120,7 +120,7 @@ class TestBuildB:
         model = random_model(6, n=4, m=3)
         sol, res = solve_deltas(model)
         b = build_b(model, sol, res)
-        t = res.t_mat
+        t = res.t_dense()
         a = model.los
         m = 3
         for j in range(m):
@@ -225,7 +225,7 @@ class TestVarianceClt:
             a = los_of_rank(rng, n, m, r, complex_los)
             model = build_weichselberger(
                 a, VarianceProfile(0.2 + rng.random((n, m))), rho)
-            stats, b, _, _ = analyze_model(model)
+            stats, b = analyze_model(model)
             width = None if b.pi_factors is None else b.pi_factors[0].shape[1]
             assert width == (r * r if 2 * r * r <= m else None)
             sign, logdet = np.linalg.slogdet(np.eye(2 * m) - b.full())
@@ -235,7 +235,7 @@ class TestVarianceClt:
     def test_positive_on_random_models(self):
         for seed in range(5):
             model = random_model(20 + seed)
-            stats, b, _, _ = analyze_model(model)
+            stats, b = analyze_model(model)
             assert stats.variance > 0
             sign, logdet = np.linalg.slogdet(np.eye(2 * b.m) - b.full())
             assert sign > 0 and logdet <= 0
@@ -261,7 +261,7 @@ class TestVarianceOracle:
             sig = 0.5 + rng.random((m, m))
             a = synth_los(m, m, "lowrank", rank=2, seed=1) * 0.7
             model = build_weichselberger(a, VarianceProfile(sig), 0.5)
-            stats, b, _, _ = analyze_model(model)
+            stats, b = analyze_model(model)
             oracle = oracle_from_blocks(b)
             gaps.append(abs(oracle - stats.variance))
         assert gaps[0] > gaps[1]
@@ -276,7 +276,7 @@ class TestVarianceOracle:
     def test_code_path_disjointness_smoke(self):
         # The oracle must not simply reproduce variance_clt at finite M.
         model = random_model(41, n=6, m=6)
-        stats, b, _, _ = analyze_model(model)
+        stats, b = analyze_model(model)
         oracle = oracle_from_blocks(b)
         assert oracle != stats.variance
         assert oracle == pytest.approx(stats.variance, rel=0.15)

@@ -74,7 +74,8 @@ class TestAnalyzeCommand:
             assert [e["snr_db"] for e in doc["results"]] == snrs
             for entry, snr in zip(doc["results"], snrs):
                 model = cfg.build_model(snr)
-                stats, _, sol, _ = analyze_model(model, **cfg.solver_opts)
+                stats = analyze_model(model, **cfg.solver_opts)[0]
+                sol = stats.solution
                 assert entry["zeta"] == model.zeta
                 assert entry["emi_nats"] == stats.emi_nats
                 assert entry["variance"] == stats.variance
@@ -119,6 +120,30 @@ class TestAnalyzeCommand:
         assert m == 317
         assert (m, m) in shapes
         assert max(max(shape) for shape in shapes) <= m
+
+    def test_dense_t_formed_once_and_t_tilde_never(self, tmp_path,
+                                                   monkeypatch):
+        # The solve keeps T and T~ factored: build_b forms dense T once per
+        # SNR, and nothing on the analyze path forms dense T~.
+        from holo_rmt import solver
+        formed = []
+
+        def recording(label, fn):
+            def wrapper(*args):
+                formed.append(label)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(solver, "_full", recording("_full", solver._full))
+        cls = solver.Resolvents
+        for label, name in (("T", "t_dense"), ("T~", "t_tilde_dense")):
+            monkeypatch.setattr(cls, name, recording(label, getattr(cls, name)))
+        full_cfg = str(Path(DESK_CONFIG).with_name("full.json"))
+        result = runner.invoke(main, ["analyze", "--config", full_cfg,
+                                      "--out", str(tmp_path / "o"),
+                                      "--snr-db", "10"])
+        assert result.exit_code == 0, all_output(result)
+        assert formed == ["T", "_full"]
 
     def test_explicit_rates_respected(self, tmp_path):
         doc = json.loads(small_config(tmp_path).read_text())
@@ -406,6 +431,37 @@ class TestConfigErrors:
             assert "criterion" not in all_output(result)
             assert not out.exists()
 
+    def test_validate_single_sample_exits_2(self, tmp_path):
+        # The MC criteria compare sample variances, which one sample lacks.
+        cfg = small_config(tmp_path)
+        out = tmp_path / "v"
+        result = runner.invoke(main, ["validate", "--config", str(cfg),
+                                      "--out", str(out), "--samples", "1"])
+        assert result.exit_code == 2, all_output(result)
+        assert "mc.samples (--samples) >= 2" in all_output(result)
+        assert "criterion" not in all_output(result)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("samples", [None, "100000000000000000000"])
+    def test_failed_allocation_exits_2(self, tmp_path, monkeypatch, samples):
+        # A sample count numpy cannot index fails before any allocation; a
+        # count it can index but memory cannot hold raises MemoryError,
+        # simulated here.
+        if samples is None:
+            def no_memory(*args, **kwargs):
+                raise MemoryError("Unable to allocate 36.4 TiB")
+
+            monkeypatch.setattr("holo_rmt.cli.run_mc_grid", no_memory)
+        cfg = small_config(tmp_path)
+        out = tmp_path / "out"
+        args = ["mc", "--config", str(cfg), "--out", str(out)]
+        result = runner.invoke(main, args + (["--samples", samples]
+                                             if samples else []))
+        assert result.exit_code == 2, all_output(result)
+        assert "config error: out of memory" in all_output(result)
+        assert "mc.samples (--samples)" in all_output(result)
+        assert not out.exists()
+
     def test_solver_nonconvergence_exits_3(self, tmp_path):
         doc = json.loads(small_config(tmp_path).read_text())
         doc["solver"] = {"tol": 1e-15, "max_iter": 1}
@@ -473,6 +529,41 @@ class TestMcCommand:
         assert entry["analytic"]["mean_delta"] == pytest.approx(
             entry["mean"] - entry["analytic"]["emi_nats"], rel=1e-12)
         assert (out / entry["qq_csv"]).exists()
+
+    @pytest.mark.parametrize("content", [
+        '{"schema": 1, "results": [{"snr_db": 10.0}]}', "[1, 2]", "{",
+        "string emi", "nan variance", "other geometry"])
+    def test_unusable_analyze_json_exits_2(self, tmp_path, content):
+        # Checked before any sample is drawn: no CSV is written.
+        cfg = small_config(tmp_path)
+        out = tmp_path / "out"
+        path = out / "analyze.json"
+        if content in ("string emi", "nan variance", "other geometry"):
+            if content == "other geometry":
+                doc = json.loads(cfg.read_text())
+                doc["geometry"]["rx_aperture"] = [0.03, 0.03]
+                prior = tmp_path / "wide.json"
+                prior.write_text(json.dumps(doc))
+            else:
+                prior = cfg
+            runner.invoke(main, ["analyze", "--config", str(prior),
+                                 "--out", str(out)], catch_exceptions=False)
+            doc = json.loads(path.read_text())
+            entry = doc["results"][0]
+            if content == "string emi":
+                entry["emi_nats"] = "1.0"
+            elif content == "nan variance":
+                entry["variance"] = float("nan")
+            path.write_text(json.dumps(doc))
+        else:
+            out.mkdir()
+            path.write_text(content)
+        result = runner.invoke(main, ["mc", "--config", str(cfg),
+                                      "--out", str(out), "--samples", "200"])
+        assert result.exit_code == 2, all_output(result)
+        assert str(path) in all_output(result)
+        assert "remove it or use another --out" in all_output(result)
+        assert not (out / "samples_snr10.csv").exists()
 
     @pytest.mark.parametrize("snrs", ["10.0000001,10.0000002", "10,10"])
     def test_snrs_sharing_a_file_name_exit_2(self, tmp_path, snrs):

@@ -1,11 +1,12 @@
-"""Static checks on the package source that need no linter."""
+"""Static checks on the package and test sources that need no linter."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "holo_rmt"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "holo_rmt"
 
 
 def unused_imports(source):
@@ -37,8 +38,11 @@ def test_detector_finds_unused_names():
     assert unused_imports(source) == [(2, "math"), (5, "field"), (7, "json")]
 
 
-# __init__ imports only to re-export.
-@pytest.mark.parametrize("module", sorted(
-    p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
-def test_every_import_is_used(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+# The package's __init__ imports only to re-export.
+@pytest.mark.parametrize("path", [
+    *(pytest.param(p, id=p.name) for p in sorted(PACKAGE.glob("*.py"))
+      if p.name != "__init__.py"),
+    *(pytest.param(p, id=f"tests/{p.name}")
+      for p in sorted(TESTS.glob("*.py")))])
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []

@@ -215,8 +215,7 @@ class TestRunMc:
         # Standard-error scaling: the deviation from the analytic mean stays
         # inside 4 sqrt(var/S) at both S and 4S.
         model = iid_model(10, 10, 0.5)
-        from holo_rmt.asymptotics import analyze_model
-        stats, _, _, _ = analyze_model(model)
+        stats = analyze_model(model)[0]
         for s in (2_000, 8_000):
             ms = run_mc(model, s, seed=61)
             gate = 4.0 * math.sqrt(ms.variance / s) + 0.005 * stats.emi_nats
@@ -333,7 +332,7 @@ class TestNormalizedSamples:
 
     def test_moments_converge_for_matched_model(self):
         model = iid_model(12, 12, 0.2)
-        stats, _, _, _ = analyze_model(model)
+        stats = analyze_model(model)[0]
         ms = run_mc(model, 20_000, seed=55)
         norm = normalized_samples(ms, stats.emi_nats, stats.variance)
         assert abs(norm.mean()) <= 4.0 / math.sqrt(ms.count) + 0.02
