@@ -16,7 +16,6 @@ deterministic functions of the config file, flags and seed.
 """
 
 import functools
-import json
 import os
 import sys
 
@@ -29,8 +28,8 @@ from .channel import effective_width, floor_count
 from .config import RunConfig, validate_document
 from .errors import (AssumptionError, ConfigError, ConvergenceError,
                      HoloRmtError, NumericalError)
-from .montecarlo import (ks_statistic, normalized_samples, qq_data, qq_slope,
-                         run_mc_grid)
+from .montecarlo import (closed_form_and_mc, ks_statistic, normalized_samples,
+                         qq_data, qq_slope)
 
 KS_MIN_SAMPLES = 100
 
@@ -169,43 +168,6 @@ def analyze(config_path, out_dir, snr_db, tol):
     click.echo(f"wrote {out_path}")
 
 
-def _analytic_references(path, models):
-    """The entries of an existing ``analyze.json`` at the SNRs of
-    ``models``, keyed by SNR; none when the file is absent.
-
-    The file must pass the analyze schema, and each entry used must hold a
-    finite EMI and variance and this run's zeta and B dimensions.  Anything
-    else is a ConfigError, raised before any sample is drawn.  A file from
-    the same geometry and SNRs but another channel passes.
-    """
-    if not os.path.exists(path):
-        return {}
-    fix = "remove it or use another --out"
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        validate_document(doc, "analyze.schema.json")
-    except (OSError, ValueError, ConfigError) as exc:
-        raise ConfigError(f"{path}: {exc}; {fix}") from None
-    by_snr = {round(e["snr_db"], 9): e for e in doc["results"]}
-    refs = {}
-    for snr, model in models:
-        ref = by_snr.get(round(float(snr), 9))
-        if ref is None:
-            continue
-        m = model.dims[1]
-        if not (np.isfinite(ref["emi_nats"]) and np.isfinite(ref["variance"])):
-            raise ConfigError(f"{path}: emi_nats and variance at snr_db "
-                              f"{snr:g} must be finite; {fix}")
-        if ref["zeta"] != model.zeta or ref["b_dims"] != [2 * m, 2 * m]:
-            raise ConfigError(
-                f"{path}: zeta or b_dims at snr_db {snr:g} differ from this "
-                f"run's (zeta {model.zeta!r}, b_dims {[2 * m, 2 * m]}), so "
-                f"it was written for another configuration; {fix}")
-        refs[snr] = ref
-    return refs
-
-
 @main.command()
 @_common_options
 @_snr_db_option
@@ -213,40 +175,29 @@ def _analytic_references(path, models):
 @_samples_option
 @_guard
 def mc(config_path, out_dir, snr_db, seed, samples):
-    """Monte-Carlo MI sampling; writes per-SNR sample CSVs and a summary."""
+    """Monte-Carlo MI sampling against the closed form; writes per-SNR
+    sample CSVs and a summary."""
     cfg = _load_config(config_path, seed=seed, snr_db=snr_db, samples=samples)
     tags = _file_tags(cfg.snr_db)
-    models = cfg.build_models(cfg.snr_db)
-    analytic = _analytic_references(os.path.join(out_dir, "analyze.json"),
-                                    models)
-    sets = run_mc_grid(models[0][1], [model.zeta for _, model in models],
-                       cfg.mc_samples, cfg.mc_seed)
+    runs = closed_form_and_mc(cfg, cfg.snr_db, cfg.mc_samples, cfg.mc_seed)
     os.makedirs(out_dir, exist_ok=True)
 
     entries = []
-    for tag, (snr, model), ms in zip(tags, models, sets):
+    for tag, (snr, stats, ms) in zip(tags, runs):
         csv_name = f"samples_snr{tag}.csv"
         matio.save_samples_csv(os.path.join(out_dir, csv_name), ms.samples)
-        entry = {"snr_db": float(snr), "zeta": model.zeta,
+        entry = {"snr_db": float(snr), "zeta": stats.zeta,
                  "samples": ms.count, "seed": cfg.mc_seed,
                  "mean": ms.mean, "variance": ms.variance,
                  "ks": None, "ks_low_sample": ms.count < KS_MIN_SAMPLES,
-                 "qq_slope": None, "csv": csv_name}
-        ref = analytic.get(snr)
-        if ref is not None:
-            norm = normalized_samples(ms, ref["emi_nats"], ref["variance"])
-            entry["analytic"] = {
-                "emi_nats": ref["emi_nats"], "variance": ref["variance"],
-                "mean_delta": ms.mean - ref["emi_nats"],
-                "variance_delta": (None if ms.variance is None
-                                   else ms.variance - ref["variance"]),
-            }
-        elif ms.count >= 2 and ms.variance > 0:
-            # No analytic reference: self-normalize with the sample moments.
-            norm = normalized_samples(ms, ms.mean, ms.variance)
-        else:
-            norm = None
-        if norm is not None and not entry["ks_low_sample"]:
+                 "qq_slope": None, "csv": csv_name,
+                 "analytic": {
+                     "emi_nats": stats.emi_nats, "variance": stats.variance,
+                     "mean_delta": ms.mean - stats.emi_nats,
+                     "variance_delta": (None if ms.variance is None
+                                        else ms.variance - stats.variance)}}
+        if not entry["ks_low_sample"]:
+            norm = normalized_samples(ms, stats.emi_nats, stats.variance)
             entry["ks"] = ks_statistic(norm)
             pairs = qq_data(norm)
             entry["qq_slope"] = qq_slope(pairs)

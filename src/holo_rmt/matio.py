@@ -27,14 +27,26 @@ import numpy as np
 CSV_CHUNK = 4096
 
 
+def _umask():
+    """The process umask (reading it means setting it; this sets it back)."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _atomic_write_text(path, text, lines=()):
-    """Write ``text``, then the strings of ``lines``, to ``path``."""
+    """Write ``text``, then the strings of ``lines``, to ``path``.
+
+    The file gets the mode ``open`` would give a new one, 0o666 less the
+    umask, rather than the 0o600 of the temp file it is renamed from.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
             fh.writelines(lines)
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

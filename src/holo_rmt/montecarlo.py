@@ -3,8 +3,8 @@
 Reproducibility contract: sample i of a run with master seed s is drawn
 from the Philox counter-based generator keyed by s with the fourth 64-bit
 counter word set to i (every sample owns a disjoint counter range, so
-parallel generation is order-independent and a run can be split across
-processes by index range).  Complex Gaussians come from Box-Muller applied
+parallel generation is order-independent and worker processes can split a
+run by index range).  Complex Gaussians come from Box-Muller applied
 to the generator's uniforms, which pins the exact sample values across
 platforms.
 
@@ -19,8 +19,9 @@ gives their sizes.  Allocated afresh for each block, the MI stacks went
 back to the kernel when freed and the next block faulted their pages in
 again: about 375 minor page faults per block at n = 37.  Only Cholesky's
 factor is still allocated per call.  Worker processes take contiguous
-index ranges; the results land in index order.  The module needs numpy
-only.
+index ranges; the results land in index order.  ``closed_form_and_mc``
+pairs each SNR's closed form with its samples, for the mc command and the
+MC criteria alike.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import analyze_model
 from .channel import ChannelModel, check_zeta
 from .errors import NumericalError
 from .normal import norm_cdf, norm_inv_cdf
@@ -236,23 +238,23 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_mc_grid(model: ChannelModel, zetas, samples: int, seed: int,
-                start_index: int = 0) -> list[MiSampleSet]:
-    """MI samples of one channel at every noise level in ``zetas``.
+def run_mc_grid(model: ChannelModel, zetas, samples: int,
+                seed: int) -> list[MiSampleSet]:
+    """MI samples 0 .. samples-1 of one channel at every noise level in
+    ``zetas``.
 
     Sample i is one draw of H (substream i of ``seed``) shared by every
     zeta, so each set equals ``run_mc(model.at_zeta(zeta), ...)`` exactly.
-    ``start_index`` offsets the substream indices so a run can be
-    partitioned (indices [0, S/2) plus [S/2, S) reproduce one full run).
     Worker processes: one per CPU this process may use, but no more than
-    one per MIN_SAMPLES_PER_WORKER samples; the parent works one index
-    range itself and forks a process for each other range.
+    one per MIN_SAMPLES_PER_WORKER samples; the parent works the first
+    index range itself and forks a process for each other range.  A
+    sample's value does not depend on which range it falls in.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     models = [model.at_zeta(z) for z in zetas]
     workers = max(1, min(_cpus(), -(-samples // MIN_SAMPLES_PER_WORKER)))
-    edges = [start_index + samples * w // workers for w in range(workers + 1)]
+    edges = [samples * w // workers for w in range(workers + 1)]
     ranges = list(zip(edges, edges[1:]))
     args = (model.los, model.profile.sqrt_entries(),
             [mz.zeta for mz in models], seed)
@@ -276,12 +278,26 @@ def run_mc_grid(model: ChannelModel, zetas, samples: int, seed: int,
             for row, mz in zip(mi, models)]
 
 
-def run_mc(model: ChannelModel, samples: int, seed: int,
-           start_index: int = 0) -> MiSampleSet:
+def run_mc(model: ChannelModel, samples: int, seed: int) -> MiSampleSet:
     """Draw ``samples`` MI realizations with per-index substreams at the
     model's own zeta: the one-zeta case of ``run_mc_grid``."""
-    return run_mc_grid(model, [model.zeta], samples, seed,
-                       start_index=start_index)[0]
+    return run_mc_grid(model, [model.zeta], samples, seed)[0]
+
+
+def closed_form_and_mc(cfg, snrs_db, samples: int, seed: int):
+    """[(snr, closed-form stats, MC sample set)] per SNR of ``cfg``'s
+    channel (a RunConfig).
+
+    Every SNR's closed form (``analyze_model`` with ``cfg.solver_opts``)
+    is solved before any sample is drawn, so a solver failure ends the run
+    first.  One ``run_mc_grid`` call then serves every SNR: sample i is the
+    same draw of H at each.
+    """
+    models = cfg.build_models(snrs_db)
+    stats = [analyze_model(model, **cfg.solver_opts)[0] for _, model in models]
+    sets = run_mc_grid(models[0][1], [model.zeta for _, model in models],
+                       samples, seed)
+    return [(snr, st, ms) for (snr, _), st, ms in zip(models, stats, sets)]
 
 
 def normalized_samples(sample_set: MiSampleSet, emi_nats: float,

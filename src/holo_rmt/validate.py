@@ -5,7 +5,8 @@ threshold it was held to, and the verdict.  The criteria that depend on the
 channel take it as a RunConfig and build their models with
 RunConfig.build_models, the path of the analyze and mc commands; their
 other arguments are what they sweep or gate on (SNRs, Rician factors,
-samples, seed, thresholds).
+samples, seed, thresholds).  The MC criteria take each SNR's closed form
+and samples from montecarlo.closed_form_and_mc, as the mc command does.
 """
 
 import math
@@ -19,8 +20,8 @@ from . import channel, montecarlo, solver
 from .asymptotics import (analyze_model, auto_rate_grid, build_b,
                           emi_deterministic, oracle_from_blocks, outage_curve,
                           variance_clt)
-from .montecarlo import (empirical_outage, ks_statistic, normalized_samples,
-                         qq_data, qq_slope, run_mc_grid, sample_channel,
+from .montecarlo import (closed_form_and_mc, empirical_outage, ks_statistic,
+                         normalized_samples, qq_data, qq_slope, sample_channel,
                          substream)
 from .normal import norm_cdf
 
@@ -43,29 +44,17 @@ class CriterionResult:
         return f"{self.name:<22} {self.measured:<34} {self.threshold:<30} {verdict}"
 
 
-def _closed_form_and_mc(cfg, snrs_db, samples, seed):
-    """(snr, closed-form stats, MC sample set) per SNR of cfg's channel.
-
-    One MC run serves every SNR: sample i is the same draw of H at each.
-    """
-    models = cfg.build_models(snrs_db)
-    sets = run_mc_grid(models[0][1], [model.zeta for _, model in models],
-                       samples, seed)
-    for (snr, model), ms in zip(models, sets):
-        yield snr, analyze_model(model, **cfg.solver_opts)[0], ms
-
-
 # ---------------------------------------------------------------------------
 # Criterion 1: fixed-point convergence at full scale
 # ---------------------------------------------------------------------------
 
 def check_convergence(cfg, snr_db=10.0, tol=1e-12, max_iter=10_000,
                       selfcons_tol=1e-10, time_limit_s=60.0) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     model = cfg.build_model(snr_db)
     sol, res = solver.solve_deltas(model, tol=tol, max_iter=max_iter)
     sc = solver.self_consistency_residual(model, sol, res)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = (sol.iterations < max_iter and sol.residual <= tol
           and sc <= selfcons_tol and elapsed < time_limit_s)
     return CriterionResult(
@@ -83,7 +72,7 @@ def check_convergence(cfg, snr_db=10.0, tol=1e-12, max_iter=10_000,
 
 def check_iid_closed_form(rhos=(0.1, 1.0, 10.0), size=16,
                           tol=1e-10) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     prof = channel.VarianceProfile(np.ones((size, size)))
     a = np.zeros((size, size))
@@ -98,7 +87,7 @@ def check_iid_closed_form(rhos=(0.1, 1.0, 10.0), size=16,
         passed=worst <= tol,
         measured=f"max |delta - closed form| = {worst:.2e}",
         threshold=f"<= {tol:g}",
-        runtime_s=time.time() - t0)
+        runtime_s=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +97,11 @@ def check_iid_closed_form(rhos=(0.1, 1.0, 10.0), size=16,
 def check_emi_vs_mc(cfg, snrs_db=(0.0, 10.0, 20.0), rician_ks=(0.0, 10.0),
                     samples=10_000, seed=11, rel_tol=0.01,
                     se_mult=SE_MULTIPLIER) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     for k in rician_ks:
-        sweep = _closed_form_and_mc(cfg.updated(channel={"rician_k": k}),
-                                    snrs_db, samples, seed)
+        sweep = closed_form_and_mc(cfg.updated(channel={"rician_k": k}),
+                                   snrs_db, samples, seed)
         for snr, stats, ms in sweep:
             rel = float(abs(ms.mean - stats.emi_nats) / abs(stats.emi_nats))
             se = math.sqrt(ms.variance / samples)
@@ -126,7 +115,7 @@ def check_emi_vs_mc(cfg, snrs_db=(0.0, 10.0, 20.0), rician_ks=(0.0, 10.0),
         passed=all(d["pass"] for d in details),
         measured=f"worst |mean-emi|/emi = {worst_rel:.4%}",
         threshold=f"<= {rel_tol:.0%} and within {se_mult:.0f} SE",
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
         details=details)
 
 
@@ -138,12 +127,12 @@ def chi2_ppf(p, dof):
 def check_variance_vs_mc(cfg, snrs_db=(0.0, 10.0, 20.0), rician_ks=(0.0, 10.0),
                          samples=100_000, seed=13, rel_tol=0.05,
                          se_mult=SE_MULTIPLIER) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     p_lo = norm_cdf(-se_mult)
     details = []
     for k in rician_ks:
-        sweep = _closed_form_and_mc(cfg.updated(channel={"rician_k": k}),
-                                    snrs_db, samples, seed)
+        sweep = closed_form_and_mc(cfg.updated(channel={"rician_k": k}),
+                                   snrs_db, samples, seed)
         for snr, stats, ms in sweep:
             s2 = ms.variance
             rel = float(abs(s2 - stats.variance) / stats.variance)
@@ -163,7 +152,7 @@ def check_variance_vs_mc(cfg, snrs_db=(0.0, 10.0, 20.0), rician_ks=(0.0, 10.0),
         passed=all(d["pass"] for d in details),
         measured=f"worst |s2-V|/V = {worst_rel:.4%}",
         threshold=f"<= {rel_tol:.0%} and inside chi2 band",
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
         details=details)
 
 
@@ -180,7 +169,7 @@ def _oracle_family_model(size, seed, rho=0.5):
 
 def check_appendix_oracle(sizes=(8, 16, 32), trials=3, seed=101,
                           final_rel_tol=0.05) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     mean_gap = {}
     final_ok = True
     details = []
@@ -206,7 +195,7 @@ def check_appendix_oracle(sizes=(8, 16, 32), trials=3, seed=101,
         passed=ok,
         measured=f"mean gaps {gaps_str}",
         threshold=f"decreasing, final <= {final_rel_tol:.0%} of V",
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
         details=details)
 
 
@@ -216,8 +205,8 @@ def check_appendix_oracle(sizes=(8, 16, 32), trials=3, seed=101,
 
 def check_gaussianity(cfg, snr_db=10.0, samples=100_000, seed=17,
                       ks_coef=1.95, slope_range=(0.97, 1.03)) -> CriterionResult:
-    t0 = time.time()
-    _, stats, ms = next(_closed_form_and_mc(cfg, [snr_db], samples, seed))
+    t0 = time.perf_counter()
+    [(_, stats, ms)] = closed_form_and_mc(cfg, [snr_db], samples, seed)
     norm = normalized_samples(ms, stats.emi_nats, stats.variance)
     ks = ks_statistic(norm)
     slope = qq_slope(qq_data(norm))
@@ -229,7 +218,7 @@ def check_gaussianity(cfg, snr_db=10.0, samples=100_000, seed=17,
         measured=f"ks={ks:.2e} slope={slope:.4f}",
         threshold=(f"ks <= {ks_limit:.2e}, slope in "
                    f"[{slope_range[0]}, {slope_range[1]}]"),
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
         details=[{"ks": ks, "slope": slope, "emi": stats.emi_nats,
                   "variance": stats.variance}])
 
@@ -240,10 +229,10 @@ def check_gaussianity(cfg, snr_db=10.0, samples=100_000, seed=17,
 
 def check_outage(cfg, snrs_db=(30.0, 31.0), samples=100_000, seed=19,
                  sup_tol=0.02) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     worst = 0.0
-    for snr, stats, ms in _closed_form_and_mc(cfg, snrs_db, samples, seed):
+    for snr, stats, ms in closed_form_and_mc(cfg, snrs_db, samples, seed):
         grid = auto_rate_grid(stats)
         probs = np.array([p for _, p in outage_curve(stats, grid)])
         sup = float(np.abs(probs - empirical_outage(ms, grid)).max())
@@ -255,7 +244,7 @@ def check_outage(cfg, snrs_db=(30.0, 31.0), samples=100_000, seed=19,
         passed=bool(worst <= sup_tol),
         measured=f"sup |Prop - empirical| = {worst:.4f}",
         threshold=f"<= {sup_tol}",
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
         details=details)
 
 
@@ -264,7 +253,7 @@ def check_outage(cfg, snrs_db=(30.0, 31.0), samples=100_000, seed=19,
 # ---------------------------------------------------------------------------
 
 def check_reductions(seed=23, tol=1e-10) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     msgs = []
     ok = True
@@ -321,7 +310,7 @@ def check_reductions(seed=23, tol=1e-10) -> CriterionResult:
         passed=ok,
         measured="; ".join(msgs),
         threshold=f"spreads <= {tol:g}, bit-identical H",
-        runtime_s=time.time() - t0)
+        runtime_s=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +378,7 @@ def _check_one_invariant_model(rng) -> list[str]:
 
 
 def check_invariants(num_models=200, seed=31) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     failures = []
     for idx in range(num_models):
@@ -401,7 +390,7 @@ def check_invariants(num_models=200, seed=31) -> CriterionResult:
         passed=not failures,
         measured=f"{len(failures)} failing models of {num_models}",
         threshold="zero failures",
-        runtime_s=time.time() - t0,
+        runtime_s=time.perf_counter() - t0,
         details=[{"model": i, "failures": f} for i, f in failures])
 
 

@@ -451,7 +451,7 @@ class TestConfigErrors:
             def no_memory(*args, **kwargs):
                 raise MemoryError("Unable to allocate 36.4 TiB")
 
-            monkeypatch.setattr("holo_rmt.cli.run_mc_grid", no_memory)
+            monkeypatch.setattr("holo_rmt.montecarlo.run_mc_grid", no_memory)
         cfg = small_config(tmp_path)
         out = tmp_path / "out"
         args = ["mc", "--config", str(cfg), "--out", str(out)]
@@ -471,6 +471,20 @@ class TestConfigErrors:
                                       "--out", str(tmp_path / "o")])
         assert result.exit_code == 3
         assert "numerical failure" in all_output(result)
+
+    def test_mc_solver_failure_exits_3_before_drawing(self, tmp_path):
+        # mc solves the closed form first: a failed solve draws no sample
+        # and writes no CSV.
+        doc = json.loads(small_config(tmp_path).read_text())
+        doc["solver"]["max_iter"] = 1
+        cfg = tmp_path / "hard.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["mc", "--config", str(cfg),
+                                      "--out", str(out)])
+        assert result.exit_code == 3, all_output(result)
+        assert "numerical failure" in all_output(result)
+        assert not list(out.glob("*.csv"))
 
 
 class TestMcCommand:
@@ -517,53 +531,42 @@ class TestMcCommand:
         assert entry["ks"] is None
 
     def test_analytic_deltas_when_analyze_present(self, tmp_path):
+        # A fresh --out gets the closed form analyze writes, to the bit.
         cfg = small_config(tmp_path)
-        out = tmp_path / "both"
-        assert runner.invoke(main, ["analyze", "--config", str(cfg),
-                                    "--out", str(out)]).exit_code == 0
+        assert runner.invoke(main, ["analyze", "--config", str(cfg), "--out",
+                                    str(tmp_path / "a")]).exit_code == 0
+        out = tmp_path / "fresh"
         result = runner.invoke(main, ["mc", "--config", str(cfg),
                                       "--out", str(out)])
         assert result.exit_code == 0, result.output
         entry = json.loads((out / "mc_summary.json").read_text())["entries"][0]
-        assert "analytic" in entry
+        ref = json.loads((tmp_path / "a" / "analyze.json").read_text())
+        ref = ref["results"][0]
+        assert entry["analytic"]["emi_nats"] == ref["emi_nats"]
+        assert entry["analytic"]["variance"] == ref["variance"]
+        assert entry["zeta"] == ref["zeta"]
         assert entry["analytic"]["mean_delta"] == pytest.approx(
             entry["mean"] - entry["analytic"]["emi_nats"], rel=1e-12)
         assert (out / entry["qq_csv"]).exists()
 
-    @pytest.mark.parametrize("content", [
-        '{"schema": 1, "results": [{"snr_db": 10.0}]}', "[1, 2]", "{",
-        "string emi", "nan variance", "other geometry"])
-    def test_unusable_analyze_json_exits_2(self, tmp_path, content):
-        # Checked before any sample is drawn: no CSV is written.
+    def test_analyze_json_in_out_is_ignored(self, tmp_path):
+        # The output depends on the config, flags and seed alone: a stray
+        # file, or another channel's analyze.json, changes no byte.
         cfg = small_config(tmp_path)
-        out = tmp_path / "out"
-        path = out / "analyze.json"
-        if content in ("string emi", "nan variance", "other geometry"):
-            if content == "other geometry":
-                doc = json.loads(cfg.read_text())
-                doc["geometry"]["rx_aperture"] = [0.03, 0.03]
-                prior = tmp_path / "wide.json"
-                prior.write_text(json.dumps(doc))
-            else:
-                prior = cfg
-            runner.invoke(main, ["analyze", "--config", str(prior),
-                                 "--out", str(out)], catch_exceptions=False)
-            doc = json.loads(path.read_text())
-            entry = doc["results"][0]
-            if content == "string emi":
-                entry["emi_nats"] = "1.0"
-            elif content == "nan variance":
-                entry["variance"] = float("nan")
-            path.write_text(json.dumps(doc))
-        else:
-            out.mkdir()
-            path.write_text(content)
-        result = runner.invoke(main, ["mc", "--config", str(cfg),
-                                      "--out", str(out), "--samples", "200"])
-        assert result.exit_code == 2, all_output(result)
-        assert str(path) in all_output(result)
-        assert "remove it or use another --out" in all_output(result)
-        assert not (out / "samples_snr10.csv").exists()
+        (tmp_path / "other").mkdir()
+        other = small_config(tmp_path / "other", kernel_a=16.0, rician_k=0.0)
+        outs = [tmp_path / name for name in ("fresh", "stray", "analyzed")]
+        outs[1].mkdir()
+        (outs[1] / "analyze.json").write_text("[1, 2]")
+        assert runner.invoke(main, ["analyze", "--config", str(other), "--out",
+                                    str(outs[2])]).exit_code == 0
+        for out in outs:
+            result = runner.invoke(main, ["mc", "--config", str(cfg),
+                                          "--out", str(out)])
+            assert result.exit_code == 0, all_output(result)
+        for name in ("mc_summary.json", "samples_snr10.csv", "qq_snr10.csv"):
+            fresh = (outs[0] / name).read_bytes()
+            assert all((out / name).read_bytes() == fresh for out in outs[1:])
 
     @pytest.mark.parametrize("snrs", ["10.0000001,10.0000002", "10,10"])
     def test_snrs_sharing_a_file_name_exit_2(self, tmp_path, snrs):
@@ -683,19 +686,26 @@ class TestValidateCommand:
         assert "PRE-FLIGHT" in all_output(result)
 
 
+def run_python(code, timeout=60):
+    """The standard output of ``code`` run in a fresh interpreter with this
+    checkout's ``src`` on PYTHONPATH; the run must exit 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"),
+         env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_stats_unloaded(self):
         # scipy is needed only by `validate`, which imports it on demand.
         code = ("import sys, holo_rmt.cli; "
                 "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(__file__).resolve().parent.parent / "src"),
-             env.get("PYTHONPATH", "")])
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        stdout = run_python(code)
+        assert stdout.strip() == "[]"
 
     def test_cli_import_leaves_mc_only_modules_unloaded(self):
         # `analyze` and `profile` never draw or hash samples: numpy.random
@@ -703,14 +713,8 @@ class TestImport:
         code = ("import sys, holo_rmt.cli; "
                 "print(sorted(k for k in sys.modules "
                 "if k == 'hashlib' or k.startswith('numpy.random')))")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(__file__).resolve().parent.parent / "src"),
-             env.get("PYTHONPATH", "")])
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        stdout = run_python(code)
+        assert stdout.strip() == "[]"
 
     def test_profile_leaves_numpy_ma_unloaded(self, tmp_path):
         # The n_eff median and the profile writer use plain arrays; numpy.ma
@@ -722,14 +726,8 @@ class TestImport:
         code = ("import sys; from holo_rmt.cli import main; "
                 f"main(['profile', '--config', {str(cfg)!r}, '--out', "
                 f"{str(out)!r}], standalone_mode=False); {names}")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(__file__).resolve().parent.parent / "src"),
-             env.get("PYTHONPATH", "")])
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        stdout = run_python(code, timeout=120)
+        assert stdout.strip().splitlines()[-1] == "[]"
         assert (out / "profile.json").exists()
 
     def test_cli_import_and_analyze_leave_jsonschema_unloaded(self, tmp_path):
@@ -743,14 +741,8 @@ class TestImport:
                 "from holo_rmt.cli import main; "
                 f"main(['analyze', '--config', {str(cfg)!r}, '--out', "
                 f"{str(out)!r}], standalone_mode=False); {names}")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(__file__).resolve().parent.parent / "src"),
-             env.get("PYTHONPATH", "")])
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.strip().splitlines()
+        stdout = run_python(code, timeout=120)
+        lines = stdout.strip().splitlines()
         assert lines[0] == lines[-1] == "[]"
         assert (out / "analyze.json").exists()
 
@@ -763,12 +755,6 @@ class TestImport:
                 f"{str(tmp_path / 'out')!r}, '--samples', '1100'], "
                 "standalone_mode=False); "
                 "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(__file__).resolve().parent.parent / "src"),
-             env.get("PYTHONPATH", "")])
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        stdout = run_python(code, timeout=120)
+        assert stdout.strip().splitlines()[-1] == "[]"
         assert (tmp_path / "out" / "mc_summary.json").exists()

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,18 @@ def test_overwrite_is_atomic_replace(tmp_path):
     matio.save_real_matrix(path, 2 * np.eye(2))
     assert np.array_equal(matio.load_real_matrix(path), 2 * np.eye(2))
     assert list(tmp_path.iterdir()) == [path]  # no stray temp files
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_file_takes_the_umask_mode(tmp_path, umask):
+    # The mode open() gives a new file, not the temp file's 0600.
+    previous = os.umask(umask)
+    try:
+        matio.save_json(tmp_path / "doc.json", {"a": 1})
+    finally:
+        os.umask(previous)
+    mode = stat.S_IMODE((tmp_path / "doc.json").stat().st_mode)
+    assert mode == 0o666 & ~umask
 
 
 def test_shape_validation(tmp_path):

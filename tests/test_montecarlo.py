@@ -156,11 +156,14 @@ class TestRunMc:
         assert abs(ms.mean - emi) <= 3 * se + 0.01 * emi
 
     def test_partition_invariance(self):
+        # Index ranges [0, 200) and [200, 400), drawn apart, are the full
+        # run; a shorter run is a prefix of a longer one.
         model = small_model(seed=5)
         full = run_mc(model, 400, seed=33)
-        first = run_mc(model, 200, seed=33, start_index=0)
-        second = run_mc(model, 200, seed=33, start_index=200)
-        merged = np.concatenate([first.samples, second.samples])
+        first = run_mc(model, 200, seed=33)
+        args = (model.los, model.profile.sqrt_entries(), [model.zeta], 33)
+        second = montecarlo._mi_range(*args, 200, 400)[0]
+        merged = np.concatenate([first.samples, second])
         assert np.array_equal(merged, full.samples)
         assert np.mean(merged) == pytest.approx(full.mean, rel=1e-9)
 
@@ -235,15 +238,18 @@ class TestRunMcGrid:
 
     def test_worker_split_identical_off_chunk_boundary(self, monkeypatch,
                                                        tmp_path):
-        model = small_model(seed=10)
+        # n = m = 37 works in blocks of 19: the parent draws [0, 550) and
+        # one forked worker [550, 1100), so the parent's range ends inside
+        # a block and the worker's blocks start off the parent's grid.
+        model = small_model(seed=10, n=37, m=37)
+        assert montecarlo._block_size(37, 37) == 19 and 550 % 19 != 0
         with_cpus(monkeypatch, 1, tmp_path)
-        one = run_mc_grid(model, [0.2, 2.0], 1100, seed=8, start_index=777)
+        one = run_mc_grid(model, [0.2, 2.0], 1100, seed=8)
         pids = with_cpus(monkeypatch, 2, tmp_path)
-        two = run_mc_grid(model, [0.2, 2.0], 1100, seed=8, start_index=777)
-        # The parent draws [777, 1327) and one forked worker [1327, 1877).
+        two = run_mc_grid(model, [0.2, 2.0], 1100, seed=8)
         drawn = pids()
-        assert drawn.pop(os.getpid()) == list(range(777, 1327))
-        assert list(drawn.values()) == [list(range(1327, 1877))]
+        assert drawn.pop(os.getpid()) == list(range(550))
+        assert list(drawn.values()) == [list(range(550, 1100))]
         for a, b in zip(one, two):
             assert np.array_equal(a.samples, b.samples)
 
@@ -251,22 +257,22 @@ class TestRunMcGrid:
         # One MI path: the engine's streamed draw and log-det reproduce
         # sample_channel + compute_mi exactly, not just to ulps.
         model = small_model(seed=11)
-        ms = run_mc(model, 40, seed=12, start_index=5)
-        manual = [compute_mi(sample_channel(model, substream(12, 5 + i)),
+        ms = run_mc(model, 40, seed=12)
+        manual = [compute_mi(sample_channel(model, substream(12, i)),
                              model.zeta) for i in range(40)]
         assert np.array_equal(ms.samples, manual)
 
     @pytest.mark.parametrize("n, m", [(9, 6), (6, 9), (37, 37)])
     def test_samples_across_block_edges_are_compute_mi(self, monkeypatch,
                                                        n, m):
-        # Two full blocks and a partial one, from an odd start: each sample
-        # is still sample_channel + compute_mi of its own index.
+        # Two full blocks and a partial one: each sample is still
+        # sample_channel + compute_mi of its own index.
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
         model = small_model(seed=12, n=n, m=m)
         samples = 2 * montecarlo._block_size(n, m) + 3
         zetas = [0.1, 2.0]
-        grid = run_mc_grid(model, zetas, samples, seed=19, start_index=1001)
-        draws = [sample_channel(model, substream(19, 1001 + i))
+        grid = run_mc_grid(model, zetas, samples, seed=19)
+        draws = [sample_channel(model, substream(19, i))
                  for i in range(samples)]
         for zeta, ms in zip(zetas, grid):
             assert np.array_equal(ms.samples,
