@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelModel
-from .errors import InvalidRegimeError
+from .errors import InvalidRegimeError, NumericalError
 from .normal import norm_cdf
 from .solver import DeltaSolution, Resolvents, solve_deltas
 
@@ -234,11 +234,20 @@ def analyze_model(model: ChannelModel, **solver_opts):
     """Solve the fixed point and return (stats, b_matrix); the solution is
     ``stats.solution``, and ``solver_opts`` (tol, max_iter) go to
     solve_deltas unchanged.
+
+    At a low enough SNR B is so small that -log det(I - B) rounds to 0 or
+    below; that is a NumericalError, not a variance.  (A B of zeros, which
+    no channel gives, has variance exactly 0 in ``variance_clt``.)
     """
     solution, res = solve_deltas(model, **solver_opts)
     emi = emi_deterministic(model, solution, res)
     b = build_b(model, solution, res)
     variance = variance_clt(b)
+    if not variance > 0:
+        raise NumericalError(
+            f"variance -log det(I - B) = {variance:.3g} at zeta = "
+            f"{model.zeta:.3e}: the SNR is too low for V to be resolved "
+            "in double precision")
     stats = AsymptoticStats(emi_nats=emi, variance=variance,
                             zeta=solution.rho, solution=solution)
     return stats, b

@@ -70,9 +70,14 @@ class VarianceProfile:
 
 
 def floor_count(matrix) -> int:
-    """Number of entries at or below the positivity floor PROFILE_FLOOR_REL * max."""
+    """Number of entries at or below the positivity floor PROFILE_FLOOR_REL * max.
+
+    The floor carries a 1e-9 relative slack: in outer(d, d~) a floored
+    factor entry times the largest other one lands within an ulp of the
+    floor, on either side as rounding falls, and counts as floored.
+    """
     m = np.asarray(matrix, dtype=float)
-    return int(np.count_nonzero(m <= PROFILE_FLOOR_REL * m.max()))
+    return int(np.count_nonzero(m <= PROFILE_FLOOR_REL * m.max() * (1 + 1e-9)))
 
 
 def effective_width(matrix):
@@ -118,82 +123,74 @@ def separable_profile(d, d_tilde):
 
 
 # ---------------------------------------------------------------------------
-# Isotropic separable profile: lattice-cell solid-angle quadrature
+# Isotropic separable profile: lattice-cell solid angles in closed form
 # ---------------------------------------------------------------------------
 
 # Cells are clipped to kz = sqrt(kappa^2 - kx^2 - ky^2) > CELL_CLIP_REL * kappa,
 # which keeps the integrand finite at the propagation-disk edge.
 CELL_CLIP_REL = 1e-6
 
-# Gauss-Legendre rule on [0, 1] for the outer (kx) integral of every cell.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
-
-
-def _outer_rule(a, e, bound):
-    """Gauss-Legendre rule for kx in [a, e], in t with kx = bound - t^2.
-
-    ``bound`` >= e is where the inner integral has a square-root branch
-    point; in t the integrand is smooth there.  Returns the weights (with
-    the Jacobian 2t) and bound^2 - kx^2 at the nodes, evaluated as
-    t^2 (bound + kx) so that it keeps full relative accuracy near the edge.
-    Empty intervals (a == e) get zero weights.
-    """
-    ta = np.sqrt(bound - a)[:, None]
-    te = np.sqrt(bound - e)[:, None]
-    t = te + (ta - te) * _GL_NODES
-    x = bound[:, None] - t * t
-    return 2.0 * t * (ta - te) * _GL_WEIGHTS, t * t * (bound[:, None] + x)
-
-
 def _cell_measures(x0, x1, y0, y1, kappa):
     """Integral of (kappa^2 - kx^2 - ky^2)^(-1/2) over each cell
-    [x0, x1] x [y0, y1] of the first quadrant (0 <= x0 <= x1, 0 <= y0 <= y1).
+    [x0, x1] x [y0, y1] of the first quadrant (0 <= x0 <= x1, 0 <= y0 <= y1),
+    in closed form.
 
-    The domain is clipped to kz > CELL_CLIP_REL * kappa, which bounds the
-    edge singularity.  Inner integral in closed form, for
-    c = sqrt(kappa^2 - kx^2): int dky / sqrt(c^2 - ky^2) = arcsin(ky / c),
-    taken as arctan2(ky, sqrt(c^2 - ky^2)) with c^2 - ky^2 formed without
-    cancellation.  The ky range is [y0, min(y1, s)], where s(kx) =
-    sqrt(kappa^2 - eps^2 - kx^2) is the clipped disk edge, so the kx range
-    splits at xk = sqrt(kappa^2 - eps^2 - y1^2), where s falls below y1, and
-    ends at xe = sqrt(kappa^2 - eps^2 - y0^2), where it falls below y0.
+    The domain is clipped to kz > eps = CELL_CLIP_REL * kappa, the disk
+    kx^2 + ky^2 <= r^2 = kappa^2 - eps^2, which bounds the edge
+    singularity.  Its edge crosses ky = y1 at xk and ky = y0 at xe: on
+    [x0, xk] ky spans [y0, y1], on [xk, xe] it spans [y0, sqrt(r^2 - kx^2)].
+    With s = sqrt(kappa^2 - x^2 - y^2) and q = sqrt(r^2 - x^2), both pieces
+    are differences of two antiderivatives at the interval ends:
 
-    The kx integral takes a fixed 64-point Gauss-Legendre rule on each side
-    of xk, the point where the disk edge enters the cell, mapped so that
-    the square-root behaviour at the edge is integrated smoothly.  Lattice
-    cells of apertures up to 100 wavelengths come out within about 1e-12
-    relative of an arbitrary-precision oracle, except a cell holding the
-    disk's kx-axis end (kappa, 0): there the rule does not resolve the
-    clip's own O(eps^2 / kappa) rounding of the edge (2e-11 relative for a
-    10-wavelength lattice).  Cells that meet the disk only at a point, or
-    not at all, measure exactly 0.
+        F(x, y) = int_0^x int_0^y = x atan2(y, s) + y atan2(x, s)
+                                    - kappa atan2(x y, kappa s),
+        H(x) = int_0^x acos(eps / sqrt(kappa^2 - t^2)) dt
+             = x atan2(q, eps) - eps atan2(x, q) + kappa atan2(x eps, kappa q).
+
+    Near x = kappa or y = kappa the terms are ~ pi kappa / 2 and cancel, so
+    atan(u) - atan(v) = atan((u - v) / (1 + u v)) folds each cancelling
+    pair into one small angle: F = x Dx + y Dy - (kappa - x - y) atan2(x y,
+    kappa s) with Dx = atan2(y s (kappa - x), kappa s^2 + x y^2) and Dy its
+    mirror, and H = x pi / 2 - G with G as in ``g_edge``.
+
+    Against a 40-digit evaluation over lattices of 1 to 100 wavelengths,
+    every cell is within 3e-13 of its lattice's largest cell; the (kappa, 0)
+    cells of the 10- and 99.01-wavelength lattices are within 1e-15 and
+    6e-14 relative.  Slivers lose relative accuracy only: (49, 10) of the
+    50.01-wavelength lattice, 3e-9 of the largest cell, is 1e-7 off.  A
+    cell that meets the disk at a point or not at all has empty intervals,
+    so each difference takes one point twice and is exactly 0.
     """
     x0, x1, y0, y1 = (np.atleast_1d(np.asarray(v, dtype=float))
                       for v in (x0, x1, y0, y1))
     eps = CELL_CLIP_REL * kappa
-    eps2 = eps * eps
-    r2 = kappa * kappa - eps2
+    r2 = kappa * kappa - eps * eps
     xk = np.sqrt(np.maximum(r2 - y1 * y1, 0.0))
     xe = np.sqrt(np.maximum(r2 - y0 * y0, 0.0))
-    y0c, y1c = y0[:, None], y1[:, None]
 
-    # kx in [x0, min(x1, xk)]: ky runs over the whole [y0, y1].
+    def f_corner(x, y):
+        s = np.sqrt(np.maximum(kappa * kappa - x * x - y * y, 0.0))
+        ks2 = kappa * s * s
+        return (x * np.arctan2(y * s * (kappa - x), ks2 + x * y * y)
+                + y * np.arctan2(x * s * (kappa - y), ks2 + x * x * y)
+                - (kappa - x - y) * np.arctan2(x * y, kappa * s))
+
+    def g_edge(x):
+        q = np.sqrt(np.maximum(r2 - x * x, 0.0))
+        return (x * np.arctan2(eps * q * (kappa - x),
+                               kappa * q * q + x * eps * eps)
+                - (kappa - x) * np.arctan2(x * eps, kappa * q)
+                + eps * np.arctan2(x, q))
+
     ea = np.minimum(x1, xk)
-    w, d = _outer_rule(np.minimum(x0, ea), ea, xk)     # d = xk^2 - kx^2
-    g1 = eps2 + d                                      # c^2 - y1^2
-    g0 = g1 + ((y1 - y0) * (y1 + y0))[:, None]         # c^2 - y0^2
-    inner = np.arctan2(y1c, np.sqrt(g1)) - np.arctan2(y0c, np.sqrt(g0))
-    total = (w * inner).sum(axis=1)
-
-    # kx in [max(x0, xk), min(x1, xe)]: ky runs over [y0, s(kx)].
+    a = np.minimum(x0, ea)
     eb = np.minimum(x1, xe)
-    w, d = _outer_rule(np.minimum(np.maximum(x0, xk), eb), eb, xe)
-    # d = xe^2 - kx^2 = s^2 - y0^2 = c^2 - eps^2 - y0^2.
-    inner = (np.arctan2(np.sqrt(y0c * y0c + d), eps)
-             - np.arctan2(y0c, np.sqrt(eps2 + d)))
-    return total + (w * inner).sum(axis=1)
+    b = np.minimum(np.maximum(x0, xk), eb)
+    full = ((f_corner(ea, y1) - f_corner(a, y1))
+            - (f_corner(ea, y0) - f_corner(a, y0)))
+    cut = ((eb - b) * (0.5 * np.pi) - (g_edge(eb) - g_edge(b))
+           - (f_corner(eb, y0) - f_corner(b, y0)))
+    return np.maximum(full + cut, 0.0)
 
 
 def _side_weights(lattice: WavenumberLattice, wavelength: float) -> np.ndarray:

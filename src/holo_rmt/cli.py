@@ -11,8 +11,9 @@
 Each command takes only the flags it reads; any other is a usage error.
 
 Exit codes: 0 success, 1 validation failure, 2 usage/config error (a
-failed allocation counts as one), 3 numerical failure.  All outputs are
-deterministic functions of the config file, flags and seed.
+failed allocation counts as one), 3 numerical failure (a LAPACK failure,
+or an SNR too low for the variance to be resolved, counts as one).  All
+outputs are deterministic functions of the config file, flags and seed.
 """
 
 import functools
@@ -100,7 +101,10 @@ def _guard(fn):
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
-        except (ConvergenceError, NumericalError) as exc:
+        except (ConvergenceError, NumericalError,
+                np.linalg.LinAlgError) as exc:
+            # LinAlgError subclasses ValueError: LAPACK failing is a
+            # numerical failure, not a config error.
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
         except HoloRmtError as exc:

@@ -240,8 +240,12 @@ class RunConfig:
                               "a synthetic LoS ('kind', 'rank', 'seed'), not both")
         if "path" not in los:
             los.setdefault("kind", defaults["channel"]["los"]["kind"])
-            los.setdefault("rank", 1)
-            los.setdefault("seed", 0)
+            if los["kind"] == "lowrank":
+                los.setdefault("rank", 1)
+                los.setdefault("seed", 0)
+            elif los.keys() & {"rank", "seed"}:
+                raise ConfigError("channel.los: 'rank' and 'seed' apply to "
+                                  "kind 'lowrank' only, not to 'single'")
         try:
             self.geometry = geometry.ArrayGeometry(
                 wavelength=self.doc["geometry"]["wavelength"],
@@ -320,7 +324,8 @@ class RunConfig:
                     f"LoS file shape {a.shape} does not match ({n_rx}, {n_tx})")
             return a
         return channel.synth_los(n_rx, n_tx, kind=los["kind"],
-                                 rank=int(los["rank"]), seed=int(los["seed"]))
+                                 **{k: int(los[k]) for k in ("rank", "seed")
+                                    if k in los})
 
     def build_models(self, snrs_db, profile=None, lattices=None):
         """(snr, model) for every SNR point, from one holographic model build.

@@ -58,8 +58,8 @@ class WavenumberLattice:
 
     Points are sorted lexicographically (by m_x, then m_y) so that matrix
     rows/columns indexed by the lattice are reproducible across runs.  The
-    generating aperture and wavelength are kept because downstream profile
-    quadrature needs the physical cell boundaries.
+    generating aperture and wavelength are kept because the profile's cell
+    measures need the physical cell boundaries.
     """
 
     points: tuple[tuple[int, int], ...]

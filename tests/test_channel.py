@@ -82,15 +82,33 @@ class TestIsotropicProfile:
         assert _cell_measures(0.0, h, 0.0, h, KAPPA)[0] == pytest.approx(
             val, rel=1e-10)
 
-    @pytest.mark.parametrize("cell", [(2, 5), (3, 9), (9, 4)])
+    @pytest.mark.parametrize("cell", [(2, 5, 10), (3, 9, 10), (9, 4, 10),
+                                      (9, 0, 10), (99, 0, 99.01)])
     def test_full_lattice_cells_against_mpmath(self, cell):
-        # 10-wavelength aperture (configs/full.json): (2, 5) is interior,
-        # (3, 9) and (9, 4) are cut by the disk edge.
-        h = 2 * math.pi / (10 * LAM)
-        mx, my = cell
+        # (mx, my, aperture in wavelengths).  At 10 wavelengths
+        # (configs/full.json) (2, 5) is interior, (3, 9) and (9, 4) are cut
+        # by the disk edge; (9, 0) and (99, 0) hold the disk's kx-axis end
+        # (kappa, 0).
+        mx, my, wavelengths = cell
+        h = 2 * math.pi / (wavelengths * LAM)
         box = (mx * h, (mx + 1) * h, my * h, (my + 1) * h)
         assert _cell_measures(*box, KAPPA)[0] == pytest.approx(
-            mpmath_cell_oracle(*box), rel=1e-9)
+            mpmath_cell_oracle(*box), rel=1e-13)
+
+    def test_sliver_cell_is_exact_relative_to_the_largest(self):
+        # (49, 10) of the 50.01-wavelength lattice clips a sliver of about
+        # 3e-9 of the largest cell off the disk edge: it may lose relative
+        # accuracy, but not absolute accuracy against the largest cell.
+        lat = enumerate_lattice(50.01 * LAM, 50.01 * LAM, LAM)
+        h = 2 * math.pi / (50.01 * LAM)
+        # Mirror cells repeat the first quadrant's measures.
+        cx, cy = np.array([p for p in lat.points if min(p) >= 0], dtype=float).T
+        largest = _cell_measures(cx * h, (cx + 1) * h, cy * h, (cy + 1) * h,
+                                 KAPPA).max()
+        box = (49 * h, 50 * h, 10 * h, 11 * h)
+        oracle = mpmath_cell_oracle(*box)
+        assert 0 < oracle < 1e-8 * largest
+        assert abs(_cell_measures(*box, KAPPA)[0] - oracle) <= 1e-13 * largest
 
     def test_five_point_lattice_weights_against_oracle(self):
         # L = wavelength: every cell touches the disk edge.  The coarse
@@ -150,6 +168,16 @@ class TestIsotropicProfile:
         floored = d <= PROFILE_FLOOR_REL * d.max() * (1 + 1e-12)
         assert np.array_equal(floored, w == 0.0)
         assert d[floored] == pytest.approx(PROFILE_FLOOR_REL * d.max(), rel=1e-12)
+
+    def test_floored_factor_rows_and_columns_count_whole(self):
+        # The four zero cells floor 4 rows and 4 columns of the 317 x 317
+        # outer(d, d~); entries against the largest factor entries sit
+        # within an ulp of the floor, whichever way their rounding falls.
+        lat = enumerate_lattice(10 * LAM, 10 * LAM, LAM)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            prof = profile_separable_isotropic(lat, lat, LAM)
+        assert floor_count(prof.matrix) == 2 * 4 * 317 - 4 * 4
 
     def test_floor_warning_counts_entries(self, desk):
         sep = desk["sep"]

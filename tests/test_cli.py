@@ -486,6 +486,37 @@ class TestConfigErrors:
         assert "numerical failure" in all_output(result)
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["analyze", "mc"])
+    def test_unresolved_low_snr_variance_exits_3(self, tmp_path, command):
+        # At -100 dB desk's -log det(I - B) rounds to -0: no variance, so
+        # no outage curve and no MC normalization, and mc draws nothing.
+        out = tmp_path / "o"
+        result = runner.invoke(main, [command, "--config", DESK_CONFIG,
+                                      "--out", str(out), "--snr-db=-100"])
+        assert result.exit_code == 3, all_output(result)
+        assert "SNR is too low for V to be resolved" in all_output(result)
+        assert not out.exists()
+
+    def test_lapack_failure_exits_3(self, tmp_path):
+        # At 3100 dB zeta is subnormal (1.9e-313) and LAPACK's least
+        # squares fails; LinAlgError is a ValueError, not a config error.
+        result = runner.invoke(main, ["analyze", "--config", DESK_CONFIG,
+                                      "--out", str(tmp_path / "o"),
+                                      "--snr-db", "3100"])
+        assert result.exit_code == 3, all_output(result)
+        assert "numerical failure" in all_output(result)
+        assert "config error" not in all_output(result)
+
+    def test_single_los_with_rank_or_seed_exits_2(self, tmp_path):
+        cfg = small_config(tmp_path, los={"kind": "single", "rank": 4,
+                                          "seed": 9})
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["analyze", "--config", str(cfg),
+                                      "--out", str(out)])
+        assert result.exit_code == 2, all_output(result)
+        assert "config error: channel.los" in all_output(result)
+        assert not out.exists()
+
 
 class TestMcCommand:
     def test_deterministic_csv_bytes(self, tmp_path):

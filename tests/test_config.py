@@ -93,6 +93,21 @@ class TestSchemaValidation:
             with pytest.raises(ConfigError, match="los.*path.*kind"):
                 RunConfig(doc)
 
+    def test_single_los_refuses_rank_and_seed(self):
+        # Without 'kind' the LoS is 'single', which has no rank or seed.
+        doc = make_doc()
+        for los in ({"kind": "single", "rank": 4}, {"seed": 9},
+                    {"kind": "single", "rank": 4, "seed": 9}):
+            doc["channel"] = {"profile": "separable", "los": los}
+            with pytest.raises(ConfigError, match="rank.*seed.*lowrank"):
+                RunConfig(doc)
+
+    def test_lowrank_los_defaults_filled(self):
+        doc = make_doc()
+        doc["channel"] = {"profile": "separable", "los": {"kind": "lowrank"}}
+        assert RunConfig(doc).doc["channel"]["los"] == {
+            "kind": "lowrank", "rank": 1, "seed": 0}
+
 
 class TestUpdated:
     def test_flag_values_go_through_the_schema(self):
@@ -117,6 +132,12 @@ class TestUpdated:
         assert new.mc_seed == 5
         assert new.mc_samples == cfg.mc_samples
 
+    def test_single_los_round_trips(self):
+        # validate's K sweep and separable variant go through updated().
+        new = RunConfig(make_doc()).updated(channel={"rician_k": 0.0,
+                                                     "profile": "separable"})
+        assert new.doc["channel"]["los"] == {"kind": "single"}
+
     def test_unknown_key_is_a_schema_violation(self):
         with pytest.raises(ConfigError, match="surprise"):
             RunConfig(make_doc()).updated(surprise={"x": 1})
@@ -138,7 +159,7 @@ class TestAccessors:
             ("mc", None, {"samples": 10_000, "seed": 2024}),
             ("channel", ("kernel_a", "rician_k", "los"),
              {"profile": "nonseparable", "kernel_a": 1.0, "rician_k": 10.0,
-              "los": {"kind": "single", "rank": 1, "seed": 0}}),
+              "los": {"kind": "single"}}),
         ]
         for section, fields, filled in cases:
             doc = make_doc()
