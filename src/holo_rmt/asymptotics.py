@@ -105,6 +105,30 @@ def abs2_factors(y: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f, g
 
 
+def _sigma_abs2_t_sigma(sigma: np.ndarray, res: Resolvents) -> np.ndarray:
+    """Sigma^T |T|^2 Sigma from T = diag(psi) - X^H X, with no N x N matrix.
+
+    |T|^2 is diag(t^2) plus the off-diagonal of |X^H X|^2, which lives on
+    the rows S where X is nonzero.  While |S| <= r^2 that |S| x |S| block is
+    formed directly, at no more cost than r^2 factor columns; a single LoS
+    has |S| = 1 and no off-diagonal at all.  Past that, |X^H X|^2 = F G^T
+    (abs2_factors) and its diagonal |x_i|^4 is taken off t^2: one
+    Sigma^T diag(.) Sigma product plus rank r^2.  That subtraction cancels
+    on rows where the LoS dominates T, so the support block keeps the
+    sparse LoS rows exact.
+    """
+    xh = res.x.conj().T
+    rows = np.flatnonzero(np.any(xh, axis=1))
+    if rows.size <= xh.shape[1] ** 2:
+        off = np.abs(xh[rows] @ xh[rows].conj().T) ** 2
+        np.fill_diagonal(off, 0.0)
+        s = sigma[rows]
+        return (sigma.T * res.t_diag ** 2) @ sigma + (s.T @ off) @ s
+    f, g = abs2_factors(xh, xh)
+    d = res.t_diag ** 2 - np.einsum("ik,ik->i", f, g)
+    return (sigma.T * d) @ sigma + (sigma.T @ f) @ (sigma.T @ g).T
+
+
 def build_b(model: ChannelModel, solution: DeltaSolution,
             res: Resolvents) -> BMatrix:
     """Assemble the four blocks of the variance matrix B.
@@ -118,9 +142,15 @@ def build_b(model: ChannelModel, solution: DeltaSolution,
     |w|^2, and the Gamma double trace to Sigma^T |T|^2 Sigma, because T is
     Hermitian.  The LoS factors A = P Q^H give W = (T P) Q^H and
     A^H T A = Q (P^H T P) Q^H; a centered channel (r = 0) gives Pi = Xi = 0.
-    Since |W|^2 has rank <= r^2 (abs2_factors), so has Pi; its factors are
-    kept when 2 r^2 <= M.  Past that width, building and using them costs
-    more than variance_clt's dense 2M x 2M log-det (measured at M = 317).
+
+    While 2 r^2 <= M no N x N matrix is formed: T P is ``Resolvents.tp()``,
+    |W|^2 has rank <= r^2 (abs2_factors), so Pi = U V^T with the factors
+    variance_clt uses, and Gamma comes from T's factors
+    (``_sigma_abs2_t_sigma``).  Xi takes |A^H T A|^2 entrywise from the
+    M x r product Q (P^H T P): its r^2 factors would cancel on the small
+    entries.  Past that width the factors cost more than the dense blocks
+    and variance_clt's dense 2M x 2M log-det (measured at M = 317), so T is
+    formed in full and no factors are kept.
     """
     m = model.dims[1]
     sigma = model.profile.matrix
@@ -128,19 +158,23 @@ def build_b(model: ChannelModel, solution: DeltaSolution,
     rho = solution.rho
     p, q = model.los_factors
 
-    t = res.t_dense()
-    tp = t @ p
-    w = tp @ q.conj().T                                # w[:, k] = T a_k
-    pi = (sigma.T @ (np.abs(w) ** 2)) / (m * one_plus_sq[None, :])
     pi_factors = None
     if 2 * p.shape[1] ** 2 <= m:
+        tp = res.tp()
         f, g = abs2_factors(tp, q)
         pi_factors = (sigma.T @ f / m, g / one_plus_sq[:, None])
+        pi = pi_factors[0] @ pi_factors[1].T
+        gamma = _sigma_abs2_t_sigma(sigma, res)
+    else:
+        t = res.t_dense()
+        tp = t @ p
+        w = tp @ q.conj().T                            # w[:, k] = T a_k
+        pi = (sigma.T @ (np.abs(w) ** 2)) / (m * one_plus_sq[None, :])
+        gamma = sigma.T @ (np.abs(t) ** 2) @ sigma
     gram = q @ (p.conj().T @ tp) @ q.conj().T          # a_j^H T a_k
     xi = np.abs(gram) ** 2 / np.outer(one_plus_sq, one_plus_sq)
     np.fill_diagonal(xi, 0.0)
-
-    gamma = sigma.T @ (np.abs(t) ** 2) @ sigma / m ** 2
+    gamma = gamma / m ** 2
     gamma = 0.5 * (gamma + gamma.T)
     lam = (rho * res.t_tilde_diag) ** 2
     return BMatrix(pi=np.ascontiguousarray(pi), xi=xi, gamma=gamma,

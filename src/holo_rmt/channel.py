@@ -272,9 +272,45 @@ def profile_nonseparable_gaussian(sep: VarianceProfile,
 # ---------------------------------------------------------------------------
 
 def check_zeta(zeta):
-    """Raise unless the noise parameter zeta is finite and positive."""
+    """Raise unless the noise parameter zeta is finite and positive, with a
+    finite reciprocal: the resolvents start from 1/zeta, and a zeta at or
+    below 1/(largest double) = 5.6e-309 would overflow it."""
     if not (math.isfinite(zeta) and zeta > 0):
         raise ValueError(f"zeta must be finite and positive, got {zeta}")
+    if math.isinf(1.0 / float(zeta)):
+        raise ValueError(
+            f"zeta = {zeta:.3g} is at or below 1/(largest double) = "
+            f"{1.0 / np.finfo(float).max:.3g}, so 1/zeta overflows; lower "
+            "the SNR (snr_db, --snr-db) or raise the noise power")
+
+
+def _support_factors(a):
+    """Thin factors (P, Q), A = P Q^H, from the SVD of A's support.
+
+    Only the rows and columns of A that hold a nonzero entry enter the SVD,
+    so a single LoS factors a 1 x 1 block.  The rank is decided with numpy's
+    ``matrix_rank`` tolerance taken on A's full shape, and the factors are
+    scattered back to N x r and M x r, zero outside the support.  They are
+    real when A is; A = 0 gives r = 0.
+    """
+    nonzero = a != 0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    full = rows.size == a.shape[0] and cols.size == a.shape[1]
+    block = a if full else a[np.ix_(rows, cols)]
+    u, s, vh = np.linalg.svd(block if np.any(np.imag(block)) else np.real(block),
+                             full_matrices=False)
+    norm = float(s[0]) if s.size else 0.0
+    if not np.isfinite(norm):
+        raise ValueError("LoS spectral norm must be finite")
+    r = int(np.count_nonzero(s > norm * max(a.shape) * np.finfo(float).eps))
+    p, q = u[:, :r] * s[:r], vh[:r].conj().T
+    if full:
+        return p, q
+    p_full = np.zeros((a.shape[0], r), dtype=p.dtype)
+    q_full = np.zeros((a.shape[1], r), dtype=q.dtype)
+    p_full[rows], q_full[cols] = p, q
+    return p_full, q_full
 
 
 @dataclass(frozen=True)
@@ -285,10 +321,10 @@ class ChannelModel:
     where the mutual information is computed, shaped like the profile;
     ``zeta`` the effective noise parameter.
 
-    ``los_factors`` = (P, Q) is the thin factorization A = P Q^H from the
-    SVD of A: Q has orthonormal columns and r = P.shape[1] is the numerical
-    rank of A (numpy's ``matrix_rank`` tolerance), 0 for a centered
-    channel.  The factors are real when A is.
+    ``los_factors`` = (P, Q) is the thin factorization A = P Q^H of
+    ``_support_factors``: Q has orthonormal columns and r = P.shape[1] is
+    the numerical rank of A (numpy's ``matrix_rank`` tolerance), 0 for a
+    centered channel.  The factors are real when A is.
     """
 
     los: np.ndarray
@@ -305,15 +341,8 @@ class ChannelModel:
         # LAPACK's SVD with singular vectors may never return on inf/nan.
         if not np.all(np.isfinite(a)):
             raise ValueError("LoS entries must be finite")
-        u, s, vh = np.linalg.svd(a if np.any(np.imag(a)) else np.real(a),
-                                 full_matrices=False)
-        norm = float(s[0])
-        if not np.isfinite(norm):
-            raise ValueError("LoS spectral norm must be finite")
-        r = int(np.count_nonzero(s > norm * max(a.shape) * np.finfo(float).eps))
         object.__setattr__(self, "los", np.array(a, dtype=complex))
-        object.__setattr__(self, "los_factors",
-                           (u[:, :r] * s[:r], vh[:r].conj().T))
+        object.__setattr__(self, "los_factors", _support_factors(a))
 
     def at_zeta(self, zeta):
         """This channel at noise parameter ``zeta``, sharing ``los``,

@@ -11,8 +11,9 @@
 Each command takes only the flags it reads; any other is a usage error.
 
 Exit codes: 0 success, 1 validation failure, 2 usage/config error (a
-failed allocation counts as one), 3 numerical failure (a LAPACK failure,
-or an SNR too low for the variance to be resolved, counts as one).  All
+failed allocation, or a zeta whose reciprocal overflows, counts as one),
+3 numerical failure (a LAPACK failure, or an SNR too low for the variance
+to be resolved, counts as one).  All
 outputs are deterministic functions of the config file, flags and seed.
 """
 

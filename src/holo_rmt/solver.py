@@ -40,7 +40,8 @@ Woodbury capacitance system: an iteration costs O(NM + (N + M) r^2), the
 two Sigma products included, against two dense O(N^3 + M^3) inverses.  A
 centered channel is the case r = 0, where T = diag(psi) and T~ =
 diag(psi~).  The solve keeps T and T~ factored; ``Resolvents`` forms the
-full matrices, in O(N^2 r + M^2 r), only when B or a check asks for them.
+full matrices, in O(N^2 r + M^2 r), only when a check, or B past the
+low-rank width, asks for them.
 """
 
 from collections import deque
@@ -75,6 +76,8 @@ class Resolvents:
     likewise with the r x M ``x_tilde``; ``t_diag`` and ``t_tilde_diag`` are
     their real diagonals.  Both are Hermitian positive definite by
     construction; ``t_dense()`` and ``t_tilde_dense()`` form them in full.
+    ``chol_w`` and ``chol_c`` are the r x r Cholesky factors L and chol(C)
+    of T's ``_woodbury``, from which ``tp()`` applies T to the LoS factor.
     """
 
     t_diag: np.ndarray
@@ -82,6 +85,18 @@ class Resolvents:
     x: np.ndarray
     x_tilde: np.ndarray
     logdet_t_inv: float
+    chol_w: np.ndarray
+    chol_c: np.ndarray
+
+    def tp(self) -> np.ndarray:
+        """T P for the LoS factor P, in O(N r^2 + r^3).
+
+        T V = psi V C^{-1} = X^H chol(C)^{-1}, so with V = P L,
+        T P = X^H (L chol(C))^{-1}.  It subtracts nothing, where
+        psi P - X^H (X P) cancels in the range of A as the SNR grows.
+        """
+        k = self.chol_w @ self.chol_c
+        return np.linalg.solve(k.conj().T, self.x).conj().T
 
     def t_dense(self) -> np.ndarray:
         return _full(self.t_diag, self.x)
@@ -108,17 +123,18 @@ def _woodbury(rho, own, other, p, q):
     (delta~, delta, P, Q) and T~ (delta, delta~, Q, P).  With
     L = chol(Q^H diag(weights) Q), V = P L and the r x r capacitance
     C = I + V^H diag(psi) V, Woodbury gives T = diag(psi) - X^H X with
-    X = chol(C)^{-1} V^H diag(psi).  Returns (diag T, X, chol(C), psi);
+    X = chol(C)^{-1} V^H diag(psi).  Returns (diag T, X, chol(C), psi, L);
     r = 0 leaves T = diag(psi).
     """
     psi = 1.0 / (rho * (1.0 + own))
     weights = 1.0 / (1.0 + other)
     r = p.shape[1]
-    v = p @ _cholesky(q.conj().T @ (weights[:, None] * q))
+    l = _cholesky(q.conj().T @ (weights[:, None] * q))
+    v = p @ l
     pvh = (psi[:, None] * v).conj().T
     lc = _cholesky(np.eye(r) + pvh @ v)
     x = np.linalg.solve(lc, pvh) if r else pvh
-    return psi - (np.abs(x) ** 2).sum(axis=0), x, lc, psi
+    return psi - (np.abs(x) ** 2).sum(axis=0), x, lc, psi, l
 
 
 def _logdet_inv(psi, lc):
@@ -143,9 +159,9 @@ def compute_resolvents(model: ChannelModel, delta, delta_tilde) -> Resolvents:
         raise ValueError("delta parameters must be entrywise positive")
     rho = model.zeta
     p, q = model.los_factors
-    t_diag, x, lc, psi = _woodbury(rho, delta_tilde, delta, p, q)
+    t_diag, x, lc, psi, l = _woodbury(rho, delta_tilde, delta, p, q)
     tt_diag, xt = _woodbury(rho, delta, delta_tilde, q, p)[:2]
-    return Resolvents(t_diag, tt_diag, x, xt, _logdet_inv(psi, lc))
+    return Resolvents(t_diag, tt_diag, x, xt, _logdet_inv(psi, lc), l, lc)
 
 
 def _gauss_seidel_map(model: ChannelModel):

@@ -42,6 +42,24 @@ def los_of_rank(rng, n, m, rank, complex_los):
     return a
 
 
+WIDTH_CASES = [(0, 19), (1, 19), (3, 18), (3, 17), (4, 32), (4, 31), (13, 19)]
+
+
+def assert_blocks_match_dense_t(model, sol, res, b):
+    m = model.dims[1]
+    sigma = model.profile.matrix
+    ops = (1.0 + sol.delta) ** 2
+    t = res.t_dense()
+    a = model.los
+    pi = sigma.T @ np.abs(t @ a) ** 2 / (m * ops[None, :])
+    xi = np.abs(a.conj().T @ t @ a) ** 2 / np.outer(ops, ops)
+    np.fill_diagonal(xi, 0.0)
+    gamma = sigma.T @ np.abs(t) ** 2 @ sigma / m ** 2
+    for got, ref in ((b.pi, pi), (b.xi, xi), (b.gamma, gamma)):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert b.full().min() >= 0.0
+
+
 def zero_b(m):
     return BMatrix(pi=np.zeros((m, m)), xi=np.zeros((m, m)),
                    gamma=np.zeros((m, m)), lambda_tilde=np.zeros(m))
@@ -149,8 +167,7 @@ class TestBuildB:
         np.testing.assert_allclose(f @ g.T, np.abs(y @ q.conj().T) ** 2,
                                    rtol=1e-13, atol=1e-15)
 
-    @pytest.mark.parametrize("rank, m", [(0, 19), (1, 19), (3, 18), (3, 17),
-                                         (4, 32), (4, 31), (13, 19)])
+    @pytest.mark.parametrize("rank, m", WIDTH_CASES)
     def test_pi_factors_width_and_product(self, rank, m):
         # r^2 factor columns while 2 r^2 <= M, else no factors.
         rng = np.random.default_rng(rank)
@@ -166,6 +183,32 @@ class TestBuildB:
         assert u.shape == v.shape == (m, rank ** 2)
         assert np.isrealobj(u) and np.isrealobj(v)
         np.testing.assert_allclose(u @ v.T, b.pi, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("rank, m", WIDTH_CASES)
+    def test_blocks_match_dense_t(self, rank, m):
+        # The blocks from the solve's factors (2 r^2 <= M) and from dense T
+        # (past it) both match B's formulas evaluated on dense T and A, to
+        # 1e-13 of each block's largest entry.
+        rng = np.random.default_rng(rank)
+        a = los_of_rank(rng, 13, m, rank, True)
+        model = build_weichselberger(a, VarianceProfile(0.2 + rng.random((13, m))),
+                                     0.5)
+        sol, res = solve_deltas(model)
+        assert_blocks_match_dense_t(model, sol, res, build_b(model, sol, res))
+
+    @pytest.mark.parametrize("rows", [[0], [3], [2, 7], [0, 4, 5, 11]])
+    def test_sparse_los_blocks_match_dense_t(self, rows):
+        # A rank-1 LoS on a few rows: one row takes Gamma's support block,
+        # more rows take its r^2 factors.
+        rng = np.random.default_rng(len(rows))
+        a = np.zeros((13, 11), dtype=complex)
+        a[rows] = np.outer(rng.normal(size=len(rows)) + 1j,
+                           rng.normal(size=11) - 0.5j)
+        a /= np.linalg.norm(a, 2)
+        model = build_weichselberger(a, VarianceProfile(0.2 + rng.random((13, 11))),
+                                     1e-4)
+        sol, res = solve_deltas(model)
+        assert_blocks_match_dense_t(model, sol, res, build_b(model, sol, res))
 
     def test_hand_built_blocks_take_dense_logdet(self):
         # No factors: variance_clt is the dense 2M x 2M log-det, bit for bit.

@@ -338,6 +338,19 @@ class TestBuilders:
             with pytest.raises(ValueError, match="zeta must be finite and positive"):
                 model.at_zeta(zeta)
 
+    def test_zeta_with_overflowing_reciprocal_refused(self):
+        prof = VarianceProfile(np.ones((2, 2)))
+        model = ChannelModel(los=np.zeros((2, 2)), profile=prof, zeta=1.0)
+        edge = 1.0 / np.finfo(float).max        # subnormal; 1/edge is inf
+        for zeta in (edge, 1.9e-313, 5e-324):
+            with pytest.raises(ValueError, match="1/zeta overflows"):
+                ChannelModel(los=np.zeros((2, 2)), profile=prof, zeta=zeta)
+            with pytest.raises(ValueError, match="1/zeta overflows"):
+                model.at_zeta(zeta)
+        smallest = float(np.nextafter(edge, 1.0))
+        assert math.isfinite(1.0 / smallest)
+        assert model.at_zeta(smallest).zeta == smallest
+
     def test_at_zeta_shares_the_channel(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
@@ -353,6 +366,65 @@ class TestBuilders:
         for zeta in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="zeta must be finite and positive"):
                 model.at_zeta(zeta)
+
+
+def full_svd_factors(a):
+    """Thin factors from the SVD of the whole of A, rank by matrix_rank's
+    tolerance."""
+    u, s, vh = np.linalg.svd(a if np.any(np.imag(a)) else np.real(a),
+                             full_matrices=False)
+    r = int(np.count_nonzero(s > s[0] * max(a.shape) * np.finfo(float).eps))
+    return u[:, :r] * s[:r], vh[:r].conj().T
+
+
+class TestSupportFactors:
+    """ChannelModel takes the SVD of A's nonzero rows and columns only."""
+
+    def model(self, a):
+        return ChannelModel(los=a, profile=VarianceProfile(np.ones(a.shape)),
+                            zeta=0.5)
+
+    @pytest.mark.parametrize("shape", [(37, 37), (317, 317), (13, 19)])
+    def test_single_los_factors_match_full_svd_bitwise(self, shape):
+        a = math.sqrt(10.0 / shape[1]) * synth_los(*shape, "single")
+        p, q = self.model(a).los_factors
+        p_ref, q_ref = full_svd_factors(a)
+        assert p.dtype == q.dtype == np.float64
+        assert np.array_equal(p, p_ref) and np.array_equal(q, q_ref)
+
+    @pytest.mark.parametrize("complex_los", [False, True])
+    def test_zero_rows_and_columns_keep_the_rank(self, complex_los):
+        rng = np.random.default_rng(8)
+        rows, cols = [1, 4, 5, 9], [0, 2, 7, 8, 11]
+        left, right = rng.normal(size=(4, 3)), rng.normal(size=(3, 5))
+        if complex_los:
+            left = left + 1j * rng.normal(size=(4, 3))
+            right = right + 1j * rng.normal(size=(3, 5))
+        block = left @ right
+        a = np.zeros((13, 17), dtype=block.dtype)
+        a[np.ix_(rows, cols)] = block / np.linalg.norm(block, 2)
+        p, q = self.model(a).los_factors
+        assert p.shape == (13, 3) and q.shape == (17, 3)
+        assert np.iscomplexobj(p) == complex_los
+        assert not np.any(np.delete(p, rows, axis=0))
+        assert not np.any(np.delete(q, cols, axis=0))
+        assert np.abs(p @ q.conj().T - a).max() <= 1e-15
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(3), atol=1e-15)
+
+    def test_zero_los_gives_real_empty_factors(self):
+        p, q = self.model(np.zeros((3, 4), dtype=complex)).los_factors
+        assert p.shape == (3, 0) and q.shape == (4, 0)
+        assert not np.iscomplexobj(p) and not np.iscomplexobj(q)
+
+    @pytest.mark.parametrize("complex_los", [False, True])
+    def test_dense_los_takes_the_full_svd(self, complex_los):
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(9, 7))
+        if complex_los:
+            a = a + 1j * rng.normal(size=(9, 7))
+        p, q = self.model(a).los_factors
+        p_ref, q_ref = full_svd_factors(a)
+        assert np.array_equal(p, p_ref) and np.array_equal(q, q_ref)
 
 
 def power_iteration_norm(a, iters=500, seed=0):

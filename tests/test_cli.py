@@ -121,10 +121,11 @@ class TestAnalyzeCommand:
         assert (m, m) in shapes
         assert max(max(shape) for shape in shapes) <= m
 
-    def test_dense_t_formed_once_and_t_tilde_never(self, tmp_path,
-                                                   monkeypatch):
-        # The solve keeps T and T~ factored: build_b forms dense T once per
-        # SNR, and nothing on the analyze path forms dense T~.
+    def test_analyze_forms_neither_t_nor_t_tilde_densely(self, tmp_path,
+                                                         monkeypatch):
+        # The solve keeps T and T~ factored, and build_b takes the single
+        # LoS's blocks from those factors: nothing on the analyze path
+        # forms dense T or T~.
         from holo_rmt import solver
         formed = []
 
@@ -143,7 +144,7 @@ class TestAnalyzeCommand:
                                       "--out", str(tmp_path / "o"),
                                       "--snr-db", "10"])
         assert result.exit_code == 0, all_output(result)
-        assert formed == ["T", "_full"]
+        assert formed == []
 
     def test_explicit_rates_respected(self, tmp_path):
         doc = json.loads(small_config(tmp_path).read_text())
@@ -497,15 +498,37 @@ class TestConfigErrors:
         assert "SNR is too low for V to be resolved" in all_output(result)
         assert not out.exists()
 
-    def test_lapack_failure_exits_3(self, tmp_path):
-        # At 3100 dB zeta is subnormal (1.9e-313) and LAPACK's least
-        # squares fails; LinAlgError is a ValueError, not a config error.
-        result = runner.invoke(main, ["analyze", "--config", DESK_CONFIG,
-                                      "--out", str(tmp_path / "o"),
-                                      "--snr-db", "3100"])
+    def test_lapack_failure_exits_3(self, tmp_path, monkeypatch):
+        # LinAlgError is a ValueError, but LAPACK failing is a numerical
+        # failure, not a config error.
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("LAPACK failed")
+
+        monkeypatch.setattr(np.linalg, "slogdet", failing)
+        result = runner.invoke(main, ["analyze", "--config",
+                                      str(small_config(tmp_path)),
+                                      "--out", str(tmp_path / "o")])
         assert result.exit_code == 3, all_output(result)
-        assert "numerical failure" in all_output(result)
+        assert "numerical failure: LAPACK failed" in all_output(result)
         assert "config error" not in all_output(result)
+
+    def test_zeta_with_overflowing_reciprocal_exits_2(self, tmp_path):
+        # At 3100 dB desk's zeta is subnormal (1.9e-313) and 1/zeta is inf:
+        # refused before the solve, so LAPACK never sees a NaN and prints
+        # nothing (its messages go to the process's stdout).
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "holo_rmt.cli", "analyze", "--config",
+             DESK_CONFIG, "--out", str(out), "--snr-db", "3100"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "config error: zeta = 1.88e-313" in proc.stderr
+        assert "1/zeta overflows" in proc.stderr
+        assert "DLASCL" not in proc.stdout + proc.stderr
+        assert not out.exists()
 
     def test_single_los_with_rank_or_seed_exits_2(self, tmp_path):
         cfg = small_config(tmp_path, los={"kind": "single", "rank": 4,

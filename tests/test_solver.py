@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -152,6 +153,25 @@ class TestAndersonAcceleration:
 
 
 class TestComputeResolvents:
+    def test_tp_keeps_rounding_level_at_high_snr(self, desk):
+        # T P against T from its definition at the solution, in 30 digits,
+        # for the factored A = P Q^H the solve uses.  On the rank-4 desk LoS
+        # at 70 dB, T P formed from dense T, or as psi P - X^H (X P), is
+        # about 1.5e-12 off; tp() subtracts nothing.
+        n, m = desk["nonsep"].shape
+        los = synth_los(n, m, "lowrank", rank=4, seed=701)
+        model = build_holographic(desk["geom"], desk["nonsep"], los, 10.0, 1e-7)
+        sol, res = solve_deltas(model)
+        p, q = model.los_factors
+        with mp.workdps(30):
+            a = mp.matrix(p.tolist()) * mp.matrix(q.tolist()).H
+            t_inv = a * mp.diag([1 / (1 + mp.mpf(d)) for d in sol.delta]) * a.H
+            for i, d in enumerate(sol.delta_tilde):
+                t_inv[i, i] += model.zeta * (1 + mp.mpf(d))
+            ref = mp.inverse(t_inv) * mp.matrix(p.tolist())
+            ref = np.array(ref.tolist(), dtype=complex)
+        assert np.abs(res.tp() - ref).max() <= 1e-14 * np.abs(ref).max()
+
     def test_centered_resolvent_is_diagonal(self):
         model = iid_model(3, 4, 2.0)
         delta = np.full(4, 0.3)
