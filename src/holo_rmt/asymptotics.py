@@ -143,14 +143,15 @@ def build_b(model: ChannelModel, solution: DeltaSolution,
     Hermitian.  The LoS factors A = P Q^H give W = (T P) Q^H and
     A^H T A = Q (P^H T P) Q^H; a centered channel (r = 0) gives Pi = Xi = 0.
 
-    While 2 r^2 <= M no N x N matrix is formed: T P is ``Resolvents.tp()``,
-    |W|^2 has rank <= r^2 (abs2_factors), so Pi = U V^T with the factors
-    variance_clt uses, and Gamma comes from T's factors
+    T P is ``Resolvents.tp()`` at every width: dense T @ P cancels in the
+    range of A as the SNR grows.  While 2 r^2 <= M no N x N matrix is
+    formed: |W|^2 has rank <= r^2 (abs2_factors), so Pi = U V^T with the
+    factors variance_clt uses, and Gamma comes from T's factors
     (``_sigma_abs2_t_sigma``).  Xi takes |A^H T A|^2 entrywise from the
     M x r product Q (P^H T P): its r^2 factors would cancel on the small
     entries.  Past that width the factors cost more than the dense blocks
     and variance_clt's dense 2M x 2M log-det (measured at M = 317), so T is
-    formed in full and no factors are kept.
+    formed in full for Gamma and no factors are kept.
     """
     m = model.dims[1]
     sigma = model.profile.matrix
@@ -159,18 +160,16 @@ def build_b(model: ChannelModel, solution: DeltaSolution,
     p, q = model.los_factors
 
     pi_factors = None
+    tp = res.tp()
     if 2 * p.shape[1] ** 2 <= m:
-        tp = res.tp()
         f, g = abs2_factors(tp, q)
         pi_factors = (sigma.T @ f / m, g / one_plus_sq[:, None])
         pi = pi_factors[0] @ pi_factors[1].T
         gamma = _sigma_abs2_t_sigma(sigma, res)
     else:
-        t = res.t_dense()
-        tp = t @ p
         w = tp @ q.conj().T                            # w[:, k] = T a_k
         pi = (sigma.T @ (np.abs(w) ** 2)) / (m * one_plus_sq[None, :])
-        gamma = sigma.T @ (np.abs(t) ** 2) @ sigma
+        gamma = sigma.T @ (np.abs(res.t_dense()) ** 2) @ sigma
     gram = q @ (p.conj().T @ tp) @ q.conj().T          # a_j^H T a_k
     xi = np.abs(gram) ** 2 / np.outer(one_plus_sq, one_plus_sq)
     np.fill_diagonal(xi, 0.0)

@@ -11,17 +11,16 @@
 Each command takes only the flags it reads; any other is a usage error.
 
 Exit codes: 0 success, 1 validation failure, 2 usage/config error (a
-failed allocation, or a zeta whose reciprocal overflows, counts as one),
-3 numerical failure (a LAPACK failure, or an SNR too low for the variance
-to be resolved, counts as one).  All
+failed allocation, a zeta whose reciprocal overflows, or an --out that
+cannot be written, counts as one), 3 numerical failure (a LAPACK failure,
+or an SNR too low for the variance to be resolved, counts as one).  All
 outputs are deterministic functions of the config file, flags and seed.
 """
 
-import functools
+import argparse
 import os
 import sys
 
-import click
 import numpy as np
 
 from . import matio
@@ -73,57 +72,18 @@ def _file_tags(snrs):
     return list(seen)
 
 
-def _common_options(fn):
-    fn = click.option("--config", "config_path", required=True,
-                      type=click.Path(exists=True, dir_okay=False),
-                      help="JSON run configuration.")(fn)
-    return click.option("--out", "out_dir", default=".", show_default=True,
-                        type=click.Path(file_okay=False),
-                        help="Output directory.")(fn)
+def _write(save, out_dir, name, data):
+    """``save(out_dir/name, data)``, creating ``out_dir`` first; the path.
 
-
-# Config overrides; each command declares the ones it reads.
-_seed_option = click.option("--seed", type=click.IntRange(0, 2**64 - 1),
-                            default=None, help="Override mc.seed.")
-_snr_db_option = click.option("--snr-db", default=None,
-                              help="Comma-separated SNR list overriding snr_db.")
-_samples_option = click.option("--samples", type=click.IntRange(min=1),
-                               default=None, help="Override mc.samples.")
-_tol_option = click.option("--tol", type=float, default=None,
-                           help="Override solver.tol.")
-
-
-def _guard(fn):
-    """Map package exceptions onto the documented exit codes."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
-        except (ConvergenceError, NumericalError,
-                np.linalg.LinAlgError) as exc:
-            # LinAlgError subclasses ValueError: LAPACK failing is a
-            # numerical failure, not a config error.
-            click.echo(f"numerical failure: {exc}", err=True)
-            sys.exit(EXIT_NUMERICAL)
-        except HoloRmtError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_VALIDATION)
-        except ValueError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
-        except MemoryError as exc:
-            click.echo(f"config error: out of memory ({exc}); lower "
-                       "mc.samples (--samples) or the apertures", err=True)
-            sys.exit(EXIT_CONFIG)
-    return wrapper
-
-
-@click.group()
-def main():
-    """Asymptotic MI statistics for non-centered non-separable MIMO channels."""
+    A path that cannot be written is a config error: --out names it.
+    """
+    path = os.path.join(out_dir, name)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        save(path, data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return path
 
 
 def _analyze_one(cfg, snr, model):
@@ -150,11 +110,6 @@ def _analyze_one(cfg, snr, model):
     }
 
 
-@main.command()
-@_common_options
-@_snr_db_option
-@_tol_option
-@_guard
 def analyze(config_path, out_dir, snr_db, tol):
     """Closed-form EMI, variance and outage curve for each configured SNR."""
     cfg = _load_config(config_path, snr_db=snr_db, tol=tol)
@@ -162,35 +117,26 @@ def analyze(config_path, out_dir, snr_db, tol):
     doc = {"schema": 1,
            "results": [_analyze_one(cfg, snr, model) for snr, model in models]}
     validate_document(doc, "analyze.schema.json")
-    os.makedirs(out_dir, exist_ok=True)
-    out_path = os.path.join(out_dir, "analyze.json")
-    matio.save_json(out_path, doc)
+    out_path = _write(matio.save_json, out_dir, "analyze.json", doc)
     for entry in doc["results"]:
-        click.echo(f"snr={entry['snr_db']:g} dB  zeta={entry['zeta']:.6e}  "
-                   f"emi={entry['emi_nats']:.6f} nats "
-                   f"({entry['emi_bits']:.3f} bits)  "
-                   f"variance={entry['variance']:.6e}")
-    click.echo(f"wrote {out_path}")
+        print(f"snr={entry['snr_db']:g} dB  zeta={entry['zeta']:.6e}  "
+              f"emi={entry['emi_nats']:.6f} nats "
+              f"({entry['emi_bits']:.3f} bits)  "
+              f"variance={entry['variance']:.6e}")
+    print(f"wrote {out_path}")
 
 
-@main.command()
-@_common_options
-@_snr_db_option
-@_seed_option
-@_samples_option
-@_guard
 def mc(config_path, out_dir, snr_db, seed, samples):
     """Monte-Carlo MI sampling against the closed form; writes per-SNR
     sample CSVs and a summary."""
     cfg = _load_config(config_path, seed=seed, snr_db=snr_db, samples=samples)
     tags = _file_tags(cfg.snr_db)
     runs = closed_form_and_mc(cfg, cfg.snr_db, cfg.mc_samples, cfg.mc_seed)
-    os.makedirs(out_dir, exist_ok=True)
 
     entries = []
     for tag, (snr, stats, ms) in zip(tags, runs):
         csv_name = f"samples_snr{tag}.csv"
-        matio.save_samples_csv(os.path.join(out_dir, csv_name), ms.samples)
+        _write(matio.save_samples_csv, out_dir, csv_name, ms.samples)
         entry = {"snr_db": float(snr), "zeta": stats.zeta,
                  "samples": ms.count, "seed": cfg.mc_seed,
                  "mean": ms.mean, "variance": ms.variance,
@@ -207,29 +153,18 @@ def mc(config_path, out_dir, snr_db, seed, samples):
             pairs = qq_data(norm)
             entry["qq_slope"] = qq_slope(pairs)
             qq_name = f"qq_snr{tag}.csv"
-            matio.save_qq_csv(os.path.join(out_dir, qq_name), pairs)
+            _write(matio.save_qq_csv, out_dir, qq_name, pairs)
             entry["qq_csv"] = qq_name
         entries.append(entry)
-        click.echo(f"snr={snr:g} dB  mean={ms.mean:.6f}  "
-                   f"var={ms.variance if ms.variance is not None else 'n/a'}  "
-                   f"ks={entry['ks']}")
+        print(f"snr={snr:g} dB  mean={ms.mean:.6f}  "
+              f"var={ms.variance if ms.variance is not None else 'n/a'}  "
+              f"ks={entry['ks']}")
 
     doc = {"schema": 1, "entries": entries}
     validate_document(doc, "mc_summary.schema.json")
-    out_path = os.path.join(out_dir, "mc_summary.json")
-    matio.save_json(out_path, doc)
-    click.echo(f"wrote {out_path}")
+    print(f"wrote {_write(matio.save_json, out_dir, 'mc_summary.json', doc)}")
 
 
-@main.command()
-@_common_options
-@_snr_db_option
-@_seed_option
-@_samples_option
-@_tol_option
-@click.option("--rel-tol-scale", type=float, default=1.0, show_default=True,
-              help="Scale the relative acceptance thresholds (smaller = stricter).")
-@_guard
 def validate(config_path, out_dir, snr_db, seed, samples, tol, rel_tol_scale):
     """Run the full criterion table at the configured size; exit 0 iff all pass."""
     # Imported here: validate pulls in scipy.special, which no other command
@@ -241,34 +176,29 @@ def validate(config_path, out_dir, snr_db, seed, samples, tol, rel_tol_scale):
     try:
         results = validate_mod.run_all(cfg, rel_tol_scale=rel_tol_scale)
     except AssumptionError as exc:
-        click.echo(f"PRE-FLIGHT FAIL: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
-    os.makedirs(out_dir, exist_ok=True)
+        print(f"PRE-FLIGHT FAIL: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     header = f"{'criterion':<22} {'measured':<34} {'threshold':<30} verdict"
-    click.echo(header)
-    click.echo("-" * len(header))
+    print(header)
+    print("-" * len(header))
     for res in results:
-        click.echo(res.row())
+        print(res.row())
     doc = {"schema": 1,
            "all_passed": all(r.passed for r in results),
            "criteria": [{"name": r.name, "passed": r.passed,
                          "measured": r.measured, "threshold": r.threshold,
                          "runtime_s": r.runtime_s} for r in results]}
-    matio.save_json(os.path.join(out_dir, "validate.json"), doc)
-    if not doc["all_passed"]:
-        sys.exit(EXIT_VALIDATION)
+    _write(matio.save_json, out_dir, "validate.json", doc)
+    return 0 if doc["all_passed"] else EXIT_VALIDATION
 
 
-@main.command()
-@_common_options
-@_guard
 def profile(config_path, out_dir):
     """Materialize the variance profile and wavenumber lattices to disk."""
     cfg = _load_config(config_path)
     lat_rx, lat_tx = cfg.lattices()
     prof = cfg.build_profile(lat_rx, lat_tx)
-    os.makedirs(out_dir, exist_ok=True)
-    matio.save_real_matrix(os.path.join(out_dir, "profile.json"), prof.matrix)
+    prof_path = _write(matio.save_real_matrix, out_dir, "profile.json",
+                       prof.matrix)
     lattice_doc = {
         "schema": 1,
         "rx": {"points": [list(p) for p in lat_rx.points], "n": lat_rx.n,
@@ -276,17 +206,121 @@ def profile(config_path, out_dir):
         "tx": {"points": [list(p) for p in lat_tx.points], "n": lat_tx.n,
                "estimate": lat_tx.estimate()},
     }
-    matio.save_json(os.path.join(out_dir, "lattice.json"), lattice_doc)
-    click.echo(f"n_R={lat_rx.n} (estimate {lat_rx.estimate()})   "
-               f"n_S={lat_tx.n} (estimate {lat_tx.estimate()})")
+    _write(matio.save_json, out_dir, "lattice.json", lattice_doc)
+    print(f"n_R={lat_rx.n} (estimate {lat_rx.estimate()})   "
+          f"n_S={lat_tx.n} (estimate {lat_tx.estimate()})")
     (row_min, row_med), (col_min, col_med) = effective_width(prof.matrix)
-    click.echo(f"profile={cfg.doc['channel']['profile']} shape={prof.shape} "
-               f"sum={prof.matrix.sum():.6e} "
-               f"floored={floor_count(prof.matrix)} of {prof.matrix.size} "
-               f"n_eff min/median rows={row_min:.2f}/{row_med:.2f} "
-               f"cols={col_min:.2f}/{col_med:.2f}")
-    click.echo(f"wrote {os.path.join(out_dir, 'profile.json')} and lattice.json")
+    print(f"profile={cfg.doc['channel']['profile']} shape={prof.shape} "
+          f"sum={prof.matrix.sum():.6e} "
+          f"floored={floor_count(prof.matrix)} of {prof.matrix.size} "
+          f"n_eff min/median rows={row_min:.2f}/{row_med:.2f} "
+          f"cols={col_min:.2f}/{col_med:.2f}")
+    print(f"wrote {prof_path} and lattice.json")
+
+
+def _config_file(path):
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    return path
+
+
+def _out_dir(path):
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"directory {path!r} is a file")
+    return path
+
+
+# Every flag takes a value.  The bounds on --seed and --samples are the
+# config schema's, checked with the overridden configuration.
+FLAGS = {
+    "--config": dict(dest="config_path", required=True, type=_config_file,
+                     metavar="PATH", help="JSON run configuration."),
+    "--out": dict(dest="out_dir", default=".", type=_out_dir, metavar="DIR",
+                  help="Output directory (default: .)."),
+    "--snr-db": dict(metavar="LIST",
+                     help="Comma-separated SNR list overriding snr_db."),
+    "--seed": dict(type=int, metavar="U64", help="Override mc.seed."),
+    "--samples": dict(type=int, metavar="N", help="Override mc.samples."),
+    "--tol": dict(type=float, metavar="F", help="Override solver.tol."),
+    "--rel-tol-scale": dict(type=float, default=1.0, metavar="F",
+                            help="Scale the relative acceptance thresholds "
+                                 "(smaller = stricter; default: 1.0)."),
+}
+
+# Each command with the config overrides it reads.
+COMMANDS = {
+    "profile": (profile, ()),
+    "analyze": (analyze, ("--snr-db", "--tol")),
+    "mc": (mc, ("--snr-db", "--seed", "--samples")),
+    "validate": (validate, ("--snr-db", "--seed", "--samples", "--tol",
+                            "--rel-tol-scale")),
+}
+
+
+def _parser():
+    """The ``holo-rmt`` parser and its subparser for each command."""
+    parser = argparse.ArgumentParser(
+        prog="holo-rmt", add_help=False, allow_abbrev=False,
+        description="Asymptotic MI statistics for non-centered "
+                    "non-separable MIMO channels.")
+    parser.add_argument("--help", action="help",
+                        help="Show this message and exit.")
+    subparsers = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                       required=True)
+    for name, (command, reads) in COMMANDS.items():
+        doc = " ".join(command.__doc__.split())
+        sub = subparsers.add_parser(name, add_help=False, allow_abbrev=False,
+                                    help=doc, description=doc)
+        for flag in ("--config", "--out", *reads):
+            sub.add_argument(flag, **FLAGS[flag])
+        sub.add_argument("--help", action="help",
+                         help="Show this message and exit.")
+    return parser, subparsers.choices
+
+
+def _joined(argv):
+    """``argv`` with each ``--flag value`` written ``--flag=value``.
+
+    argparse reads a token that starts with '-' as a flag unless it is one
+    plain negative number, so ``--snr-db -10,0`` or ``--tol -1e-3`` would
+    lose their values; joined, the token after a flag is always its value.
+    """
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in FLAGS else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
+def main(argv=None):
+    """The ``holo-rmt`` entry point: run one command; its exit code."""
+    parser, _ = _parser()
+    try:
+        args = vars(parser.parse_args(
+            _joined(sys.argv[1:] if argv is None else argv)))
+    except SystemExit as exc:  # --help, or a usage error argparse printed
+        return exc.code
+    command, _ = COMMANDS[args.pop("command")]
+    try:
+        return command(**args) or 0
+    except ConfigError as exc:
+        message, code = f"config error: {exc}", EXIT_CONFIG
+    except (ConvergenceError, NumericalError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError: LAPACK failing is a numerical
+        # failure, not a config error.
+        message, code = f"numerical failure: {exc}", EXIT_NUMERICAL
+    except HoloRmtError as exc:
+        message, code = f"error: {exc}", EXIT_VALIDATION
+    except ValueError as exc:
+        message, code = f"config error: {exc}", EXIT_CONFIG
+    except MemoryError as exc:
+        message, code = (f"config error: out of memory ({exc}); lower "
+                         "mc.samples (--samples) or the apertures", EXIT_CONFIG)
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

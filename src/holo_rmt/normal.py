@@ -6,14 +6,13 @@ library's rational minimax approximation, |abs err| < 1e-15), which keeps
 full relative precision in the lower tail where ``NormalDist.cdf``, built
 on ``erf``, does not.  The inverse CDF is ``statistics.NormalDist``'s
 (Wichura's AS241 algorithm, accurate to about 1e-16 relative).
+``statistics`` loads ``fractions`` and ``decimal`` with it, so it is
+imported on the first inverse-CDF call, not with the package.
 """
 
 import math
-from statistics import NormalDist
 
 import numpy as np
-
-_STANDARD = NormalDist()
 
 
 def norm_cdf(x):
@@ -25,20 +24,23 @@ def norm_cdf(x):
     return out
 
 
-def _inv_scalar(p):
-    if not 0.0 < p < 1.0:
-        if p == 0.0:
-            return -math.inf
-        if p == 1.0:
-            return math.inf
-        raise ValueError(f"probability out of range: {p}")
-    return _STANDARD.inv_cdf(p)
-
-
 def norm_inv_cdf(p):
     """Inverse standard normal CDF (quantile function)."""
+    from statistics import NormalDist
+
+    inv_cdf = NormalDist().inv_cdf
+
+    def scalar(q):
+        if 0.0 < q < 1.0:
+            return inv_cdf(q)
+        if q == 0.0:
+            return -math.inf
+        if q == 1.0:
+            return math.inf
+        raise ValueError(f"probability out of range: {q}")
+
     arr = np.asarray(p, dtype=float)
-    out = np.vectorize(_inv_scalar)(arr)
+    out = np.vectorize(scalar)(arr)
     if np.isscalar(p) or arr.ndim == 0:
         return float(out)
     return out

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import warnings
+from typing import NamedTuple
 
 import pytest
 
 from holo_rmt import channel, geometry
+from holo_rmt.cli import main
 
 
 def desk_geometry(aperture_wavelengths: float = 3.38,
@@ -19,6 +23,21 @@ def desk_geometry(aperture_wavelengths: float = 3.38,
         wavelength=lam, tx_aperture=(side, side), rx_aperture=(side, side),
         tx_spacing=lam / 4, rx_spacing=lam / 4,
         antenna_area=lam ** 2 / 64, antenna_efficiency=0.6)
+
+
+class CliRun(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(argv):
+    """``holo-rmt`` run in this process on ``argv``: its exit code and what
+    it printed to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return CliRun(code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture(scope="session")

@@ -7,25 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from conftest import run_cli
 
 DESK_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "desk.json")
 
-from holo_rmt import matio
-from holo_rmt.cli import main
+from holo_rmt import cli, matio
+from holo_rmt.cli import COMMANDS, _parser
 from holo_rmt.config import DEFAULT_CONFIG, RunConfig, validate_document
-
-runner = CliRunner()
+from holo_rmt.errors import ConfigError
 
 
 def all_output(result):
-    """stdout plus stderr regardless of the click version's capture mode."""
-    text = result.output
-    try:
-        text += result.stderr
-    except (ValueError, AttributeError):
-        pass
-    return text
+    return result.stdout + result.stderr
 
 
 def small_config(tmp_path, **channel_overrides):
@@ -46,9 +39,9 @@ class TestAnalyzeCommand:
     def test_writes_schema_valid_results(self, tmp_path):
         cfg = small_config(tmp_path)
         out = tmp_path / "out"
-        result = runner.invoke(main, ["analyze", "--config", str(cfg),
-                                      "--out", str(out)])
-        assert result.exit_code == 0, result.output
+        result = run_cli(["analyze", "--config", str(cfg),
+                          "--out", str(out)])
+        assert result.exit_code == 0, result.stdout
         doc = json.loads((out / "analyze.json").read_text())
         validate_document(doc, "analyze.schema.json")
         entry = doc["results"][0]
@@ -66,9 +59,8 @@ class TestAnalyzeCommand:
                     {"kind": "lowrank", "rank": 4, "seed": 701}):
             cfg_path = small_config(tmp_path, los=los)
             out = tmp_path / los["kind"]
-            runner.invoke(main, ["analyze", "--config", str(cfg_path),
-                                 "--out", str(out), "--snr-db", "0,10,20,40"],
-                          catch_exceptions=False)
+            run_cli(["analyze", "--config", str(cfg_path),
+                     "--out", str(out), "--snr-db", "0,10,20,40"])
             doc = json.loads((out / "analyze.json").read_text())
             cfg = RunConfig.from_file(cfg_path)
             assert [e["snr_db"] for e in doc["results"]] == snrs
@@ -93,9 +85,9 @@ class TestAnalyzeCommand:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         cfg = small_config(tmp_path, los={"kind": "lowrank", "rank": 4,
                                           "seed": 701})
-        result = runner.invoke(main, ["analyze", "--config", str(cfg),
-                                      "--out", str(tmp_path / "o"),
-                                      "--snr-db", "0,10,20,30"])
+        result = run_cli(["analyze", "--config", str(cfg),
+                          "--out", str(tmp_path / "o"),
+                          "--snr-db", "0,10,20,30"])
         assert result.exit_code == 0, all_output(result)
         assert len(calls) == 1
 
@@ -111,9 +103,9 @@ class TestAnalyzeCommand:
 
         monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
         full = str(Path(DESK_CONFIG).with_name("full.json"))
-        result = runner.invoke(main, ["analyze", "--config", full,
-                                      "--out", str(tmp_path / "o"),
-                                      "--snr-db", "10"])
+        result = run_cli(["analyze", "--config", full,
+                          "--out", str(tmp_path / "o"),
+                          "--snr-db", "10"])
         assert result.exit_code == 0, all_output(result)
         doc = json.loads((tmp_path / "o" / "analyze.json").read_text())
         m = doc["results"][0]["b_dims"][0] // 2
@@ -140,9 +132,9 @@ class TestAnalyzeCommand:
         for label, name in (("T", "t_dense"), ("T~", "t_tilde_dense")):
             monkeypatch.setattr(cls, name, recording(label, getattr(cls, name)))
         full_cfg = str(Path(DESK_CONFIG).with_name("full.json"))
-        result = runner.invoke(main, ["analyze", "--config", full_cfg,
-                                      "--out", str(tmp_path / "o"),
-                                      "--snr-db", "10"])
+        result = run_cli(["analyze", "--config", full_cfg,
+                          "--out", str(tmp_path / "o"),
+                          "--snr-db", "10"])
         assert result.exit_code == 0, all_output(result)
         assert formed == []
 
@@ -152,8 +144,8 @@ class TestAnalyzeCommand:
         cfg = tmp_path / "cfg2.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "out2"
-        result = runner.invoke(main, ["analyze", "--config", str(cfg),
-                                      "--out", str(out)])
+        result = run_cli(["analyze", "--config", str(cfg),
+                          "--out", str(out)])
         assert result.exit_code == 0
         entry = json.loads((out / "analyze.json").read_text())["results"][0]
         assert [o["rate"] for o in entry["outage"]] == [1.0, 2.0, 3.0]
@@ -161,8 +153,8 @@ class TestAnalyzeCommand:
     def test_snr_override_flag(self, tmp_path):
         cfg = small_config(tmp_path)
         out = tmp_path / "out3"
-        result = runner.invoke(main, ["analyze", "--config", str(cfg),
-                                      "--out", str(out), "--snr-db", "0,5"])
+        result = run_cli(["analyze", "--config", str(cfg),
+                          "--out", str(out), "--snr-db", "0,5"])
         assert result.exit_code == 0
         doc = json.loads((out / "analyze.json").read_text())
         assert [e["snr_db"] for e in doc["results"]] == [0.0, 5.0]
@@ -183,8 +175,8 @@ class TestAnalyzeCommand:
         cfg = tmp_path / "iid.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "iid_out"
-        result = runner.invoke(main, ["analyze", "--config", str(cfg),
-                                      "--out", str(out)])
+        result = run_cli(["analyze", "--config", str(cfg),
+                          "--out", str(out)])
         assert result.exit_code == 0, all_output(result)
         entry = json.loads((out / "analyze.json").read_text())["results"][0]
         zeta = effective_zeta(cfg0.geometry, 0.1)
@@ -195,8 +187,8 @@ class TestAnalyzeCommand:
 
     def test_desk_converges_at_80_db(self, tmp_path):
         out = tmp_path / "hi"
-        result = runner.invoke(main, ["analyze", "--config", DESK_CONFIG,
-                                      "--out", str(out), "--snr-db", "80"])
+        result = run_cli(["analyze", "--config", DESK_CONFIG,
+                          "--out", str(out), "--snr-db", "80"])
         assert result.exit_code == 0, all_output(result)
         entry = json.loads((out / "analyze.json").read_text())["results"][0]
         max_iter = json.loads(Path(DESK_CONFIG).read_text())["solver"]["max_iter"]
@@ -207,7 +199,7 @@ class TestConfigErrors:
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
-        result = runner.invoke(main, ["analyze", "--config", str(bad)])
+        result = run_cli(["analyze", "--config", str(bad)])
         assert result.exit_code == 2
 
     def test_unknown_key_exits_2(self, tmp_path):
@@ -215,12 +207,12 @@ class TestConfigErrors:
         doc["mystery"] = True
         bad = tmp_path / "bad2.json"
         bad.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["analyze", "--config", str(bad)])
+        result = run_cli(["analyze", "--config", str(bad)])
         assert result.exit_code == 2
         assert "schema violation" in all_output(result)
 
     def test_missing_file_exits_2(self):
-        result = runner.invoke(main, ["analyze", "--config", "missing.json"])
+        result = run_cli(["analyze", "--config", "missing.json"])
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("command", ["analyze", "mc", "validate"])
@@ -234,8 +226,8 @@ class TestConfigErrors:
                              ("", "schema violation at snr_db: [] should be "
                                   "non-empty")):
             out = tmp_path / f"{command}{snr}"
-            result = runner.invoke(main, [command, "--config", str(cfg),
-                                          "--out", str(out), f"--snr-db={snr}"])
+            result = run_cli([command, "--config", str(cfg),
+                              "--out", str(out), f"--snr-db={snr}"])
             assert result.exit_code == 2, all_output(result)
             assert message in all_output(result)
             assert not out.exists()
@@ -252,8 +244,8 @@ class TestConfigErrors:
                              ("0", "schema violation at solver/tol")):
             for command in ("analyze", "validate"):
                 out = tmp_path / f"{command}{tol}"
-                result = runner.invoke(main, [command, "--config", str(cfg),
-                                              "--out", str(out), "--tol", tol])
+                result = run_cli([command, "--config", str(cfg),
+                                  "--out", str(out), "--tol", tol])
                 assert result.exit_code == 2, all_output(result)
                 assert message in all_output(result), (command, tol)
                 assert "PRE-FLIGHT" not in all_output(result)
@@ -264,12 +256,12 @@ class TestConfigErrors:
         doc["solver"] = {"tol": -1.0}
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        flag = runner.invoke(main, ["analyze", "--config",
-                                    str(small_config(tmp_path)),
-                                    "--out", str(tmp_path / "a"),
-                                    "--tol", "-1"])
-        file = runner.invoke(main, ["analyze", "--config", str(bad),
-                                    "--out", str(tmp_path / "b")])
+        flag = run_cli(["analyze", "--config",
+                        str(small_config(tmp_path)),
+                        "--out", str(tmp_path / "a"),
+                        "--tol", "-1"])
+        file = run_cli(["analyze", "--config", str(bad),
+                        "--out", str(tmp_path / "b")])
         assert flag.exit_code == file.exit_code == 2
         assert all_output(flag) == all_output(file)
 
@@ -282,18 +274,20 @@ class TestConfigErrors:
     ])
     def test_command_takes_only_the_flags_it_reads(self, tmp_path, command,
                                                    reads):
-        declared = {opt for p in main.commands[command].params for opt in p.opts}
-        assert declared == {"--config", "--out", *reads}
+        _, commands = _parser()
+        declared = {opt for action in commands[command]._actions
+                    for opt in action.option_strings}
+        assert declared == {"--config", "--out", "--help", *reads}
         cfg = small_config(tmp_path)
         for flag, value in (("--seed", "5"), ("--snr-db", "99"),
                             ("--samples", "1"), ("--tol", "-1")):
             if flag in reads:
                 continue
             out = tmp_path / f"out{flag}"
-            result = runner.invoke(main, [command, "--config", str(cfg),
-                                          "--out", str(out), flag, value])
+            result = run_cli([command, "--config", str(cfg),
+                              "--out", str(out), flag, value])
             assert result.exit_code == 2, all_output(result)
-            assert "No such option" in all_output(result)
+            assert "unrecognized arguments" in all_output(result)
             assert flag in all_output(result)
             assert not out.exists()
 
@@ -305,8 +299,8 @@ class TestConfigErrors:
         cfg.write_text(json.dumps(doc))
         assert "Infinity" in cfg.read_text()
         out = tmp_path / "out"
-        result = runner.invoke(main, ["analyze", "--config", str(cfg),
-                                      "--out", str(out)])
+        result = run_cli(["analyze", "--config", str(cfg),
+                          "--out", str(out)])
         assert result.exit_code == 2, all_output(result)
         assert "tol must be positive and finite" in all_output(result)
         assert not (out / "analyze.json").exists()
@@ -322,8 +316,8 @@ class TestConfigErrors:
         doc["geometry"][field] = value
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "out"
-        result = runner.invoke(main, [command, "--config", str(cfg),
-                                      "--out", str(out)])
+        result = run_cli([command, "--config", str(cfg),
+                          "--out", str(out)])
         assert result.exit_code == 2, all_output(result)
         assert ("invalid geometry: all geometry lengths must be finite"
                 in all_output(result))
@@ -343,8 +337,8 @@ class TestConfigErrors:
         cfg.write_text(json.dumps(doc))
         for command in ("analyze", "mc"):
             out = tmp_path / command
-            result = runner.invoke(main, [command, "--config", str(cfg),
-                                          "--out", str(out)])
+            result = run_cli([command, "--config", str(cfg),
+                              "--out", str(out)])
             assert result.exit_code == 2, all_output(result)
             assert (f"config error: {where} must be finite, got an integer "
                     "beyond the float range") in all_output(result)
@@ -358,8 +352,8 @@ class TestConfigErrors:
         doc["rates"] = rates
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "out"
-        result = runner.invoke(main, ["analyze", "--config", str(cfg),
-                                      "--out", str(out)])
+        result = run_cli(["analyze", "--config", str(cfg),
+                          "--out", str(out)])
         assert result.exit_code == 2, all_output(result)
         assert "rates must be finite" in all_output(result)
         assert not out.exists()
@@ -379,8 +373,8 @@ class TestConfigErrors:
             commands.append("profile")
         for command in commands:
             out = tmp_path / command
-            result = runner.invoke(main, [command, "--config", str(cfg),
-                                          "--out", str(out)])
+            result = run_cli([command, "--config", str(cfg),
+                              "--out", str(out)])
             assert result.exit_code == 2, all_output(result)
             assert "config error: cannot read" in all_output(result)
             assert str(path) in all_output(result)
@@ -397,8 +391,8 @@ class TestConfigErrors:
             cfg = tmp_path / f"seed{k}.json"
             cfg.write_text(json.dumps(case))
             out = tmp_path / f"out{k}"
-            result = runner.invoke(main, ["mc", "--config", str(cfg),
-                                          "--out", str(out), *flags])
+            result = run_cli(["mc", "--config", str(cfg),
+                              "--out", str(out), *flags])
             assert result.exit_code == 2, all_output(result)
             assert not out.exists()
         # The largest 64-bit seed still runs, for the samples and the LoS.
@@ -406,17 +400,17 @@ class TestConfigErrors:
             "kind": "lowrank", "rank": 2, "seed": top}))
         cfg = tmp_path / "edge.json"
         cfg.write_text(json.dumps(edge))
-        result = runner.invoke(main, ["mc", "--config", str(cfg),
-                                      "--out", str(tmp_path / "edge"),
-                                      "--samples", "10", "--seed", str(top)])
+        result = run_cli(["mc", "--config", str(cfg),
+                          "--out", str(tmp_path / "edge"),
+                          "--samples", "10", "--seed", str(top)])
         assert result.exit_code == 0, all_output(result)
         entry = json.loads((tmp_path / "edge" / "mc_summary.json")
                            .read_text())["entries"][0]
         assert entry["seed"] == top and entry["samples"] == 10
         # validate's MC criteria take seeds mc.seed + 0..3, wrapped to 64 bits.
-        result = runner.invoke(main, ["validate", "--config", str(cfg),
-                                      "--out", str(tmp_path / "v"),
-                                      "--samples", "100", "--seed", str(top)])
+        result = run_cli(["validate", "--config", str(cfg),
+                          "--out", str(tmp_path / "v"),
+                          "--samples", "100", "--seed", str(top)])
         assert result.exit_code in (0, 1), all_output(result)
         assert (tmp_path / "v" / "validate.json").exists()
 
@@ -424,9 +418,9 @@ class TestConfigErrors:
         cfg = small_config(tmp_path)
         for scale in ("nan", "0", "-1", "inf"):
             out = tmp_path / f"v{scale}"
-            result = runner.invoke(main, ["validate", "--config", str(cfg),
-                                          "--out", str(out),
-                                          f"--rel-tol-scale={scale}"])
+            result = run_cli(["validate", "--config", str(cfg),
+                              "--out", str(out),
+                              f"--rel-tol-scale={scale}"])
             assert result.exit_code == 2, all_output(result)
             assert "rel_tol_scale must be finite and positive" in all_output(result)
             assert "criterion" not in all_output(result)
@@ -436,8 +430,8 @@ class TestConfigErrors:
         # The MC criteria compare sample variances, which one sample lacks.
         cfg = small_config(tmp_path)
         out = tmp_path / "v"
-        result = runner.invoke(main, ["validate", "--config", str(cfg),
-                                      "--out", str(out), "--samples", "1"])
+        result = run_cli(["validate", "--config", str(cfg),
+                          "--out", str(out), "--samples", "1"])
         assert result.exit_code == 2, all_output(result)
         assert "mc.samples (--samples) >= 2" in all_output(result)
         assert "criterion" not in all_output(result)
@@ -456,8 +450,8 @@ class TestConfigErrors:
         cfg = small_config(tmp_path)
         out = tmp_path / "out"
         args = ["mc", "--config", str(cfg), "--out", str(out)]
-        result = runner.invoke(main, args + (["--samples", samples]
-                                             if samples else []))
+        result = run_cli(args + (["--samples", samples]
+                                 if samples else []))
         assert result.exit_code == 2, all_output(result)
         assert "config error: out of memory" in all_output(result)
         assert "mc.samples (--samples)" in all_output(result)
@@ -468,8 +462,8 @@ class TestConfigErrors:
         doc["solver"] = {"tol": 1e-15, "max_iter": 1}
         cfg = tmp_path / "hard.json"
         cfg.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["analyze", "--config", str(cfg),
-                                      "--out", str(tmp_path / "o")])
+        result = run_cli(["analyze", "--config", str(cfg),
+                          "--out", str(tmp_path / "o")])
         assert result.exit_code == 3
         assert "numerical failure" in all_output(result)
 
@@ -481,8 +475,8 @@ class TestConfigErrors:
         cfg = tmp_path / "hard.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "o"
-        result = runner.invoke(main, ["mc", "--config", str(cfg),
-                                      "--out", str(out)])
+        result = run_cli(["mc", "--config", str(cfg),
+                          "--out", str(out)])
         assert result.exit_code == 3, all_output(result)
         assert "numerical failure" in all_output(result)
         assert not list(out.glob("*.csv"))
@@ -492,8 +486,8 @@ class TestConfigErrors:
         # At -100 dB desk's -log det(I - B) rounds to -0: no variance, so
         # no outage curve and no MC normalization, and mc draws nothing.
         out = tmp_path / "o"
-        result = runner.invoke(main, [command, "--config", DESK_CONFIG,
-                                      "--out", str(out), "--snr-db=-100"])
+        result = run_cli([command, "--config", DESK_CONFIG,
+                          "--out", str(out), "--snr-db=-100"])
         assert result.exit_code == 3, all_output(result)
         assert "SNR is too low for V to be resolved" in all_output(result)
         assert not out.exists()
@@ -505,9 +499,9 @@ class TestConfigErrors:
             raise np.linalg.LinAlgError("LAPACK failed")
 
         monkeypatch.setattr(np.linalg, "slogdet", failing)
-        result = runner.invoke(main, ["analyze", "--config",
-                                      str(small_config(tmp_path)),
-                                      "--out", str(tmp_path / "o")])
+        result = run_cli(["analyze", "--config",
+                          str(small_config(tmp_path)),
+                          "--out", str(tmp_path / "o")])
         assert result.exit_code == 3, all_output(result)
         assert "numerical failure: LAPACK failed" in all_output(result)
         assert "config error" not in all_output(result)
@@ -534,11 +528,81 @@ class TestConfigErrors:
         cfg = small_config(tmp_path, los={"kind": "single", "rank": 4,
                                           "seed": 9})
         out = tmp_path / "o"
-        result = runner.invoke(main, ["analyze", "--config", str(cfg),
-                                      "--out", str(out)])
+        result = run_cli(["analyze", "--config", str(cfg),
+                          "--out", str(out)])
         assert result.exit_code == 2, all_output(result)
         assert "config error: channel.los" in all_output(result)
         assert not out.exists()
+
+
+class TestParsing:
+    @pytest.mark.parametrize("argv", [
+        ["--help"], *([command, "--help"] for command in COMMANDS)])
+    def test_help_exits_0(self, argv):
+        result = run_cli(argv)
+        assert result.exit_code == 0, all_output(result)
+        assert "usage: holo-rmt" in result.stdout
+
+    @pytest.mark.parametrize("command, flags, overrides", [
+        ("analyze", ["--snr-db", "-10,0"], {"snr_db": "-10,0"}),
+        ("analyze", ["--snr-db=-100"], {"snr_db": "-100"}),
+        ("analyze", ["--tol", "-1"], {"tol": -1.0}),
+        ("validate", ["--tol", "-1e-3"], {"tol": -1e-3}),
+        ("mc", ["--seed=5", "--snr-db", "-10"], {"seed": 5, "snr_db": "-10"}),
+    ])
+    def test_values_starting_with_a_dash(self, tmp_path, monkeypatch, command,
+                                         flags, overrides):
+        # A flag's value is the next token, or the text after '=', even
+        # when it starts with '-'; the schema, not the parser, judges it.
+        seen = {}
+
+        def recording(path, **kwargs):
+            seen.update((k, v) for k, v in kwargs.items() if v is not None)
+            raise ConfigError("stopped")
+
+        monkeypatch.setattr(cli, "_load_config", recording)
+        result = run_cli([command, "--config", str(small_config(tmp_path)),
+                          *flags])
+        assert result.exit_code == 2, all_output(result)
+        assert result.stderr == "config error: stopped\n"
+        assert seen == overrides
+
+    @pytest.mark.parametrize("flags, message", [
+        ([], "required: --config"),
+        (["--seed", "5.0"], "argument --seed: invalid int value: '5.0'"),
+        (["--samples"], "argument --samples: expected one argument"),
+        (["--snr", "10"], "unrecognized arguments: --snr")])
+    def test_usage_errors_exit_2(self, tmp_path, flags, message):
+        out = tmp_path / "out"
+        config = [] if not flags else ["--config", str(small_config(tmp_path))]
+        result = run_cli(["mc", *config, "--out", str(out), *flags])
+        assert result.exit_code == 2, all_output(result)
+        assert message in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_out_that_is_a_file_is_a_usage_error(self, tmp_path, command):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        result = run_cli([command, "--config", str(small_config(tmp_path)),
+                          "--out", str(taken)])
+        assert result.exit_code == 2, all_output(result)
+        assert f"argument --out: directory {str(taken)!r} is a file" in (
+            result.stderr)
+        assert taken.read_text() == ""
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_out_that_cannot_be_created_exits_2(self, tmp_path, command):
+        # --out below a regular file: creating it fails after the work,
+        # which is reported as a config error, not a traceback.
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        samples = ["--samples", "100"] if command in ("mc", "validate") else []
+        result = run_cli([command, "--config", str(small_config(tmp_path)),
+                          "--out", str(out), *samples])
+        assert result.exit_code == 2, all_output(result)
+        assert f"config error: cannot write {out}{os.sep}" in result.stderr
+        assert result.stderr.endswith(": Not a directory\n")
 
 
 class TestMcCommand:
@@ -546,9 +610,9 @@ class TestMcCommand:
         cfg = small_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
-            result = runner.invoke(main, ["mc", "--config", str(cfg),
-                                          "--out", str(out)])
-            assert result.exit_code == 0, result.output
+            result = run_cli(["mc", "--config", str(cfg),
+                              "--out", str(out)])
+            assert result.exit_code == 0, result.stdout
         csv1 = (out1 / "samples_snr10.csv").read_bytes()
         csv2 = (out2 / "samples_snr10.csv").read_bytes()
         assert csv1 == csv2
@@ -559,15 +623,15 @@ class TestMcCommand:
         cfg = small_config(tmp_path)
         out1, out2 = tmp_path / "d1", tmp_path / "d2"
         for out in (out1, out2):
-            assert runner.invoke(main, ["analyze", "--config", str(cfg),
-                                        "--out", str(out)]).exit_code == 0
+            assert run_cli(["analyze", "--config", str(cfg),
+                            "--out", str(out)]).exit_code == 0
         assert (out1 / "analyze.json").read_bytes() == (out2 / "analyze.json").read_bytes()
 
     def test_single_sample_run(self, tmp_path):
         cfg = small_config(tmp_path)
         out = tmp_path / "one"
-        result = runner.invoke(main, ["mc", "--config", str(cfg),
-                                      "--out", str(out), "--samples", "1"])
+        result = run_cli(["mc", "--config", str(cfg),
+                          "--out", str(out), "--samples", "1"])
         assert result.exit_code == 0, all_output(result)
         entry = json.loads((out / "mc_summary.json").read_text())["entries"][0]
         assert entry["samples"] == 1
@@ -577,9 +641,9 @@ class TestMcCommand:
     def test_low_sample_flag(self, tmp_path):
         cfg = small_config(tmp_path)
         out = tmp_path / "low"
-        result = runner.invoke(main, ["mc", "--config", str(cfg),
-                                      "--out", str(out), "--samples", "10"])
-        assert result.exit_code == 0, result.output
+        result = run_cli(["mc", "--config", str(cfg),
+                          "--out", str(out), "--samples", "10"])
+        assert result.exit_code == 0, result.stdout
         entry = json.loads((out / "mc_summary.json").read_text())["entries"][0]
         assert entry["ks_low_sample"] is True
         assert entry["ks"] is None
@@ -587,12 +651,12 @@ class TestMcCommand:
     def test_analytic_deltas_when_analyze_present(self, tmp_path):
         # A fresh --out gets the closed form analyze writes, to the bit.
         cfg = small_config(tmp_path)
-        assert runner.invoke(main, ["analyze", "--config", str(cfg), "--out",
-                                    str(tmp_path / "a")]).exit_code == 0
+        assert run_cli(["analyze", "--config", str(cfg), "--out",
+                        str(tmp_path / "a")]).exit_code == 0
         out = tmp_path / "fresh"
-        result = runner.invoke(main, ["mc", "--config", str(cfg),
-                                      "--out", str(out)])
-        assert result.exit_code == 0, result.output
+        result = run_cli(["mc", "--config", str(cfg),
+                          "--out", str(out)])
+        assert result.exit_code == 0, result.stdout
         entry = json.loads((out / "mc_summary.json").read_text())["entries"][0]
         ref = json.loads((tmp_path / "a" / "analyze.json").read_text())
         ref = ref["results"][0]
@@ -612,11 +676,11 @@ class TestMcCommand:
         outs = [tmp_path / name for name in ("fresh", "stray", "analyzed")]
         outs[1].mkdir()
         (outs[1] / "analyze.json").write_text("[1, 2]")
-        assert runner.invoke(main, ["analyze", "--config", str(other), "--out",
-                                    str(outs[2])]).exit_code == 0
+        assert run_cli(["analyze", "--config", str(other), "--out",
+                        str(outs[2])]).exit_code == 0
         for out in outs:
-            result = runner.invoke(main, ["mc", "--config", str(cfg),
-                                          "--out", str(out)])
+            result = run_cli(["mc", "--config", str(cfg),
+                              "--out", str(out)])
             assert result.exit_code == 0, all_output(result)
         for name in ("mc_summary.json", "samples_snr10.csv", "qq_snr10.csv"):
             fresh = (outs[0] / name).read_bytes()
@@ -628,9 +692,9 @@ class TestMcCommand:
         # before --out exists.
         cfg = small_config(tmp_path)
         out = tmp_path / "out"
-        result = runner.invoke(main, ["mc", "--config", str(cfg),
-                                      "--out", str(out), "--snr-db", snrs,
-                                      "--samples", "200"])
+        result = run_cli(["mc", "--config", str(cfg),
+                          "--out", str(out), "--snr-db", snrs,
+                          "--samples", "200"])
         assert result.exit_code == 2, all_output(result)
         text = all_output(result)
         assert "samples_snr10.csv" in text
@@ -641,9 +705,9 @@ class TestMcCommand:
     def test_seed_override_changes_samples(self, tmp_path):
         cfg = small_config(tmp_path)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
-        runner.invoke(main, ["mc", "--config", str(cfg), "--out", str(out1)])
-        runner.invoke(main, ["mc", "--config", str(cfg), "--out", str(out2),
-                             "--seed", "99"])
+        run_cli(["mc", "--config", str(cfg), "--out", str(out1)])
+        run_cli(["mc", "--config", str(cfg), "--out", str(out2),
+                 "--seed", "99"])
         a = matio.load_samples_csv(out1 / "samples_snr10.csv")
         b = matio.load_samples_csv(out2 / "samples_snr10.csv")
         assert not np.array_equal(a, b)
@@ -658,38 +722,38 @@ class TestProfileCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "out"
-        result = runner.invoke(main, ["profile", "--config", str(cfg),
-                                      "--out", str(out)])
-        assert result.exit_code == 0, result.output
+        result = run_cli(["profile", "--config", str(cfg),
+                          "--out", str(out)])
+        assert result.exit_code == 0, result.stdout
         mat = matio.load_real_matrix(out / "profile.json")
         assert mat.shape == (1, 1)
         assert mat[0, 0] == pytest.approx(1.0, abs=1e-15)
-        assert "n_R=1" in result.output
+        assert "n_R=1" in result.stdout
 
     def test_full_scale_cardinality(self, tmp_path):
         # 10-wavelength aperture: exact enumeration lands in [300, 330].
         full_cfg = str(Path(DESK_CONFIG).parent / "full.json")
         out = tmp_path / "full"
-        result = runner.invoke(main, ["profile", "--config", full_cfg,
-                                      "--out", str(out)])
+        result = run_cli(["profile", "--config", full_cfg,
+                          "--out", str(out)])
         assert result.exit_code == 0, all_output(result)
         lat = json.loads((out / "lattice.json").read_text())
         assert 300 <= lat["rx"]["n"] <= 330
         assert lat["rx"]["n"] == 317
-        assert "n_R=317" in result.output
+        assert "n_R=317" in result.stdout
         mat = matio.load_real_matrix(out / "profile.json")
         floored = int((mat <= 1e-12 * mat.max()).sum())
         assert floored > 0
-        assert f"floored={floored} of {mat.size}" in result.output
+        assert f"floored={floored} of {mat.size}" in result.stdout
         # The full nonseparable profile: a median row spreads over about 6
         # entries, the narrowest over fewer than 2.
-        assert "n_eff min/median rows=1.63/6.17 cols=1.63/6.17" in result.output
+        assert "n_eff min/median rows=1.63/6.17 cols=1.63/6.17" in result.stdout
 
     def test_lattice_file_and_estimate(self, tmp_path):
         cfg = small_config(tmp_path)
         out = tmp_path / "out"
-        result = runner.invoke(main, ["profile", "--config", str(cfg),
-                                      "--out", str(out)])
+        result = run_cli(["profile", "--config", str(cfg),
+                          "--out", str(out)])
         assert result.exit_code == 0
         lat = json.loads((out / "lattice.json").read_text())
         assert lat["rx"]["n"] == len(lat["rx"]["points"])
@@ -703,20 +767,20 @@ class TestProfileCommand:
 
 class TestValidateCommand:
     def test_desk_config_all_pass(self, tmp_path):
-        result = runner.invoke(main, ["validate", "--config",
-                                      DESK_CONFIG,
-                                      "--out", str(tmp_path / "v")])
+        result = run_cli(["validate", "--config",
+                          DESK_CONFIG,
+                          "--out", str(tmp_path / "v")])
         assert result.exit_code == 0, all_output(result)
         doc = json.loads((tmp_path / "v" / "validate.json").read_text())
         assert doc["all_passed"] is True
         assert len(doc["criteria"]) == 9
-        assert "PASS" in result.output
+        assert "PASS" in result.stdout
 
     def test_tolerance_scale_flips_verdict(self, tmp_path):
-        result = runner.invoke(main, ["validate", "--config",
-                                      DESK_CONFIG,
-                                      "--out", str(tmp_path / "v2"),
-                                      "--rel-tol-scale", "1e-4"])
+        result = run_cli(["validate", "--config",
+                          DESK_CONFIG,
+                          "--out", str(tmp_path / "v2"),
+                          "--rel-tol-scale", "1e-4"])
         assert result.exit_code == 1
         doc = json.loads((tmp_path / "v2" / "validate.json").read_text())
         assert doc["all_passed"] is False
@@ -734,8 +798,8 @@ class TestValidateCommand:
         doc["channel"] = {"profile": "file", "profile_path": str(path)}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["validate", "--config", str(cfg),
-                                      "--out", str(tmp_path / "v")])
+        result = run_cli(["validate", "--config", str(cfg),
+                          "--out", str(tmp_path / "v")])
         assert result.exit_code == 1
         assert "PRE-FLIGHT" in all_output(result)
 
@@ -770,6 +834,21 @@ class TestImport:
         stdout = run_python(code)
         assert stdout.strip() == "[]"
 
+    def test_start_loads_no_click_or_statistics(self, tmp_path):
+        # A CLI start loads numpy, the package and the standard library:
+        # statistics, with fractions and decimal, loads only for the QQ
+        # quantiles, and neither the import nor a `profile` run needs it.
+        names = ("print(sorted(k for k in sys.modules if k.split('.')[0] in "
+                 "('click', 'statistics', 'fractions', 'decimal')))")
+        cfg = small_config(tmp_path)
+        out = tmp_path / "out"
+        code = (f"import sys, holo_rmt.cli; {names}; "
+                f"holo_rmt.cli.main(['profile', '--config', {str(cfg)!r}, "
+                f"'--out', {str(out)!r}]); {names}")
+        lines = run_python(code, timeout=120).strip().splitlines()
+        assert lines[0] == lines[-1] == "[]"
+        assert (out / "profile.json").exists()
+
     def test_profile_leaves_numpy_ma_unloaded(self, tmp_path):
         # The n_eff median and the profile writer use plain arrays; numpy.ma
         # would cost every `profile` call about 15 ms of imports.
@@ -779,7 +858,7 @@ class TestImport:
         out = tmp_path / "out"
         code = ("import sys; from holo_rmt.cli import main; "
                 f"main(['profile', '--config', {str(cfg)!r}, '--out', "
-                f"{str(out)!r}], standalone_mode=False); {names}")
+                f"{str(out)!r}]); {names}")
         stdout = run_python(code, timeout=120)
         assert stdout.strip().splitlines()[-1] == "[]"
         assert (out / "profile.json").exists()
@@ -794,7 +873,7 @@ class TestImport:
         code = (f"import sys, holo_rmt.cli; {names}; "
                 "from holo_rmt.cli import main; "
                 f"main(['analyze', '--config', {str(cfg)!r}, '--out', "
-                f"{str(out)!r}], standalone_mode=False); {names}")
+                f"{str(out)!r}]); {names}")
         stdout = run_python(code, timeout=120)
         lines = stdout.strip().splitlines()
         assert lines[0] == lines[-1] == "[]"
@@ -806,8 +885,7 @@ class TestImport:
         cfg = small_config(tmp_path)
         code = ("import sys; from holo_rmt.cli import main; "
                 f"main(['mc', '--config', {str(cfg)!r}, '--out', "
-                f"{str(tmp_path / 'out')!r}, '--samples', '1100'], "
-                "standalone_mode=False); "
+                f"{str(tmp_path / 'out')!r}, '--samples', '1100']); "
                 "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
         stdout = run_python(code, timeout=120)
         assert stdout.strip().splitlines()[-1] == "[]"

@@ -8,12 +8,11 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from conftest import run_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holo_rmt import config, matio
-from holo_rmt.cli import main
 from holo_rmt.config import DEFAULT_CONFIG, RunConfig, validate_document
 from holo_rmt.errors import ConfigError
 from holo_rmt.geometry import effective_zeta, zeta_from_snr_db
@@ -413,9 +412,9 @@ def real_documents(tmp_path_factory):
     for command in ("analyze", "mc"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = CliRunner().invoke(main, [command, "--config", str(cfg),
-                                               "--out", str(tmp)])
-        assert result.exit_code == 0, result.output
+            result = run_cli([command, "--config", str(cfg),
+                              "--out", str(tmp)])
+        assert result.exit_code == 0, result.stdout + result.stderr
     docs["analyze"] = json.loads((tmp / "analyze.json").read_text())
     docs["mc"] = json.loads((tmp / "mc_summary.json").read_text())
     return docs

@@ -33,6 +33,19 @@ def test_inverse_round_trip():
     assert np.abs(norm_inv_cdf(norm_cdf(x)) - x).max() <= 1e-9
 
 
+def test_inverse_is_normaldist_bit_for_bit():
+    from statistics import NormalDist
+
+    p = np.concatenate([[0.0, 1e-300, 1e-100, 1e-16], np.geomspace(1e-10, 0.4, 200),
+                        np.linspace(0.4, 0.6, 51), 1.0 - np.geomspace(1e-10, 0.4, 200),
+                        [1.0 - 1e-16, 1.0]])
+    inv_cdf = NormalDist().inv_cdf
+    expected = np.array([-math.inf if q == 0.0 else math.inf if q == 1.0
+                         else inv_cdf(q) for q in p.tolist()])
+    assert np.array_equal(norm_inv_cdf(p).view(np.uint64), expected.view(np.uint64))
+    assert [norm_inv_cdf(q) for q in p[[1, -2]].tolist()] == expected[[1, -2]].tolist()
+
+
 def test_inverse_edges():
     assert norm_inv_cdf(0.5) == pytest.approx(0.0, abs=1e-15)
     assert norm_inv_cdf(0.0) == -math.inf
