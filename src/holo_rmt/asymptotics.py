@@ -73,20 +73,28 @@ class AsymptoticStats:
 
 def emi_deterministic(model: ChannelModel, solution: DeltaSolution,
                       res: Resolvents) -> float:
-    """Deterministic equivalent of the ergodic MI, in nats.
+    """Deterministic equivalent of the ergodic MI, in nats: the paper's
+    log det[T^{-1}/zeta] + sum log1p(delta) - (zeta/M) sum_ij s_ij T_ii T~_jj
+    (s = sigma^2) summed from terms that are each >= 0,
 
-    log det[zeta^{-1} T^{-1}] + sum_j log(1 + delta_j)
-      - (zeta / M) sum_{ij} sigma^2_ij T_ii T~_jj
+        sum log1p(delta~) + log det C + sum [log1p(delta) - delta/(1 + delta)]
+          + zeta sum_j delta_j ||x~_j||^2.
 
-    The middle term is -log det[zeta psi~] written through the identity
-    zeta psi~_j = 1/(1 + delta_j) that holds at z = -zeta.
+    The determinant lemma on T^{-1} = diag(zeta (1 + delta~)) + V V^H,
+    V = P chol_w, gives the first two, C = I + V^H diag(psi) V being the
+    Woodbury capacitance; log det C = sum log1p(eig(C - I)), as chol(C)'s
+    diagonal rounds C - I to an ulp of 1.  The fixed point
+    sum_i sigma^2_ij T_ii = M delta_j and zeta T~_jj = 1/(1 + delta_j)
+    - zeta ||x~_j||^2 (x~ = ``x_tilde``) give the last two.
     """
-    n, m = model.dims
-    zeta = solution.rho
-    term1 = res.logdet_t_inv - n * math.log(zeta)
-    term2 = float(np.sum(np.log1p(solution.delta)))
-    term3 = (zeta / m) * float(res.t_diag @ model.profile.matrix @ res.t_tilde_diag)
-    return term1 + term2 - term3
+    delta, delta_tilde = solution.delta, solution.delta_tilde
+    psi = 1.0 / (model.zeta * (1.0 + delta_tilde))
+    v = model.los_factors[0] @ res.chol_w
+    e = np.linalg.eigvalsh((psi[:, None] * v).conj().T @ v)
+    x_tilde_sq = (np.abs(res.x_tilde) ** 2).sum(axis=0)
+    return (float(np.sum(np.log1p(delta_tilde))) + float(np.sum(np.log1p(e)))
+            + float(np.sum(np.log1p(delta) - delta / (1.0 + delta)))
+            + model.zeta * float(delta @ x_tilde_sq))
 
 
 def abs2_factors(y: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,27 +114,16 @@ def abs2_factors(y: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sigma_abs2_t_sigma(sigma: np.ndarray, res: Resolvents) -> np.ndarray:
-    """Sigma^T |T|^2 Sigma from T = diag(psi) - X^H X, with no N x N matrix.
-
-    |T|^2 is diag(t^2) plus the off-diagonal of |X^H X|^2, which lives on
-    the rows S where X is nonzero.  While |S| <= r^2 that |S| x |S| block is
-    formed directly, at no more cost than r^2 factor columns; a single LoS
-    has |S| = 1 and no off-diagonal at all.  Past that, |X^H X|^2 = F G^T
-    (abs2_factors) and its diagonal |x_i|^4 is taken off t^2: one
-    Sigma^T diag(.) Sigma product plus rank r^2.  That subtraction cancels
-    on rows where the LoS dominates T, so the support block keeps the
-    sparse LoS rows exact.
-    """
+    """Sigma^T |T|^2 Sigma with no N x N matrix, at every LoS width: for
+    T = diag(psi) - X^H X, |T|^2 is diag(t^2) plus the off-diagonal of
+    |X^H X|^2, one |S| x |S| block on the rows S where X is nonzero.  It
+    subtracts nothing; a single LoS has |S| = 1 and no off-diagonal."""
     xh = res.x.conj().T
     rows = np.flatnonzero(np.any(xh, axis=1))
-    if rows.size <= xh.shape[1] ** 2:
-        off = np.abs(xh[rows] @ xh[rows].conj().T) ** 2
-        np.fill_diagonal(off, 0.0)
-        s = sigma[rows]
-        return (sigma.T * res.t_diag ** 2) @ sigma + (s.T @ off) @ s
-    f, g = abs2_factors(xh, xh)
-    d = res.t_diag ** 2 - np.einsum("ik,ik->i", f, g)
-    return (sigma.T * d) @ sigma + (sigma.T @ f) @ (sigma.T @ g).T
+    off = np.abs(xh[rows] @ xh[rows].conj().T) ** 2
+    np.fill_diagonal(off, 0.0)
+    s = sigma[rows]
+    return (sigma.T * res.t_diag ** 2) @ sigma + (s.T @ off) @ s
 
 
 def build_b(model: ChannelModel, solution: DeltaSolution,
@@ -143,15 +140,14 @@ def build_b(model: ChannelModel, solution: DeltaSolution,
     Hermitian.  The LoS factors A = P Q^H give W = (T P) Q^H and
     A^H T A = Q (P^H T P) Q^H; a centered channel (r = 0) gives Pi = Xi = 0.
 
-    T P is ``Resolvents.tp()`` at every width: dense T @ P cancels in the
-    range of A as the SNR grows.  While 2 r^2 <= M no N x N matrix is
-    formed: |W|^2 has rank <= r^2 (abs2_factors), so Pi = U V^T with the
-    factors variance_clt uses, and Gamma comes from T's factors
-    (``_sigma_abs2_t_sigma``).  Xi takes |A^H T A|^2 entrywise from the
-    M x r product Q (P^H T P): its r^2 factors would cancel on the small
-    entries.  Past that width the factors cost more than the dense blocks
-    and variance_clt's dense 2M x 2M log-det (measured at M = 317), so T is
-    formed in full for Gamma and no factors are kept.
+    No N x N matrix is formed.  T P is ``Resolvents.tp()`` (dense T @ P
+    cancels in the range of A as the SNR grows), Gamma comes from T's
+    factors (``_sigma_abs2_t_sigma``), and Xi takes |A^H T A|^2 entrywise
+    from the M x r product Q (P^H T P), whose r^2 factors would cancel on
+    small entries.  The width decides only Pi's form: while 2 r^2 <= M,
+    Pi = U V^T from abs2_factors (rank <= r^2), the factors variance_clt
+    uses; past it Pi is formed from W, which with variance_clt's dense
+    2M x 2M log-det is then the cheaper path (measured at M = 317).
     """
     m = model.dims[1]
     sigma = model.profile.matrix
@@ -165,11 +161,10 @@ def build_b(model: ChannelModel, solution: DeltaSolution,
         f, g = abs2_factors(tp, q)
         pi_factors = (sigma.T @ f / m, g / one_plus_sq[:, None])
         pi = pi_factors[0] @ pi_factors[1].T
-        gamma = _sigma_abs2_t_sigma(sigma, res)
     else:
         w = tp @ q.conj().T                            # w[:, k] = T a_k
         pi = (sigma.T @ (np.abs(w) ** 2)) / (m * one_plus_sq[None, :])
-        gamma = sigma.T @ (np.abs(res.t_dense()) ** 2) @ sigma
+    gamma = _sigma_abs2_t_sigma(sigma, res)
     gram = q @ (p.conj().T @ tp) @ q.conj().T          # a_j^H T a_k
     xi = np.abs(gram) ** 2 / np.outer(one_plus_sq, one_plus_sq)
     np.fill_diagonal(xi, 0.0)

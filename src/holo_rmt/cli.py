@@ -18,6 +18,7 @@ outputs are deterministic functions of the config file, flags and seed.
 """
 
 import argparse
+import errno
 import os
 import sys
 
@@ -227,8 +228,18 @@ def _config_file(path):
 
 
 def _out_dir(path):
+    """--out, checked before any work and not created.  A file is a usage
+    error; a nearest existing ancestor that is no directory this process may
+    write and enter raises ConfigError, which argparse leaves to ``main``."""
     if os.path.exists(path) and not os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"directory {path!r} is a file")
+    ancestor = os.path.abspath(path)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK | os.X_OK)):
+        reason = errno.EACCES if os.path.isdir(ancestor) else errno.ENOTDIR
+        raise ConfigError(f"cannot write {os.path.join(path, '')}: "
+                          f"{ancestor}: {os.strerror(reason)}")
     return path
 
 
@@ -300,11 +311,10 @@ def main(argv=None):
     try:
         args = vars(parser.parse_args(
             _joined(sys.argv[1:] if argv is None else argv)))
+        command, _ = COMMANDS[args.pop("command")]
+        return command(**args) or 0
     except SystemExit as exc:  # --help, or a usage error argparse printed
         return exc.code
-    command, _ = COMMANDS[args.pop("command")]
-    try:
-        return command(**args) or 0
     except ConfigError as exc:
         message, code = f"config error: {exc}", EXIT_CONFIG
     except (ConvergenceError, NumericalError, np.linalg.LinAlgError) as exc:

@@ -39,9 +39,9 @@ minus rank-r corrections.  Each half-step reads diag T from an r x r
 Woodbury capacitance system: an iteration costs O(NM + (N + M) r^2), the
 two Sigma products included, against two dense O(N^3 + M^3) inverses.  A
 centered channel is the case r = 0, where T = diag(psi) and T~ =
-diag(psi~).  The solve keeps T and T~ factored; ``Resolvents`` forms the
-full matrices, in O(N^2 r + M^2 r), only when a check, or B past the
-low-rank width, asks for them.
+diag(psi~).  The solve keeps T and T~ factored, and the closed form reads
+them only through the factors; ``Resolvents`` forms the full matrices, in
+O(N^2 r + M^2 r), only when a check asks for them.
 """
 
 from collections import deque
@@ -75,16 +75,16 @@ class Resolvents:
     T = diag(psi) - X^H X with the r x N factor ``x`` of ``_woodbury``, T~
     likewise with the r x M ``x_tilde``; ``t_diag`` and ``t_tilde_diag`` are
     their real diagonals.  Both are Hermitian positive definite by
-    construction; ``t_dense()`` and ``t_tilde_dense()`` form them in full.
-    ``chol_w`` and ``chol_c`` are the r x r Cholesky factors L and chol(C)
-    of T's ``_woodbury``, from which ``tp()`` applies T to the LoS factor.
+    construction; ``t_dense()`` and ``t_tilde_dense()`` form them in full,
+    for checks.  ``chol_w`` = L and ``chol_c`` = chol(C) are the r x r
+    Cholesky factors of T's ``_woodbury``, with which ``tp()`` applies T to
+    the LoS factor; the EMI takes log det C from V = P L.
     """
 
     t_diag: np.ndarray
     t_tilde_diag: np.ndarray
     x: np.ndarray
     x_tilde: np.ndarray
-    logdet_t_inv: float
     chol_w: np.ndarray
     chol_c: np.ndarray
 
@@ -123,7 +123,7 @@ def _woodbury(rho, own, other, p, q):
     (delta~, delta, P, Q) and T~ (delta, delta~, Q, P).  With
     L = chol(Q^H diag(weights) Q), V = P L and the r x r capacitance
     C = I + V^H diag(psi) V, Woodbury gives T = diag(psi) - X^H X with
-    X = chol(C)^{-1} V^H diag(psi).  Returns (diag T, X, chol(C), psi, L);
+    X = chol(C)^{-1} V^H diag(psi).  Returns (diag T, X, chol(C), L);
     r = 0 leaves T = diag(psi).
     """
     psi = 1.0 / (rho * (1.0 + own))
@@ -134,13 +134,7 @@ def _woodbury(rho, own, other, p, q):
     pvh = (psi[:, None] * v).conj().T
     lc = _cholesky(np.eye(r) + pvh @ v)
     x = np.linalg.solve(lc, pvh) if r else pvh
-    return psi - (np.abs(x) ** 2).sum(axis=0), x, lc, psi, l
-
-
-def _logdet_inv(psi, lc):
-    """log det T^{-1} = log det C - sum log psi (matrix determinant lemma)."""
-    return (2.0 * float(np.sum(np.log(np.real(np.diag(lc)))))
-            - float(np.sum(np.log(psi))))
+    return psi - (np.abs(x) ** 2).sum(axis=0), x, lc, l
 
 
 def _full(t_diag, x):
@@ -159,9 +153,9 @@ def compute_resolvents(model: ChannelModel, delta, delta_tilde) -> Resolvents:
         raise ValueError("delta parameters must be entrywise positive")
     rho = model.zeta
     p, q = model.los_factors
-    t_diag, x, lc, psi, l = _woodbury(rho, delta_tilde, delta, p, q)
+    t_diag, x, lc, l = _woodbury(rho, delta_tilde, delta, p, q)
     tt_diag, xt = _woodbury(rho, delta, delta_tilde, q, p)[:2]
-    return Resolvents(t_diag, tt_diag, x, xt, _logdet_inv(psi, lc), l, lc)
+    return Resolvents(t_diag, tt_diag, x, xt, l, lc)
 
 
 def _gauss_seidel_map(model: ChannelModel):

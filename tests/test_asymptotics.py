@@ -1,19 +1,25 @@
 import math
+import warnings
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from holo_rmt import validate
 from holo_rmt.asymptotics import (AsymptoticStats, BMatrix, abs2_factors,
                                   analyze_model, auto_rate_grid, build_b,
                                   emi_deterministic, oracle_from_blocks,
                                   outage_curve, variance_clt)
 from holo_rmt.channel import (VarianceProfile, build_weichselberger,
                               synth_los)
+from holo_rmt.config import RunConfig
 from holo_rmt.errors import InvalidRegimeError
 from holo_rmt.normal import norm_cdf
 from holo_rmt.solver import solve_deltas
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def iid_model(n, m, rho):
@@ -60,6 +66,68 @@ def assert_blocks_match_dense_t(model, sol, res, b):
     assert b.full().min() >= 0.0
 
 
+def c9_models(count, seed=31):
+    """The first ``count`` models of C9's random family (validate.random_model)."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return [validate.random_model(rng) for _ in range(count)]
+
+
+@pytest.fixture(scope="module")
+def shipped_models():
+    """The shipped desk and full channels at unit noise power, by config
+    name; ``at_zeta`` moves them to any SNR."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return {name: RunConfig.from_file(CONFIGS / f"{name}.json")
+                .build_models([0.0])[0][1] for name in ("desk", "full")}
+
+
+def emi_paper_form(model, sol, res):
+    """The paper's three-term EMI from dense T and T~:
+
+        log det[zeta^{-1} T^{-1}] + sum_j log(1 + delta_j)
+          - (zeta / M) sum_ij sigma^2_ij T_ii T~_jj.
+
+    The log-det is slogdet of T^{-1} formed from its definition; slogdet of
+    ``t_dense()`` would carry the cancellation in T's diagonal on the LoS
+    row (2.7e-13 of the EMI on full at 30 dB).
+    """
+    m = model.dims[1]
+    zeta = model.zeta
+    a = model.los
+    t_inv = (np.diag(1.0 + sol.delta_tilde)
+             + (a / (1.0 + sol.delta)) @ a.conj().T / zeta)
+    sign, logdet = np.linalg.slogdet(t_inv)
+    assert sign > 0
+    t = np.real(np.diag(res.t_dense()))
+    t_tilde = np.real(np.diag(res.t_tilde_dense()))
+    return (logdet + float(np.sum(np.log1p(sol.delta)))
+            - zeta / m * float(t @ model.profile.matrix @ t_tilde))
+
+
+def emi_40_digits(model, sol):
+    """The paper's EMI in 40 digits at the solve's (delta, delta~), with T
+    and T~ inverted densely in mpmath from the model's A."""
+    n, m = model.dims
+    with mp.workdps(40):
+        zeta = mp.mpf(model.zeta)
+        a = mp.matrix(model.los.tolist())
+        delta = [mp.mpf(x) for x in sol.delta.tolist()]
+        delta_tilde = [mp.mpf(x) for x in sol.delta_tilde.tolist()]
+        # zeta^{-1} T^{-1} and zeta^{-1} T~^{-1}
+        t_inv = mp.diag([1 + x for x in delta_tilde]) + a * mp.diag(
+            [1 / (zeta * (1 + x)) for x in delta]) * a.H
+        tt_inv = mp.diag([1 + x for x in delta]) + a.H * mp.diag(
+            [1 / (zeta * (1 + x)) for x in delta_tilde]) * a
+        t, t_tilde = mp.inverse(t_inv), mp.inverse(tt_inv)
+        sig = model.profile.matrix
+        term3 = mp.fsum(mp.mpf(float(sig[i, j])) * mp.re(t[i, i])
+                        * mp.re(t_tilde[j, j])
+                        for i in range(n) for j in range(m)) / (zeta * m)
+        return (mp.re(mp.log(mp.det(t_inv)))
+                + mp.fsum(mp.log1p(x) for x in delta) - term3)
+
+
 def zero_b(m):
     return BMatrix(pi=np.zeros((m, m)), xi=np.zeros((m, m)),
                    gamma=np.zeros((m, m)), lambda_tilde=np.zeros(m))
@@ -100,6 +168,47 @@ class TestEmiDeterministic:
         s2, r2 = solve_deltas(model2)
         assert emi_deterministic(model1, s1, r1) == pytest.approx(
             emi_deterministic(model2, s2, r2), rel=1e-14)
+
+    def test_matches_paper_form_on_c9_models(self):
+        for model in c9_models(20):
+            sol, res = solve_deltas(model)
+            ref = emi_paper_form(model, sol, res)
+            assert abs(emi_deterministic(model, sol, res) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("name", ["desk", "full"])
+    def test_matches_paper_form_on_shipped_configs(self, shipped_models, name):
+        base = shipped_models[name]
+        for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0):
+            model = base.at_zeta(base.zeta * 10.0 ** (-snr_db / 10.0))
+            sol, res = solve_deltas(model)
+            ref = emi_paper_form(model, sol, res)
+            assert abs(emi_deterministic(model, sol, res) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("name", ["desk", "full"])
+    def test_first_order_at_low_snr(self, shipped_models, name):
+        # As zeta -> infinity, C = (sum_ij sigma^2_ij / M + ||A||_F^2) / zeta
+        # to first order; the second-order term is at most 6e-8 of it here.
+        # The paper's form, which subtracts terms of order 1/zeta, misses
+        # the bound: 2.3e-13 against 1.45e-13 on desk at -150 dB, and
+        # -9.1e-13 on full.
+        base = shipped_models[name]
+        m = base.dims[1]
+        for snr_db in (-100.0, -150.0):
+            model = base.at_zeta(base.zeta * 10.0 ** (-snr_db / 10.0))
+            sol, res = solve_deltas(model)
+            emi = emi_deterministic(model, sol, res)
+            first = (base.profile.matrix.sum() / m
+                     + np.linalg.norm(base.los) ** 2) / model.zeta
+            assert emi >= 0.0
+            assert abs(emi - first) <= 1e-6 * first
+
+    @pytest.mark.parametrize("snr_db", [-60.0, -100.0, -150.0])
+    def test_matches_40_digit_reference_at_low_snr(self, snr_db):
+        for model in c9_models(3, seed=7):
+            model = model.at_zeta(10.0 ** (-snr_db / 10.0))
+            sol, res = solve_deltas(model)
+            ref = emi_40_digits(model, sol)
+            assert abs(emi_deterministic(model, sol, res) - ref) <= 1e-14 * ref
 
 
 class TestBuildB:
@@ -186,9 +295,9 @@ class TestBuildB:
 
     @pytest.mark.parametrize("rank, m", WIDTH_CASES)
     def test_blocks_match_dense_t(self, rank, m):
-        # The blocks from the solve's factors (2 r^2 <= M) and from dense T
-        # (past it) both match B's formulas evaluated on dense T and A, to
-        # 1e-13 of each block's largest entry.
+        # The blocks from the solve's factors, with Pi factored (2 r^2 <= M)
+        # or dense (past it), match B's formulas evaluated on dense T and
+        # A, to 1e-13 of each block's largest entry.
         rng = np.random.default_rng(rank)
         a = los_of_rank(rng, 13, m, rank, True)
         model = build_weichselberger(a, VarianceProfile(0.2 + rng.random((13, m))),
@@ -198,8 +307,8 @@ class TestBuildB:
 
     @pytest.mark.parametrize("rows", [[0], [3], [2, 7], [0, 4, 5, 11]])
     def test_sparse_los_blocks_match_dense_t(self, rows):
-        # A rank-1 LoS on a few rows: one row takes Gamma's support block,
-        # more rows take its r^2 factors.
+        # A rank-1 LoS on a few rows: Gamma's off-diagonal |X^H X|^2 lives
+        # on the block of those rows, and one row has none.
         rng = np.random.default_rng(len(rows))
         a = np.zeros((13, 11), dtype=complex)
         a[rows] = np.outer(rng.normal(size=len(rows)) + 1j,

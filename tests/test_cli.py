@@ -115,9 +115,10 @@ class TestAnalyzeCommand:
 
     def test_analyze_forms_neither_t_nor_t_tilde_densely(self, tmp_path,
                                                          monkeypatch):
-        # The solve keeps T and T~ factored, and build_b takes the single
-        # LoS's blocks from those factors: nothing on the analyze path
-        # forms dense T or T~.
+        # The solve keeps T and T~ factored, and the closed form reads them
+        # only through those factors: nothing on the analyze path forms
+        # dense T or T~, on full's single LoS or on a LoS past the low-rank
+        # width (desk with rank 5: 2 * 5^2 > 37).
         from holo_rmt import solver
         formed = []
 
@@ -131,11 +132,15 @@ class TestAnalyzeCommand:
         cls = solver.Resolvents
         for label, name in (("T", "t_dense"), ("T~", "t_tilde_dense")):
             monkeypatch.setattr(cls, name, recording(label, getattr(cls, name)))
-        full_cfg = str(Path(DESK_CONFIG).with_name("full.json"))
-        result = run_cli(["analyze", "--config", full_cfg,
-                          "--out", str(tmp_path / "o"),
-                          "--snr-db", "10"])
-        assert result.exit_code == 0, all_output(result)
+        wide = json.loads(Path(DESK_CONFIG).read_text())
+        wide["channel"]["los"] = {"kind": "lowrank", "rank": 5, "seed": 701}
+        wide_cfg = tmp_path / "wide.json"
+        wide_cfg.write_text(json.dumps(wide))
+        for cfg in (Path(DESK_CONFIG).with_name("full.json"), wide_cfg):
+            result = run_cli(["analyze", "--config", str(cfg),
+                              "--out", str(tmp_path / "o"),
+                              "--snr-db", "10"])
+            assert result.exit_code == 0, all_output(result)
         assert formed == []
 
     def test_explicit_rates_respected(self, tmp_path):
@@ -604,6 +609,48 @@ class TestParsing:
         assert f"config error: cannot write {out}{os.sep}" in result.stderr
         assert result.stderr.endswith(": Not a directory\n")
 
+
+    @pytest.mark.parametrize("command, work", [
+        ("profile", "holo_rmt.config.RunConfig.lattices"),
+        ("analyze", "holo_rmt.cli.analyze_model"),
+        ("mc", "holo_rmt.montecarlo.run_mc_grid"),
+        ("validate", "holo_rmt.validate.run_all")])
+    def test_out_below_a_file_exits_before_the_work(self, tmp_path,
+                                                    monkeypatch, command,
+                                                    work):
+        # The nearest existing ancestor of --out is a file: exit 2 before
+        # the command's work runs, and create nothing.
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(work, no_work)
+        cfg = str(small_config(tmp_path))
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub" / "deeper"
+        result = run_cli([command, "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 2, all_output(result)
+        assert result.stderr == (f"config error: cannot write {out}{os.sep}: "
+                                 f"{tmp_path / 'file'}: Not a directory\n")
+        assert (tmp_path / "file").read_text() == ""
+
+    def test_out_below_an_unwritable_directory_exits_2(self, tmp_path,
+                                                       monkeypatch):
+        # The suite may run as root, whom no mode bit denies a write, so
+        # os.access is made to deny it for the ancestor.
+        access = os.access
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        monkeypatch.setattr(os, "access", lambda path, mode: (
+            str(path) != str(locked) and access(path, mode)))
+        monkeypatch.setattr("holo_rmt.cli.analyze_model", lambda *args, **kw:
+                            pytest.fail("analyze_model ran"))
+        out = locked / "sub"
+        result = run_cli(["analyze", "--config", str(small_config(tmp_path)),
+                          "--out", str(out)])
+        assert result.exit_code == 2, all_output(result)
+        assert result.stderr == (f"config error: cannot write {out}{os.sep}: "
+                                 f"{locked}: Permission denied\n")
+        assert not out.exists()
 
 class TestMcCommand:
     def test_deterministic_csv_bytes(self, tmp_path):

@@ -29,6 +29,48 @@ def unused_imports(source):
                   if name not in read)
 
 
+def dead_helpers(sources):
+    """Module-level ``_private`` functions that no code reads.
+
+    ``sources`` maps module names to source text.  A read is a name or an
+    attribute (``solver._full``) anywhere in any of the sources, except
+    inside the function's own ``def``, so a helper that only calls itself
+    is dead too.  Dunder names are protocol hooks, not helpers.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = {node.id for node in ast.walk(stmt)
+                     if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(stmt)
+                      if isinstance(node, ast.Attribute)}
+            if isinstance(stmt, ast.FunctionDef):
+                names.discard(stmt.name)
+                if stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                    defined.append((module, stmt.name))
+            read |= names
+    return sorted((module, name) for module, name in defined
+                  if name not in read)
+
+
+def test_dead_helper_detector():
+    sources = {
+        "a": ("def _used():\n    return 1\n"
+              "def _unused():\n    return _used()\n"
+              "def _recursive(k):\n    return _recursive(k - 1) if k else 0\n"
+              "def _by_attribute():\n    pass\n"
+              "def __getattr__(name):\n    raise AttributeError(name)\n"
+              "class C:\n    def _method(self):\n        pass\n"),
+        "b": "from . import a\nVALUE = a._by_attribute\n",
+    }
+    assert dead_helpers(sources) == [("a", "_recursive"), ("a", "_unused")]
+
+
+def test_every_private_helper_is_read():
+    assert dead_helpers({p.name: p.read_text()
+                         for p in sorted(PACKAGE.glob("*.py"))}) == []
+
+
 def test_detector_finds_unused_names():
     source = ("from __future__ import annotations\n"
               "import math\nimport os.path\nimport numpy as np\n"

@@ -110,13 +110,12 @@ class TestLowRankResolvents:
         delta = 0.1 + 3.0 * rng.random(m)
         delta_tilde = 0.1 + 3.0 * rng.random(n)
         res = compute_resolvents(model, delta, delta_tilde)
-        t_ref, ld_ref, tt_ref, _ = dense_resolvents(
+        t_ref, _, tt_ref, _ = dense_resolvents(
             model, delta, delta_tilde, rho)
         assert rel_err(res.t_diag, np.real(np.diag(t_ref))) <= 1e-12
         assert rel_err(res.t_tilde_diag, np.real(np.diag(tt_ref))) <= 1e-12
         assert rel_err(res.t_dense(), t_ref) <= 1e-12
         assert rel_err(res.t_tilde_dense(), tt_ref) <= 1e-12
-        assert abs(res.logdet_t_inv - ld_ref) <= 1e-12 * abs(ld_ref)
 
     @pytest.mark.parametrize("snr_db", [40.0, 50.0, 80.0])
     def test_rank4_desk_los_converges_at_high_snr(self, desk, snr_db):
