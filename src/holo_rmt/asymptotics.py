@@ -6,7 +6,9 @@ deterministic-equivalent ergodic MI, assembles the M x M blocks of the
 variance (from one M x M log-det, a Schur complement over the LoS block Pi,
 when Pi has low rank), and provides two cross checks: a Gaussian outage
 approximation and an independent per-column linear-system evaluation of the
-same variance.
+same variance.  Everything reads T and T~ through the solve's factors:
+B = [[Pi, Sigma^T |T|^2 Sigma / M^2], [zeta^2 |T~|^2, Pi^T]], its two
+modulus blocks from one form, and the EMI from the Woodbury products.
 """
 
 import math
@@ -81,18 +83,16 @@ def emi_deterministic(model: ChannelModel, solution: DeltaSolution,
           + zeta sum_j delta_j ||x~_j||^2.
 
     The determinant lemma on T^{-1} = diag(zeta (1 + delta~)) + V V^H,
-    V = P chol_w, gives the first two, C = I + V^H diag(psi) V being the
-    Woodbury capacitance; log det C = sum log1p(eig(C - I)), as chol(C)'s
-    diagonal rounds C - I to an ulp of 1.  The fixed point
-    sum_i sigma^2_ij T_ii = M delta_j and zeta T~_jj = 1/(1 + delta_j)
-    - zeta ||x~_j||^2 (x~ = ``x_tilde``) give the last two.
+    V = P chol_w, gives the first two, C = I + E being the Woodbury
+    capacitance the solve formed (E = ``res.e``); log det C =
+    sum log1p(eig(E)), as chol(C)'s diagonal rounds E to an ulp of 1.  The
+    fixed point sum_i sigma^2_ij T_ii = M delta_j and zeta T~_jj =
+    1/(1 + delta_j) - zeta ||x~_j||^2 (x~ = ``x_tilde``) give the last two.
     """
     delta, delta_tilde = solution.delta, solution.delta_tilde
-    psi = 1.0 / (model.zeta * (1.0 + delta_tilde))
-    v = model.los_factors[0] @ res.chol_w
-    e = np.linalg.eigvalsh((psi[:, None] * v).conj().T @ v)
+    eig = np.linalg.eigvalsh(res.e)
     x_tilde_sq = (np.abs(res.x_tilde) ** 2).sum(axis=0)
-    return (float(np.sum(np.log1p(delta_tilde))) + float(np.sum(np.log1p(e)))
+    return (float(np.sum(np.log1p(delta_tilde))) + float(np.sum(np.log1p(eig)))
             + float(np.sum(np.log1p(delta) - delta / (1.0 + delta)))
             + model.zeta * float(delta @ x_tilde_sq))
 
@@ -113,17 +113,18 @@ def abs2_factors(y: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f, g
 
 
-def _sigma_abs2_t_sigma(sigma: np.ndarray, res: Resolvents) -> np.ndarray:
-    """Sigma^T |T|^2 Sigma with no N x N matrix, at every LoS width: for
-    T = diag(psi) - X^H X, |T|^2 is diag(t^2) plus the off-diagonal of
-    |X^H X|^2, one |S| x |S| block on the rows S where X is nonzero.  It
-    subtracts nothing; a single LoS has |S| = 1 and no off-diagonal."""
-    xh = res.x.conj().T
+def _abs2_support(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The off-diagonal of |diag(psi) - X^H X|^2 for a factored resolvent
+    (T from ``res.x``, T~ from ``res.x_tilde``): that of |X^H X|^2, which
+    lives on the rows S where X is nonzero.  Returns S and the |S| x |S|
+    block with a zero diagonal; the diagonal, the squared resolvent
+    diagonal, is the caller's.  It subtracts nothing, and a single LoS has
+    |S| = 1."""
+    xh = x.conj().T
     rows = np.flatnonzero(np.any(xh, axis=1))
-    off = np.abs(xh[rows] @ xh[rows].conj().T) ** 2
-    np.fill_diagonal(off, 0.0)
-    s = sigma[rows]
-    return (sigma.T * res.t_diag ** 2) @ sigma + (s.T @ off) @ s
+    block = np.abs(xh[rows] @ xh[rows].conj().T) ** 2
+    np.fill_diagonal(block, 0.0)
+    return rows, block
 
 
 def build_b(model: ChannelModel, solution: DeltaSolution,
@@ -135,41 +136,48 @@ def build_b(model: ChannelModel, solution: DeltaSolution,
     Gamma_{j,k} = tr(D_j T D_k T) / M^2
     Lambda~     = rho^2 diag(t~_jj^2)
 
-    With w_k = T a_k the quadratic forms reduce to column sums against
+    With w_k = T a_k, Pi's quadratic forms reduce to column sums against
     |w|^2, and the Gamma double trace to Sigma^T |T|^2 Sigma, because T is
-    Hermitian.  The LoS factors A = P Q^H give W = (T P) Q^H and
-    A^H T A = Q (P^H T P) Q^H; a centered channel (r = 0) gives Pi = Xi = 0.
+    Hermitian.  Xi + Lambda~ is rho^2 |T~|^2: write T = (R + A W A^H)^{-1}
+    with R = diag(rho (1 + delta~)) and W = D^{-1}, D = diag(1 + delta).
+    Then rho T~ = (W^{-1} + A^H R^{-1} A)^{-1}, and Woodbury gives
+    A^H T A = D - rho D T~ D, so off the diagonal
+    a_j^H T a_k = -rho (1 + delta_j)(1 + delta_k) T~_jk and
+    Xi_jk = rho^2 |T~_jk|^2; Lambda~ is the diagonal of the same block.  So
+    Gamma and Xi read the one modulus form |diag(psi) - X^H X|^2
+    (``_abs2_support``), of T's factor and of T~'s.  A centered channel
+    (r = 0) gives Pi = Xi = 0.
 
     No N x N matrix is formed.  T P is ``Resolvents.tp()`` (dense T @ P
-    cancels in the range of A as the SNR grows), Gamma comes from T's
-    factors (``_sigma_abs2_t_sigma``), and Xi takes |A^H T A|^2 entrywise
-    from the M x r product Q (P^H T P), whose r^2 factors would cancel on
-    small entries.  The width decides only Pi's form: while 2 r^2 <= M,
-    Pi = U V^T from abs2_factors (rank <= r^2), the factors variance_clt
-    uses; past it Pi is formed from W, which with variance_clt's dense
-    2M x 2M log-det is then the cheaper path (measured at M = 317).
+    cancels in the range of A as the SNR grows) and T A = (T P) Q^H for
+    the LoS factors A = P Q^H.  The width decides only Pi's form: while
+    2 r^2 <= M, Pi = U V^T from abs2_factors (rank <= r^2), the factors
+    variance_clt uses; past it Pi is formed from T A, which with
+    variance_clt's dense 2M x 2M log-det is then the cheaper path
+    (measured at M = 317).
     """
     m = model.dims[1]
     sigma = model.profile.matrix
     one_plus_sq = (1.0 + solution.delta) ** 2
     rho = solution.rho
-    p, q = model.los_factors
+    q = model.los_factors[1]
 
     pi_factors = None
     tp = res.tp()
-    if 2 * p.shape[1] ** 2 <= m:
+    if 2 * q.shape[1] ** 2 <= m:
         f, g = abs2_factors(tp, q)
         pi_factors = (sigma.T @ f / m, g / one_plus_sq[:, None])
         pi = pi_factors[0] @ pi_factors[1].T
     else:
         w = tp @ q.conj().T                            # w[:, k] = T a_k
         pi = (sigma.T @ (np.abs(w) ** 2)) / (m * one_plus_sq[None, :])
-    gamma = _sigma_abs2_t_sigma(sigma, res)
-    gram = q @ (p.conj().T @ tp) @ q.conj().T          # a_j^H T a_k
-    xi = np.abs(gram) ** 2 / np.outer(one_plus_sq, one_plus_sq)
-    np.fill_diagonal(xi, 0.0)
-    gamma = gamma / m ** 2
+    rows, block = _abs2_support(res.x)
+    s = sigma[rows]
+    gamma = ((sigma.T * res.t_diag ** 2) @ sigma + (s.T @ block) @ s) / m ** 2
     gamma = 0.5 * (gamma + gamma.T)
+    rows, block = _abs2_support(res.x_tilde)
+    xi = np.zeros((m, m))
+    xi[np.ix_(rows, rows)] = rho ** 2 * block
     lam = (rho * res.t_tilde_diag) ** 2
     return BMatrix(pi=np.ascontiguousarray(pi), xi=xi, gamma=gamma,
                    lambda_tilde=lam, pi_factors=pi_factors)
@@ -194,6 +202,21 @@ def variance_clt(b: BMatrix) -> float:
     formula applies.  A non-positive determinant means the spectral-radius
     condition failed and is reported as an invalid regime instead of a
     complex logarithm.
+
+    V is also -log det(I - J), J the Jacobian of the fixed-point map
+    (delta, delta~) -> (Sigma^T diag T / M, Sigma diag T~ / M), exactly.
+    Let K = |T A|^2 D^{-2} (N x M, D = diag(1 + delta)), so Pi = Sigma^T K / M.
+    The push-through T A = zeta diag(psi) A T~ D gives J's delta~ block
+    Pi~ = Sigma K^T / M, and
+    J = [[Pi, -(zeta/M) Sigma^T |T|^2], [-(zeta/M) Sigma |T~|^2, Pi~]].
+    With Xi + Lambda~ = zeta^2 |T~|^2 (``build_b``), B = V W for
+    V = diag(Sigma^T / M, I_M) and
+    W = [[K, |T|^2 Sigma / M], [zeta^2 |T~|^2, K^T Sigma / M]], so
+    det(I - B) = det(I - W V).  W V becomes J by a transpose, a block swap,
+    the similarity diag(zeta I, I) and a sign flip of the off-diagonal
+    blocks, none of which moves det(I - .).  (Cf. Hachem, Loubaton & Najim,
+    Ann. Appl. Probab. 2008; Hachem, Kharouf, Najim & Silverstein, RMTA
+    2012.)
     """
     if b.pi_factors is None:
         sign, logdet = np.linalg.slogdet(np.eye(2 * b.m) - b.full())

@@ -11,7 +11,7 @@
 Each command takes only the flags it reads; any other is a usage error.
 
 Exit codes: 0 success, 1 validation failure, 2 usage/config error (a
-failed allocation, a zeta whose reciprocal overflows, or an --out that
+failed allocation, an SNR so high that 1/zeta overflows, or an --out that
 cannot be written, counts as one), 3 numerical failure (a LAPACK failure,
 or an SNR too low for the variance to be resolved, counts as one).  All
 outputs are deterministic functions of the config file, flags and seed.

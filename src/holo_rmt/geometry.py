@@ -134,10 +134,18 @@ def zeta_from_snr_db(geom: ArrayGeometry, snr_db: float) -> float:
     """effective_zeta at an SNR in dB under unit signal power, sigma^2 = 10^(-SNR/10).
 
     A noise power past the float range (SNR below about -3083 dB) gives
-    zeta = inf, which ChannelModel refuses like any non-finite zeta.
+    zeta = inf, which ChannelModel refuses like any non-finite zeta.  One
+    that underflows to 0 (SNR from about 3236 dB, or +inf) is refused here
+    with the advice ChannelModel gives for a zeta whose reciprocal
+    overflows; ``effective_zeta`` keeps refusing a zero noise power.
     """
     try:
         noise_power = 10.0 ** (-snr_db / 10.0)
     except OverflowError:
         noise_power = math.inf
+    if noise_power == 0.0:
+        raise ValueError(
+            f"snr_db = {snr_db:g} underflows the noise power 10^(-SNR/10) "
+            "to 0, so 1/zeta overflows; lower the SNR (snr_db, --snr-db) "
+            "or raise the noise power")
     return effective_zeta(geom, noise_power)

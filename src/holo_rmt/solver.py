@@ -41,7 +41,9 @@ two Sigma products included, against two dense O(N^3 + M^3) inverses.  A
 centered channel is the case r = 0, where T = diag(psi) and T~ =
 diag(psi~).  The solve keeps T and T~ factored, and the closed form reads
 them only through the factors; ``Resolvents`` forms the full matrices, in
-O(N^2 r + M^2 r), only when a check asks for them.
+O(N^2 r + M^2 r), only when a check asks for them.  It also keeps T's
+E = C - I, the r x r product the capacitance C is formed from, so only this
+module knows how C is formed.
 """
 
 from collections import deque
@@ -76,9 +78,10 @@ class Resolvents:
     likewise with the r x M ``x_tilde``; ``t_diag`` and ``t_tilde_diag`` are
     their real diagonals.  Both are Hermitian positive definite by
     construction; ``t_dense()`` and ``t_tilde_dense()`` form them in full,
-    for checks.  ``chol_w`` = L and ``chol_c`` = chol(C) are the r x r
-    Cholesky factors of T's ``_woodbury``, with which ``tp()`` applies T to
-    the LoS factor; the EMI takes log det C from V = P L.
+    for checks.  ``chol_w`` = L and ``e`` = E = V^H diag(psi) V (V = P L)
+    are the r x r products of T's ``_woodbury``: its capacitance is
+    C = I + E, whose eigenvalues give the EMI's log det C and whose Cholesky
+    factor ``tp()`` applies T to the LoS factor with.
     """
 
     t_diag: np.ndarray
@@ -86,7 +89,7 @@ class Resolvents:
     x: np.ndarray
     x_tilde: np.ndarray
     chol_w: np.ndarray
-    chol_c: np.ndarray
+    e: np.ndarray
 
     def tp(self) -> np.ndarray:
         """T P for the LoS factor P, in O(N r^2 + r^3).
@@ -95,7 +98,7 @@ class Resolvents:
         T P = X^H (L chol(C))^{-1}.  It subtracts nothing, where
         psi P - X^H (X P) cancels in the range of A as the SNR grows.
         """
-        k = self.chol_w @ self.chol_c
+        k = self.chol_w @ _cholesky(np.eye(self.e.shape[0]) + self.e)
         return np.linalg.solve(k.conj().T, self.x).conj().T
 
     def t_dense(self) -> np.ndarray:
@@ -122,8 +125,8 @@ def _woodbury(rho, own, other, p, q):
     psi = 1/(rho (1 + own)) and weights = 1/(1 + other); T takes
     (delta~, delta, P, Q) and T~ (delta, delta~, Q, P).  With
     L = chol(Q^H diag(weights) Q), V = P L and the r x r capacitance
-    C = I + V^H diag(psi) V, Woodbury gives T = diag(psi) - X^H X with
-    X = chol(C)^{-1} V^H diag(psi).  Returns (diag T, X, chol(C), L);
+    C = I + E, E = V^H diag(psi) V, Woodbury gives T = diag(psi) - X^H X
+    with X = chol(C)^{-1} V^H diag(psi).  Returns (diag T, X, E, L);
     r = 0 leaves T = diag(psi).
     """
     psi = 1.0 / (rho * (1.0 + own))
@@ -132,9 +135,9 @@ def _woodbury(rho, own, other, p, q):
     l = _cholesky(q.conj().T @ (weights[:, None] * q))
     v = p @ l
     pvh = (psi[:, None] * v).conj().T
-    lc = _cholesky(np.eye(r) + pvh @ v)
-    x = np.linalg.solve(lc, pvh) if r else pvh
-    return psi - (np.abs(x) ** 2).sum(axis=0), x, lc, l
+    e = pvh @ v
+    x = np.linalg.solve(_cholesky(np.eye(r) + e), pvh) if r else pvh
+    return psi - (np.abs(x) ** 2).sum(axis=0), x, e, l
 
 
 def _full(t_diag, x):
@@ -153,9 +156,9 @@ def compute_resolvents(model: ChannelModel, delta, delta_tilde) -> Resolvents:
         raise ValueError("delta parameters must be entrywise positive")
     rho = model.zeta
     p, q = model.los_factors
-    t_diag, x, lc, l = _woodbury(rho, delta_tilde, delta, p, q)
+    t_diag, x, e, l = _woodbury(rho, delta_tilde, delta, p, q)
     tt_diag, xt = _woodbury(rho, delta, delta_tilde, q, p)[:2]
-    return Resolvents(t_diag, tt_diag, x, xt, l, lc)
+    return Resolvents(t_diag, tt_diag, x, xt, l, e)
 
 
 def _gauss_seidel_map(model: ChannelModel):

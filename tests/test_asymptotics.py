@@ -11,8 +11,8 @@ from holo_rmt.asymptotics import (AsymptoticStats, BMatrix, abs2_factors,
                                   analyze_model, auto_rate_grid, build_b,
                                   emi_deterministic, oracle_from_blocks,
                                   outage_curve, variance_clt)
-from holo_rmt.channel import (VarianceProfile, build_weichselberger,
-                              synth_los)
+from holo_rmt.channel import (VarianceProfile, build_holographic,
+                              build_weichselberger, synth_los)
 from holo_rmt.config import RunConfig
 from holo_rmt.errors import InvalidRegimeError
 from holo_rmt.normal import norm_cdf
@@ -126,6 +126,57 @@ def emi_40_digits(model, sol):
                         for i in range(n) for j in range(m)) / (zeta * m)
         return (mp.re(mp.log(mp.det(t_inv)))
                 + mp.fsum(mp.log1p(x) for x in delta) - term3)
+
+
+def desk_model(desk, los_kind, snr_db, rank=None):
+    """desk's nonseparable channel, Rician K = 10, with a ``single`` LoS or
+    a ``lowrank`` one of the given rank (seed 701)."""
+    n, m = desk["nonsep"].shape
+    kwargs = {} if rank is None else {"rank": rank, "seed": 701}
+    los = synth_los(n, m, los_kind, **kwargs)
+    return build_holographic(desk["geom"], desk["nonsep"], los, 10.0,
+                             10.0 ** (-snr_db / 10.0))
+
+
+def xi_40_digits(model, sol):
+    """Xi in 40 digits at the solve's (delta, delta~): zeta^2 |T~_jk|^2 off
+    the diagonal, with T~ inverted in mpmath from A = P Q^H as factored."""
+    m = model.dims[1]
+    p, q = model.los_factors
+    with mp.workdps(40):
+        zeta = mp.mpf(model.zeta)
+        a = mp.matrix(p.tolist()) * mp.matrix(q.tolist()).H
+        delta = [mp.mpf(x) for x in sol.delta.tolist()]
+        delta_tilde = [mp.mpf(x) for x in sol.delta_tilde.tolist()]
+        tt = mp.inverse(mp.diag([zeta * (1 + x) for x in delta])
+                        + a.H * mp.diag([1 / (1 + x) for x in delta_tilde]) * a)
+        return np.array([[0.0 if j == k else float((zeta * abs(tt[j, k])) ** 2)
+                          for k in range(m)] for j in range(m)])
+
+
+def variance_from_jacobian(model, sol, res):
+    """-log det(I - J), J the Jacobian of the Jacobi map (delta, delta~) ->
+    (Sigma^T diag T / M, Sigma diag T~ / M), its blocks formed densely from
+    ``t_dense()`` and ``t_tilde_dense()``:
+
+        [[Pi,                          -(zeta/M) Sigma^T |T|^2],
+         [-(zeta/M) Sigma |T~|^2,       Pi~                    ]]
+
+    with Pi~_il = sum_j sigma_ij |(T~ A^H)_jl|^2 / (M (1 + delta~_l)^2).
+    """
+    m = model.dims[1]
+    sigma = model.profile.matrix
+    zeta = model.zeta
+    a = model.los
+    t, tt = res.t_dense(), res.t_tilde_dense()
+    pi = sigma.T @ np.abs(t @ a) ** 2 / (m * (1.0 + sol.delta) ** 2)
+    pi_tilde = (sigma @ np.abs(tt @ a.conj().T) ** 2
+                / (m * (1.0 + sol.delta_tilde) ** 2))
+    jac = np.block([[pi, -zeta / m * sigma.T @ np.abs(t) ** 2],
+                    [-zeta / m * sigma @ np.abs(tt) ** 2, pi_tilde]])
+    sign, logdet = np.linalg.slogdet(np.eye(jac.shape[0]) - jac)
+    assert sign > 0
+    return -logdet
 
 
 def zero_b(m):
@@ -319,6 +370,34 @@ class TestBuildB:
         sol, res = solve_deltas(model)
         assert_blocks_match_dense_t(model, sol, res, build_b(model, sol, res))
 
+    def test_lower_left_block_is_zeta2_abs2_t_tilde(self, desk):
+        # Xi + Lambda~ = zeta^2 |T~|^2 (A^H T A = D - zeta D T~ D), to 1e-14
+        # of the block's largest entry, on C9's family and on desk's single,
+        # rank-4 and rank-5 LoS.
+        models = c9_models(20) + [
+            desk_model(desk, kind, snr_db, rank)
+            for kind, rank in (("single", None), ("lowrank", 4),
+                               ("lowrank", 5))
+            for snr_db in (10.0, 30.0)]
+        for model in models:
+            sol, res = solve_deltas(model)
+            b = build_b(model, sol, res)
+            ref = model.zeta ** 2 * np.abs(res.t_tilde_dense()) ** 2
+            got = b.xi + np.diag(b.lambda_tilde)
+            assert np.abs(got - ref).max() <= 1e-14 * ref.max()
+
+    @pytest.mark.parametrize("snr_db", [30.0, 70.0])
+    def test_xi_matches_40_digit_reference(self, desk, snr_db):
+        # desk's rank-4 LoS (seed 701): every entry of Xi within 3e-14 of
+        # its 40-digit value at the same (delta, delta~).
+        model = desk_model(desk, "lowrank", snr_db, rank=4)
+        sol, res = solve_deltas(model)
+        xi = build_b(model, sol, res).xi
+        ref = xi_40_digits(model, sol)
+        assert np.array_equal(xi == 0.0, ref == 0.0)
+        off = ref > 0.0
+        assert (np.abs(xi[off] - ref[off]) / ref[off]).max() <= 3e-14
+
     def test_hand_built_blocks_take_dense_logdet(self):
         # No factors: variance_clt is the dense 2M x 2M log-det, bit for bit.
         rng = np.random.default_rng(5)
@@ -383,6 +462,14 @@ class TestVarianceClt:
             sign, logdet = np.linalg.slogdet(np.eye(2 * m) - b.full())
             assert sign > 0
             assert abs(stats.variance + logdet) <= 1e-13 * max(1.0, stats.variance)
+
+    def test_equals_jacobian_logdet_on_c9_models(self):
+        # det(I - B) = det(I - J) for the fixed-point map's Jacobian J
+        # (variance_clt's docstring has the proof).
+        for model in c9_models(20, seed=77):
+            sol, res = solve_deltas(model)
+            v = variance_clt(build_b(model, sol, res))
+            assert abs(variance_from_jacobian(model, sol, res) - v) <= 1e-13 * v
 
     def test_positive_on_random_models(self):
         for seed in range(5):

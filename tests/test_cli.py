@@ -52,8 +52,13 @@ class TestAnalyzeCommand:
 
     def test_matches_library_path(self, tmp_path):
         # One model moved across the SNRs gives exactly what a fresh
-        # per-SNR build gives, for a rank-1 and a rank-4 LoS.
-        from holo_rmt.asymptotics import analyze_model
+        # per-SNR build gives, for a rank-1 and a rank-4 LoS.  So does the
+        # composition perfbench's traced replay calls one step at a time
+        # (solve_deltas, emi_deterministic, build_b, variance_clt): that
+        # replay marks a run wrong unless it reproduces the CLI bit for bit.
+        from holo_rmt.asymptotics import (analyze_model, build_b,
+                                          emi_deterministic, variance_clt)
+        from holo_rmt.solver import solve_deltas
         snrs = [0.0, 10.0, 20.0, 40.0]
         for los in ({"kind": "single"},
                     {"kind": "lowrank", "rank": 4, "seed": 701}):
@@ -73,6 +78,10 @@ class TestAnalyzeCommand:
                 assert entry["variance"] == stats.variance
                 assert entry["delta_summary"]["iterations"] == sol.iterations
                 assert entry["delta_summary"]["residual"] == sol.residual
+                sol, res = solve_deltas(model, **cfg.solver_opts)
+                assert entry["emi_nats"] == emi_deterministic(model, sol, res)
+                assert entry["variance"] == variance_clt(
+                    build_b(model, sol, res))
 
     def test_one_svd_per_configuration(self, tmp_path, monkeypatch):
         calls = []
@@ -228,6 +237,8 @@ class TestConfigErrors:
                              ("-inf", "zeta must be finite and positive"),
                              ("10,nan", "zeta must be finite and positive"),
                              ("-4000", "zeta must be finite and positive"),
+                             ("3300", "1/zeta overflows; lower the SNR"),
+                             ("inf", "1/zeta overflows; lower the SNR"),
                              ("", "schema violation at snr_db: [] should be "
                                   "non-empty")):
             out = tmp_path / f"{command}{snr}"

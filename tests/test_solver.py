@@ -33,21 +33,19 @@ def random_model(seed, n=6, m=5, rho=0.4, los_scale=0.5):
 
 
 def hpd_inverse(mat):
-    """Dense reference: inverse and log-determinant of an HPD matrix."""
-    factor = sla.cho_factor(mat, lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.real(np.diag(factor[0])))))
-    inv = sla.cho_solve(factor, np.eye(mat.shape[0], dtype=mat.dtype))
-    return 0.5 * (inv + inv.conj().T), logdet
+    """Dense reference: the inverse of an HPD matrix, by Cholesky."""
+    inv = sla.cho_solve(sla.cho_factor(mat, lower=True),
+                        np.eye(mat.shape[0], dtype=mat.dtype))
+    return 0.5 * (inv + inv.conj().T)
 
 
-def dense_resolvents(model, delta, delta_tilde, rho):
-    """T, T~ and log det T^{-1}, log det T~^{-1} by two dense inversions."""
-    a = model.los
-    psi = 1.0 / (rho * (1.0 + delta_tilde))
-    psi_tilde = 1.0 / (rho * (1.0 + delta))
-    t_inv = np.diag(rho * (1.0 + delta_tilde)) + rho * (a * psi_tilde) @ a.conj().T
-    tt_inv = np.diag(rho * (1.0 + delta)) + rho * (a.conj().T * psi) @ a
-    return hpd_inverse(t_inv) + hpd_inverse(tt_inv)
+def dense_resolvent(a, own, other, rho):
+    """(diag(rho (1 + own)) + rho A diag(psi) A^H)^{-1} with
+    psi = 1/(rho (1 + other)), by one dense inversion: T is
+    (A, delta~, delta) and T~ is (A^H, delta, delta~)."""
+    psi = 1.0 / (rho * (1.0 + other))
+    return hpd_inverse(np.diag(rho * (1.0 + own))
+                       + rho * (a * psi) @ a.conj().T)
 
 
 def plain_gauss_seidel(model, rho, tol, max_iter=100_000, start=1.0):
@@ -59,11 +57,12 @@ def plain_gauss_seidel(model, rho, tol, max_iter=100_000, start=1.0):
     """
     n, m = model.dims
     sigma = model.profile.matrix
+    a = model.los
     delta, delta_tilde = np.full(m, start), np.full(n, start)
     for _ in range(max_iter):
-        t_mat = dense_resolvents(model, delta, delta_tilde, rho)[0]
+        t_mat = dense_resolvent(a, delta_tilde, delta, rho)
         delta_new = sigma.T @ np.real(np.diag(t_mat)) / m
-        tt_mat = dense_resolvents(model, delta_new, delta_tilde, rho)[2]
+        tt_mat = dense_resolvent(a.conj().T, delta_new, delta_tilde, rho)
         delta_tilde_new = sigma @ np.real(np.diag(tt_mat)) / m
         step = max(np.abs(delta_new - delta).max(),
                    np.abs(delta_tilde_new - delta_tilde).max())
@@ -110,8 +109,8 @@ class TestLowRankResolvents:
         delta = 0.1 + 3.0 * rng.random(m)
         delta_tilde = 0.1 + 3.0 * rng.random(n)
         res = compute_resolvents(model, delta, delta_tilde)
-        t_ref, _, tt_ref, _ = dense_resolvents(
-            model, delta, delta_tilde, rho)
+        t_ref = dense_resolvent(model.los, delta_tilde, delta, rho)
+        tt_ref = dense_resolvent(model.los.conj().T, delta, delta_tilde, rho)
         assert rel_err(res.t_diag, np.real(np.diag(t_ref))) <= 1e-12
         assert rel_err(res.t_tilde_diag, np.real(np.diag(tt_ref))) <= 1e-12
         assert rel_err(res.t_dense(), t_ref) <= 1e-12
