@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -11,12 +12,14 @@ from holo_rmt import validate
 from holo_rmt.channel import (VarianceProfile, build_holographic,
                               build_kronecker, build_weichselberger,
                               synth_los)
+from holo_rmt.config import RunConfig
 from holo_rmt.errors import ConvergenceError, NumericalError
 from holo_rmt.solver import (DEFAULT_MAX_ITER, compute_resolvents,
                              delta_upper_bounds, self_consistency_residual,
                              solve_deltas)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def iid_model(n, m, rho):
@@ -149,6 +152,30 @@ class TestAndersonAcceleration:
         assert sol.iterations < DEFAULT_MAX_ITER
         assert self_consistency_residual(model, sol, res) <= 1e-10
 
+    @pytest.mark.parametrize("los, snr_db", [("single", 120.0),
+                                             ("single", 150.0),
+                                             ("rank4", 110.0),
+                                             ("full", 100.0)])
+    def test_converges_to_ulps_of_delta_at_high_snr(self, desk, los, snr_db):
+        """Anderson on the Gauss-Seidel sweep ran out of iterations at each
+        point: its absolute 1e-12 stop lies below an ulp of delta there.
+        The defect is bounded at 16 eps max(delta): the stop's 4-ulp floor,
+        as much again from reading delta~ as the image of the returned
+        delta, and a factor 2 for the rounding of the image itself."""
+        if los == "full":
+            model = RunConfig.from_file(CONFIGS / "full.json").build_model(snr_db)
+        else:
+            n, m = desk["nonsep"].shape
+            kwargs = {"rank": 4, "seed": 701} if los == "rank4" else {}
+            a = synth_los(n, m, "lowrank" if kwargs else "single", **kwargs)
+            model = build_holographic(desk["geom"], desk["nonsep"], a, 10.0,
+                                      10.0 ** (-snr_db / 10.0))
+        sol, res = solve_deltas(model)
+        scale = max(sol.delta.max(), sol.delta_tilde.max())
+        assert sol.iterations < DEFAULT_MAX_ITER
+        assert (self_consistency_residual(model, sol, res)
+                <= 16 * np.finfo(float).eps * scale)
+
 
 class TestComputeResolvents:
     def test_tp_keeps_rounding_level_at_high_snr(self, desk):
@@ -264,7 +291,7 @@ class TestSolveDeltas:
 
     def test_max_iter_exhaustion_carries_residuals(self):
         model = iid_model(4, 4, 0.01)
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError, match=r"tol min\(1, x\)") as err:
             solve_deltas(model, tol=1e-14, max_iter=3)
         assert len(err.value.residuals) == 3
         assert err.value.residuals[-1] > 0
