@@ -45,14 +45,8 @@ class BMatrix:
         return self.pi.shape[0]
 
     def full(self) -> np.ndarray:
-        return self.leading(self.m)
-
-    def leading(self, j: int) -> np.ndarray:
-        """B_j: the 2j x 2j matrix built from the leading j x j blocks."""
-        top = np.hstack([self.pi[:j, :j], self.gamma[:j, :j]])
-        bottom = np.hstack([self.xi[:j, :j] + np.diag(self.lambda_tilde[:j]),
-                            self.pi[:j, :j].T])
-        return np.vstack([top, bottom])
+        return np.block([[self.pi, self.gamma],
+                         [self.xi + np.diag(self.lambda_tilde), self.pi.T]])
 
 
 @dataclass(frozen=True)
@@ -179,8 +173,8 @@ def build_b(model: ChannelModel, solution: DeltaSolution,
     xi = np.zeros((m, m))
     xi[np.ix_(rows, rows)] = rho ** 2 * block
     lam = (rho * res.t_tilde_diag) ** 2
-    return BMatrix(pi=np.ascontiguousarray(pi), xi=xi, gamma=gamma,
-                   lambda_tilde=lam, pi_factors=pi_factors)
+    return BMatrix(pi=pi, xi=xi, gamma=gamma, lambda_tilde=lam,
+                   pi_factors=pi_factors)
 
 
 def variance_clt(b: BMatrix) -> float:
@@ -240,7 +234,8 @@ def oracle_from_blocks(b: BMatrix) -> float:
     """Independent per-column linear-system evaluation of the variance.
 
     For each j the vector p_j solves (I_{2j} - B_j) p_j = q_j with
-    q_j = M [Gamma_{j,1..j}, Pi_{j,1..j}]^T, and the variance accumulates
+    q_j = M [Gamma_{j,1..j}, Pi_{j,1..j}]^T, B_j being the rows and
+    columns 1..j and M+1..M+j of B, and the variance accumulates
     (1/M) sum_j (2 p_j[2j] - rho^2 t~_jj^2 p_j[j]).  The j systems are
     solved independently so this code path shares nothing with
     variance_clt beyond the blocks; agreement improves as M grows.  Its
@@ -251,17 +246,18 @@ def oracle_from_blocks(b: BMatrix) -> float:
         raise ValueError(
             f"oracle limited to M <= {ORACLE_MAX_COLUMNS} columns (got {m}); "
             "its cost grows like M^4")
-    lam = b.lambda_tilde
+    full = b.full()
     total = 0.0
     for j in range(1, m + 1):
-        s_j = np.eye(2 * j) - b.leading(j)
+        lead = np.r_[:j, m:m + j]
+        s_j = np.eye(2 * j) - full[np.ix_(lead, lead)]
         q_j = m * np.concatenate([b.gamma[j - 1, :j], b.pi[j - 1, :j]])
         try:
             p_j = np.linalg.solve(s_j, q_j)
         except np.linalg.LinAlgError as exc:
             raise InvalidRegimeError(
                 f"singular system at column {j} in the variance oracle") from exc
-        total += 2.0 * p_j[2 * j - 1] - lam[j - 1] * p_j[j - 1]
+        total += 2.0 * p_j[2 * j - 1] - b.lambda_tilde[j - 1] * p_j[j - 1]
     return total / m
 
 
@@ -287,13 +283,17 @@ def analyze_model(model: ChannelModel, **solver_opts):
     solve_deltas unchanged.
 
     At a low enough SNR B is so small that -log det(I - B) rounds to 0 or
-    below; that is a NumericalError, not a variance.  (A B of zeros, which
-    no channel gives, has variance exactly 0 in ``variance_clt``.)
+    below, or zeta^2 overflows (zeta > 1.3e154) and V is nan; that is a
+    NumericalError, not a variance.  (A B of zeros, which no channel gives,
+    has variance exactly 0 in ``variance_clt``.)
     """
     solution, res = solve_deltas(model, **solver_opts)
     emi = emi_deterministic(model, solution, res)
-    b = build_b(model, solution, res)
-    variance = variance_clt(b)
+    try:
+        b = build_b(model, solution, res)
+        variance = variance_clt(b)
+    except OverflowError:                   # zeta^2 in build_b's Xi
+        variance = math.nan
     if not variance > 0:
         raise NumericalError(
             f"variance -log det(I - B) = {variance:.3g} at zeta = "

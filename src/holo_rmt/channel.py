@@ -296,21 +296,17 @@ def _support_factors(a):
     nonzero = a != 0
     rows = np.flatnonzero(nonzero.any(axis=1))
     cols = np.flatnonzero(nonzero.any(axis=0))
-    full = rows.size == a.shape[0] and cols.size == a.shape[1]
-    block = a if full else a[np.ix_(rows, cols)]
+    block = a[np.ix_(rows, cols)]
     u, s, vh = np.linalg.svd(block if np.any(np.imag(block)) else np.real(block),
                              full_matrices=False)
-    norm = float(s[0]) if s.size else 0.0
+    norm = float(s.max(initial=0.0))
     if not np.isfinite(norm):
         raise ValueError("LoS spectral norm must be finite")
     r = int(np.count_nonzero(s > norm * max(a.shape) * np.finfo(float).eps))
-    p, q = u[:, :r] * s[:r], vh[:r].conj().T
-    if full:
-        return p, q
-    p_full = np.zeros((a.shape[0], r), dtype=p.dtype)
-    q_full = np.zeros((a.shape[1], r), dtype=q.dtype)
-    p_full[rows], q_full[cols] = p, q
-    return p_full, q_full
+    p = np.zeros((a.shape[0], r), dtype=u.dtype)
+    q = np.zeros((a.shape[1], r), dtype=vh.dtype)
+    p[rows], q[cols] = u[:, :r] * s[:r], vh[:r].conj().T
+    return p, q
 
 
 @dataclass(frozen=True)

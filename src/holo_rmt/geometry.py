@@ -95,7 +95,6 @@ def enumerate_lattice(length_x: float, length_y: float,
         for my in range(-math.floor(ay + 1), math.floor(ay + 1) + 1):
             if (mx * ay) ** 2 + (my * ax) ** 2 <= bound:
                 pts.append((mx, my))
-    pts.sort()
     return WavenumberLattice(points=tuple(pts), aperture=(length_x, length_y),
                              wavelength=wavelength)
 

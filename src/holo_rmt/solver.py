@@ -132,16 +132,15 @@ def _woodbury(rho, own, other, p, q):
     L = chol(Q^H diag(weights) Q), V = P L and the r x r capacitance
     C = I + E, E = V^H diag(psi) V, Woodbury gives T = diag(psi) - X^H X
     with X = chol(C)^{-1} V^H diag(psi).  Returns (diag T, X, E, L);
-    r = 0 leaves T = diag(psi).
+    r = 0 gives the empty X, so T = diag(psi).
     """
     psi = 1.0 / (rho * (1.0 + own))
     weights = 1.0 / (1.0 + other)
-    r = p.shape[1]
     l = _cholesky(q.conj().T @ (weights[:, None] * q))
     v = p @ l
     pvh = (psi[:, None] * v).conj().T
     e = pvh @ v
-    x = np.linalg.solve(_cholesky(np.eye(r) + e), pvh) if r else pvh
+    x = np.linalg.solve(_cholesky(np.eye(p.shape[1]) + e), pvh)
     return psi - (np.abs(x) ** 2).sum(axis=0), x, e, l
 
 

@@ -94,21 +94,28 @@ def check_iid_closed_form(rhos=(0.1, 1.0, 10.0), size=16,
 # Criteria 3/4: EMI and variance against Monte Carlo
 # ---------------------------------------------------------------------------
 
+def _rician_sweep(cfg, snrs_db, rician_ks, samples, seed):
+    """(K, SNR, closed-form stats, MC sample set) per SNR and per distinct
+    Rician factor K of ``rician_ks``, in their given order."""
+    for k in dict.fromkeys(rician_ks):
+        cfg_k = cfg.updated(channel={"rician_k": k})
+        for snr, stats, ms in closed_form_and_mc(cfg_k, snrs_db, samples, seed):
+            yield k, snr, stats, ms
+
+
 def check_emi_vs_mc(cfg, snrs_db=(0.0, 10.0, 20.0), rician_ks=(0.0, 10.0),
                     samples=10_000, seed=11, rel_tol=0.01,
                     se_mult=SE_MULTIPLIER) -> CriterionResult:
     t0 = time.perf_counter()
     details = []
-    for k in rician_ks:
-        sweep = closed_form_and_mc(cfg.updated(channel={"rician_k": k}),
-                                   snrs_db, samples, seed)
-        for snr, stats, ms in sweep:
-            rel = float(abs(ms.mean - stats.emi_nats) / abs(stats.emi_nats))
-            se = math.sqrt(ms.variance / samples)
-            within_se = bool(abs(ms.mean - stats.emi_nats) <= se_mult * se)
-            details.append({"rician_k": k, "snr_db": snr, "emi": stats.emi_nats,
-                            "mc_mean": ms.mean, "rel": rel, "se": se,
-                            "pass": bool(rel <= rel_tol) and within_se})
+    sweep = _rician_sweep(cfg, snrs_db, rician_ks, samples, seed)
+    for k, snr, stats, ms in sweep:
+        rel = float(abs(ms.mean - stats.emi_nats) / abs(stats.emi_nats))
+        se = math.sqrt(ms.variance / samples)
+        within_se = bool(abs(ms.mean - stats.emi_nats) <= se_mult * se)
+        details.append({"rician_k": k, "snr_db": snr, "emi": stats.emi_nats,
+                        "mc_mean": ms.mean, "rel": rel, "se": se,
+                        "pass": bool(rel <= rel_tol) and within_se})
     worst_rel = max((d["rel"] for d in details), default=0.0)
     return CriterionResult(
         name="emi-vs-mc",
@@ -130,22 +137,20 @@ def check_variance_vs_mc(cfg, snrs_db=(0.0, 10.0, 20.0), rician_ks=(0.0, 10.0),
     t0 = time.perf_counter()
     p_lo = norm_cdf(-se_mult)
     details = []
-    for k in rician_ks:
-        sweep = closed_form_and_mc(cfg.updated(channel={"rician_k": k}),
-                                   snrs_db, samples, seed)
-        for snr, stats, ms in sweep:
-            s2 = ms.variance
-            rel = float(abs(s2 - stats.variance) / stats.variance)
-            # chi^2 sampling band for the variance of ~Gaussian samples,
-            # at quantiles matching the +-se_mult convention of the mean gate.
-            dof = samples - 1
-            band_lo = s2 * dof / chi2_ppf(1.0 - p_lo, dof)
-            band_hi = s2 * dof / chi2_ppf(p_lo, dof)
-            in_band = bool(band_lo <= stats.variance <= band_hi)
-            details.append({"rician_k": k, "snr_db": snr,
-                            "variance": stats.variance, "mc_var": s2,
-                            "rel": rel, "band": [float(band_lo), float(band_hi)],
-                            "pass": bool(rel <= rel_tol) and in_band})
+    sweep = _rician_sweep(cfg, snrs_db, rician_ks, samples, seed)
+    for k, snr, stats, ms in sweep:
+        s2 = ms.variance
+        rel = float(abs(s2 - stats.variance) / stats.variance)
+        # chi^2 sampling band for the variance of ~Gaussian samples,
+        # at quantiles matching the +-se_mult convention of the mean gate.
+        dof = samples - 1
+        band_lo = s2 * dof / chi2_ppf(1.0 - p_lo, dof)
+        band_hi = s2 * dof / chi2_ppf(p_lo, dof)
+        in_band = bool(band_lo <= stats.variance <= band_hi)
+        details.append({"rician_k": k, "snr_db": snr,
+                        "variance": stats.variance, "mc_var": s2,
+                        "rel": rel, "band": [float(band_lo), float(band_hi)],
+                        "pass": bool(rel <= rel_tol) and in_band})
     worst_rel = max((d["rel"] for d in details), default=0.0)
     return CriterionResult(
         name="variance-vs-mc",
@@ -403,9 +408,9 @@ def run_all(run_config, rel_tol_scale=1.0):
 
     The channel-dependent criteria run on the configured channel: its
     geometry, profile, kernel_a, LoS, Rician factor and solver settings.
-    The mean/variance-vs-MC checks also sweep K = 0.  The Gaussianity and
-    outage checks run on its separable variant (``profile`` set to
-    "separable"): their criteria do not pin the profile, and the
+    The mean/variance-vs-MC checks also sweep K = 0, once if K is 0.  The
+    Gaussianity and outage checks run on its separable variant (``profile``
+    set to "separable"): their criteria do not pin the profile, and the
     narrow-kernel non-separable profile, where about 5 entries per row
     carry a row's variance at kernel_a = 1, carries a bias those
     distributional gates cannot absorb.  ``rel_tol_scale`` scales the

@@ -248,6 +248,22 @@ class TestConfigErrors:
             assert message in all_output(result)
             assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "mc", "validate"])
+    def test_snr_too_low_for_variance_exits_3(self, tmp_path, command):
+        # Below about -1570 dB zeta^2 overflows a double in B's Xi block;
+        # every SNR down to the -3083 dB noise-overflow bound is refused as
+        # one whose V cannot be resolved, before --out exists.
+        cfg = small_config(tmp_path)
+        for snr in ("-1560", "-2000", "-3082"):
+            out = tmp_path / f"{command}{snr}"
+            result = run_cli([command, "--config", str(cfg),
+                              "--out", str(out), f"--snr-db={snr}"])
+            assert result.exit_code == 3, all_output(result)
+            assert ("the SNR is too low for V to be resolved"
+                    in result.stderr), snr
+            assert "Traceback" not in all_output(result)
+            assert not out.exists()
+
     def test_nan_tol_exits_2(self, tmp_path):
         # A bad --tol is refused before --out exists, and by validate before
         # any criterion runs.  The schema refuses -1 and 0, as it does in

@@ -10,7 +10,8 @@ from holo_rmt.config import RunConfig
 from holo_rmt.montecarlo import run_mc
 from holo_rmt.normal import norm_cdf
 from holo_rmt.validate import (SE_MULTIPLIER, check_convergence,
-                               check_emi_vs_mc, check_outage, chi2_ppf)
+                               check_emi_vs_mc, check_outage,
+                               check_variance_vs_mc, chi2_ppf)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -60,3 +61,14 @@ def test_outage_sup_equals_direct_count():
               for r, p in outage_curve(stats, auto_rate_grid(stats)))
     assert c7.details[0]["sup_dev"] == sup
     assert c7.measured == f"sup |Prop - empirical| = {sup:.4f}"
+
+
+@pytest.mark.parametrize("check", [check_emi_vs_mc, check_variance_vs_mc])
+def test_rician_factor_listed_twice_is_swept_once(check):
+    # run_all passes (0, K); at K = 0 that is one sweep, one row per SNR.
+    cfg = RunConfig.from_file(CONFIGS / "desk.json").updated(
+        channel={"profile": "separable"})
+    res = check(cfg, snrs_db=(0.0, 10.0), rician_ks=(0.0, 0.0), samples=200,
+                seed=11)
+    assert [(d["rician_k"], d["snr_db"]) for d in res.details] == [
+        (0.0, 0.0), (0.0, 10.0)]
