@@ -99,13 +99,16 @@ def effective_width(matrix):
     return side(1), side(0)
 
 
-def _floored(matrix):
+def _floored(matrix, what):
+    """``matrix`` with entries raised to the positivity floor, warning with
+    the count and ``what`` the matrix is when any are."""
     m = np.asarray(matrix, dtype=float)
     count = floor_count(m)
     if count:
         floor = PROFILE_FLOOR_REL * m.max()
         warnings.warn("variance profile entries below the positivity floor "
-                      f"were raised to {floor:.3e}: {count} of {m.size} entries",
+                      f"were raised to {floor:.3e}: {count} of {m.size} entries "
+                      f"of the {what}",
                       stacklevel=3)
         m = np.maximum(m, floor)
     return m
@@ -199,30 +202,21 @@ def _side_weights(lattice: WavenumberLattice, wavelength: float) -> np.ndarray:
     The cell of point (m_x, m_y) is the corner-anchored rectangle
     [2 pi m_x / L_x, 2 pi (m_x+1) / L_x] x [2 pi m_y / L_y, 2 pi (m_y+1) / L_y]
     intersected with the propagation disk of radius kappa = 2 pi / wavelength.
-    Each distinct cell is measured once, on a mirror/swap canonical key,
-    since the integrand is invariant under axis reflection (and axis swap
-    for square apertures); all distinct cells go through one vectorised
-    ``_cell_measures`` call.
+    The integrand is invariant under axis reflection (and axis swap for
+    square apertures), so each cell is mirrored into the first quadrant
+    (m -> -m - 1 for m < 0), its axes ordered on a square aperture, and
+    all cells go through one vectorised ``_cell_measures`` call.
     """
     kappa = 2.0 * np.pi / wavelength
     lx, ly = lattice.aperture
     hx = 2.0 * np.pi / lx
     hy = 2.0 * np.pi / ly
-    square = abs(lx - ly) <= 1e-15 * max(lx, ly)
-
-    def canon(mx, my):
-        cx = mx if mx >= 0 else -mx - 1
-        cy = my if my >= 0 else -my - 1
-        if square and cy < cx:
-            cx, cy = cy, cx
-        return cx, cy
-
-    keys = [canon(mx, my) for mx, my in lattice.points]
-    cells = sorted(set(keys))
-    cx, cy = np.array(cells, dtype=float).T
-    measure = dict(zip(cells, _cell_measures(cx * hx, (cx + 1) * hx,
-                                             cy * hy, (cy + 1) * hy, kappa)))
-    weights = np.array([measure[key] for key in keys])
+    cx, cy = (np.where(m >= 0, m, -m - 1)
+              for m in np.array(lattice.points, dtype=float).T)
+    if abs(lx - ly) <= 1e-15 * max(lx, ly):
+        cx, cy = np.minimum(cx, cy), np.maximum(cx, cy)
+    weights = _cell_measures(cx * hx, (cx + 1) * hx, cy * hy, (cy + 1) * hy,
+                             kappa)
     total = weights.sum()
     if total <= 0:
         # Cannot happen for a valid lattice: the origin cell always overlaps
@@ -241,8 +235,8 @@ def profile_separable_isotropic(lat_rx: WavenumberLattice,
     """
     if lat_rx.n == 0 or lat_tx.n == 0:
         raise ValueError("lattices must be nonempty")
-    d = _floored(_side_weights(lat_rx, wavelength))
-    dt = _floored(_side_weights(lat_tx, wavelength))
+    d = _floored(_side_weights(lat_rx, wavelength), "rx factor")
+    dt = _floored(_side_weights(lat_tx, wavelength), "tx factor")
     return separable_profile(d, dt)
 
 
@@ -264,7 +258,7 @@ def profile_nonseparable_gaussian(sep: VarianceProfile,
     dist2 = ((rx[:, None, 0] - tx[None, :, 0]) ** 2
              + (rx[:, None, 1] - tx[None, :, 1]) ** 2)
     kernel = np.exp(-dist2 / kernel_scale)
-    return VarianceProfile(_floored(sep.matrix * kernel))
+    return VarianceProfile(_floored(sep.matrix * kernel, "profile"))
 
 
 # ---------------------------------------------------------------------------

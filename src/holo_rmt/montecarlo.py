@@ -89,8 +89,7 @@ def _box_muller(u, los, sqrt_sigma, part, h):
     amp, phase = u[:, 0], u[:, 1]
     np.negative(amp, out=amp)
     np.log1p(amp, out=amp)                # 1 - u in (0, 1] avoids log(0)
-    np.negative(amp, out=amp)
-    np.divide(amp, los.shape[1], out=amp)
+    np.divide(amp, -los.shape[1], out=amp)  # x / -M is -(x / M) exactly
     np.sqrt(amp, out=amp)
     np.multiply(phase, 2.0 * np.pi, out=phase)
     for trig, dest, base in ((np.cos, h.real, los.real),
@@ -139,7 +138,9 @@ def _log_dets(h, zetas, work):
     d = min(n, m)
     out = np.empty((len(zetas), b))
     for z, zeta in enumerate(zetas):
-        np.divide(g, zeta, out=c)
+        # The bits of g / zeta: numpy's complex division by zeta + 0j
+        # multiplies both parts by 1 / zeta.
+        np.multiply(g.view(float), 1.0 / zeta, out=c.view(float))
         c.reshape(b, d * d)[:, ::d + 1] += 1.0
         try:
             low = np.linalg.cholesky(c)

@@ -15,13 +15,19 @@ import math
 import numpy as np
 
 
+def _elementwise(scalar, x):
+    """``scalar`` mapped over the entries of ``x``: a float for a scalar or
+    0-d ``x``, else a float array of its shape."""
+    arr = np.asarray(x, dtype=float)
+    out = np.array(list(map(scalar, arr.ravel().tolist())),
+                   dtype=float).reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
+
+
 def norm_cdf(x):
     """Standard normal CDF, elementwise on scalars or arrays."""
-    arr = np.asarray(x, dtype=float)
-    out = 0.5 * np.vectorize(math.erfc)(-arr / math.sqrt(2.0))
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
+    return 0.5 * _elementwise(math.erfc,
+                              -np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
 def norm_inv_cdf(p):
@@ -39,8 +45,4 @@ def norm_inv_cdf(p):
             return math.inf
         raise ValueError(f"probability out of range: {q}")
 
-    arr = np.asarray(p, dtype=float)
-    out = np.vectorize(scalar)(arr)
-    if np.isscalar(p) or arr.ndim == 0:
-        return float(out)
-    return out
+    return _elementwise(scalar, p)

@@ -823,6 +823,26 @@ class TestProfileCommand:
         # entries, the narrowest over fewer than 2.
         assert "n_eff min/median rows=1.63/6.17 cols=1.63/6.17" in result.stdout
 
+    def test_floor_warning_names_each_floored_matrix(self, tmp_path):
+        # Both separable factors of full.json floor 4 of 317 entries; each
+        # warning names its matrix, so neither hides the other.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "holo_rmt.cli", "profile", "--config",
+             str(Path(DESK_CONFIG).parent / "full.json"),
+             "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert [line[line.rindex(": ") + 2:]
+                for line in proc.stderr.splitlines()
+                if "below the positivity floor" in line] == [
+            "4 of 317 entries of the rx factor",
+            "4 of 317 entries of the tx factor",
+            "81154 of 100489 entries of the profile"]
+
     def test_lattice_file_and_estimate(self, tmp_path):
         cfg = small_config(tmp_path)
         out = tmp_path / "out"

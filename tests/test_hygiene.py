@@ -80,6 +80,28 @@ def test_detector_finds_unused_names():
     assert unused_imports(source) == [(2, "math"), (5, "field"), (7, "json")]
 
 
+def vectorize_reads(source):
+    """Lines of ``source`` that read ``vectorize`` off numpy: ``np.vectorize``
+    is a Python loop over object arrays, slower than mapping the scalar
+    function over ``tolist()``, and it refuses a size-0 input."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "vectorize"
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in ("np", "numpy"))
+
+
+def test_vectorize_detector():
+    source = ("import numpy as np\nf = np.vectorize(abs)\n"
+              "g = numpy.vectorize\nh = other.vectorize(abs)\n")
+    assert vectorize_reads(source) == [2, 3]
+
+
+@pytest.mark.parametrize("path", [pytest.param(p, id=p.name)
+                                  for p in sorted(PACKAGE.glob("*.py"))])
+def test_package_does_not_use_np_vectorize(path):
+    assert vectorize_reads(path.read_text()) == []
+
+
 # The package's __init__ imports only to re-export.
 @pytest.mark.parametrize("path", [
     *(pytest.param(p, id=p.name) for p in sorted(PACKAGE.glob("*.py"))

@@ -54,3 +54,23 @@ def test_inverse_edges():
         norm_inv_cdf(-0.1)
     with pytest.raises(ValueError):
         norm_inv_cdf(1.1)
+
+
+def test_arrays_keep_shape_and_scalar_bits():
+    x = np.linspace(-6.0, 6.0, 12).reshape(3, 4)
+    cdf = norm_cdf(x)
+    assert cdf.shape == (3, 4)
+    scalars = np.array([norm_cdf(v) for v in x.ravel().tolist()])
+    assert np.array_equal(cdf.ravel().view(np.uint64), scalars.view(np.uint64))
+    inv = norm_inv_cdf(cdf)
+    assert inv.shape == (3, 4)
+    scalars = np.array([norm_inv_cdf(q) for q in cdf.ravel().tolist()])
+    assert np.array_equal(inv.ravel().view(np.uint64), scalars.view(np.uint64))
+    assert type(norm_cdf(np.float64(0.3))) is float
+    assert type(norm_inv_cdf(np.array(0.3))) is float
+
+
+def test_empty_input_gives_empty_float_array():
+    for f in (norm_cdf, norm_inv_cdf):
+        out = f(np.empty((0, 3)))
+        assert out.dtype == np.float64 and out.shape == (0, 3)
