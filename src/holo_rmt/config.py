@@ -38,13 +38,18 @@ DEFAULT_CONFIG = {
 }
 
 
-def _load_matrix(load, path, what):
-    """``load(path)``, with an unreadable or malformed file as ConfigError."""
+def _read_matrix(path, dtype, what, shape):
+    """``matio.load_matrix(path, dtype)``, which must have ``shape``; any
+    failure is a ConfigError naming the file as ``what``."""
     try:
-        return load(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        detail = getattr(exc, "strerror", None) or f"{type(exc).__name__}: {exc}"
+        mat = matio.load_matrix(path, dtype)
+    except (OSError, ValueError, OverflowError) as exc:
+        detail = getattr(exc, "strerror", None) or str(exc)
         raise ConfigError(f"cannot read {what} {path}: {detail}") from exc
+    if mat.shape != shape:
+        raise ConfigError(f"cannot read {what} {path}: its shape {mat.shape} "
+                          f"is not the lattice cardinalities (n_R, n_S) = {shape}")
+    return mat
 
 
 @functools.cache
@@ -247,15 +252,8 @@ class RunConfig:
                 raise ConfigError("channel.los: 'rank' and 'seed' apply to "
                                   "kind 'lowrank' only, not to 'single'")
         try:
-            self.geometry = geometry.ArrayGeometry(
-                wavelength=self.doc["geometry"]["wavelength"],
-                tx_aperture=tuple(self.doc["geometry"]["tx_aperture"]),
-                rx_aperture=tuple(self.doc["geometry"]["rx_aperture"]),
-                tx_spacing=self.doc["geometry"]["tx_spacing"],
-                rx_spacing=self.doc["geometry"]["rx_spacing"],
-                antenna_area=self.doc["geometry"]["antenna_area"],
-                antenna_efficiency=self.doc["geometry"]["antenna_efficiency"],
-            )
+            self.geometry = geometry.ArrayGeometry(**{
+                k: tuple(v) if isinstance(v, list) else v for k, v in geom.items()})
         except ValueError as exc:
             raise ConfigError(f"invalid geometry: {exc}") from exc
 
@@ -301,13 +299,8 @@ class RunConfig:
     def build_profile(self, lat_rx, lat_tx):
         ch = self.doc["channel"]
         if ch["profile"] == "file":
-            mat = _load_matrix(matio.load_real_matrix, ch["profile_path"],
-                               "profile file")
-            if mat.shape != (lat_rx.n, lat_tx.n):
-                raise ConfigError(
-                    f"profile file shape {mat.shape} does not match lattice "
-                    f"cardinalities ({lat_rx.n}, {lat_tx.n})")
-            return channel.VarianceProfile(mat)
+            return channel.VarianceProfile(_read_matrix(
+                ch["profile_path"], "real", "profile file", (lat_rx.n, lat_tx.n)))
         sep = channel.profile_separable_isotropic(lat_rx, lat_tx,
                                                   self.geometry.wavelength)
         if ch["profile"] == "separable":
@@ -318,11 +311,7 @@ class RunConfig:
     def build_los(self, n_rx, n_tx):
         los = self.doc["channel"]["los"]
         if "path" in los:
-            a = _load_matrix(matio.load_complex_matrix, los["path"], "LoS file")
-            if a.shape != (n_rx, n_tx):
-                raise ConfigError(
-                    f"LoS file shape {a.shape} does not match ({n_rx}, {n_tx})")
-            return a
+            return _read_matrix(los["path"], "complex", "LoS file", (n_rx, n_tx))
         return channel.synth_los(n_rx, n_tx, kind=los["kind"],
                                  **{k: int(los[k]) for k in ("rank", "seed")
                                     if k in los})

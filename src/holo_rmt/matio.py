@@ -14,6 +14,7 @@ and the infinities take json's own text.  The texts are then written in
 row-major order, a chunk at a time.
 """
 
+import functools
 import json
 import os
 import tempfile
@@ -63,17 +64,6 @@ def save_complex_matrix(path, matrix):
     _atomic_write_text(path, json.dumps(doc))
 
 
-def load_complex_matrix(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    rows, cols = int(doc["rows"]), int(doc["cols"])
-    data = doc["data"]
-    if len(data) != rows * cols:
-        raise ValueError(f"matrix file {path}: {len(data)} entries for {rows}x{cols}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-    return flat.reshape(rows, cols)
-
-
 def save_real_matrix(path, matrix):
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
@@ -95,14 +85,35 @@ def save_real_matrix(path, matrix):
                              '"dtype": "real", "data": [', data())
 
 
-def load_real_matrix(path):
+def load_matrix(path, dtype):
+    """The ``dtype`` ("real" or "complex") matrix in the format the savers
+    write; a ValueError says what a malformed file lacks, and an integer
+    entry beyond the float range raises OverflowError."""
     with open(path) as fh:
         doc = json.load(fh)
-    rows, cols = int(doc["rows"]), int(doc["cols"])
-    data = doc["data"]
-    if len(data) != rows * cols:
-        raise ValueError(f"matrix file {path}: {len(data)} entries for {rows}x{cols}")
-    return np.array(data, dtype=float).reshape(rows, cols)
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object with rows, cols and data")
+    rows, cols, data = doc.get("rows"), doc.get("cols"), doc.get("data")
+    for key, n in (("rows", rows), ("cols", cols)):
+        if type(n) is not int or n < 0:
+            raise ValueError(f"{key} must be a non-negative integer, "
+                             f"got {json.dumps(n)}")
+    if doc.get("dtype", dtype) != dtype:
+        raise ValueError(f'dtype must be "{dtype}", got {json.dumps(doc["dtype"])}')
+    if type(data) is not list or len(data) != rows * cols:
+        raise ValueError(f"data must hold rows x cols = {rows * cols} entries")
+    if dtype == "complex":
+        if not (set(map(type, data)) <= {list} and set(map(len, data)) <= {2}):
+            raise ValueError("every data entry must be an [re, im] pair of numbers")
+        data = [x for pair in data for x in pair]
+    if not set(map(type, data)) <= {int, float}:
+        raise ValueError("every data entry must be a JSON number")
+    flat = np.array(data, dtype=float)
+    return (flat.view(complex) if dtype == "complex" else flat).reshape(rows, cols)
+
+
+load_real_matrix = functools.partial(load_matrix, dtype="real")
+load_complex_matrix = functools.partial(load_matrix, dtype="complex")
 
 
 def save_json(path, obj):

@@ -512,6 +512,13 @@ class TestVarianceOracle:
     def test_zero_blocks_give_zero(self):
         assert oracle_from_blocks(zero_b(4)) == 0.0
 
+    def test_singular_leading_system_raises(self):
+        # Pi = [[1]] with zero Gamma, Xi and Lambda~ makes I_2 - B_1 zero.
+        bad = BMatrix(pi=np.array([[1.0]]), xi=np.zeros((1, 1)),
+                      gamma=np.zeros((1, 1)), lambda_tilde=np.zeros(1))
+        with pytest.raises(InvalidRegimeError, match="at column 1"):
+            oracle_from_blocks(bad)
+
     def test_code_path_disjointness_smoke(self):
         # The oracle must not simply reproduce variance_clt at finite M.
         model = random_model(41, n=6, m=6)

@@ -35,6 +35,16 @@ def small_config(tmp_path, **channel_overrides):
     return path
 
 
+def matrix_text(n, dtype, at=None, entry=None, **header):
+    """An n x n matrix file's text: entries 0.5 (0.5 - 0.5j if complex),
+    entry ``at`` replaced by ``entry``, header keys overridden."""
+    data = [[0.5, -0.5] if dtype == "complex" else 0.5] * (n * n)
+    if at is not None:
+        data[at] = entry
+    return json.dumps({"rows": n, "cols": n, "dtype": dtype, "data": data,
+                       **header})
+
+
 class TestAnalyzeCommand:
     def test_writes_schema_valid_results(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -225,9 +235,16 @@ class TestConfigErrors:
         assert result.exit_code == 2
         assert "schema violation" in all_output(result)
 
-    def test_missing_file_exits_2(self):
-        result = run_cli(["analyze", "--config", "missing.json"])
-        assert result.exit_code == 2
+    def test_missing_file_exits_2(self, tmp_path):
+        # A --config that names a directory is refused the same way.
+        out = tmp_path / "out"
+        for config, reason in (("missing.json", "does not exist"),
+                               (str(tmp_path), "is a directory")):
+            result = run_cli(["analyze", "--config", config,
+                              "--out", str(out)])
+            assert result.exit_code == 2
+            assert f"file {config!r} {reason}" in result.stderr
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "mc", "validate"])
     def test_non_finite_snr_exits_2(self, tmp_path, command):
@@ -390,10 +407,42 @@ class TestConfigErrors:
         assert "rates must be finite" in all_output(result)
         assert not out.exists()
 
-    @pytest.mark.parametrize("field, content", [
-        ("los", None), ("los", "{}"),
-        ("profile_path", None), ("profile_path", '{"rows": 13}')])
-    def test_bad_matrix_file_exits_2(self, tmp_path, field, content):
+    @pytest.mark.parametrize("field, content, fix", [
+        pytest.param("los", None, "No such file or directory", id="los-None"),
+        pytest.param("los", "{}", "rows must be a non-negative integer, "
+                     "got null", id="los-{}"),
+        pytest.param("profile_path", None, "No such file or directory",
+                     id="profile_path-None"),
+        pytest.param("profile_path", '{"rows": 13}', "cols must be a "
+                     "non-negative integer, got null",
+                     id='profile_path-{"rows": 13}'),
+        # The small config's lattices are 13 x 13.
+        pytest.param("profile_path", matrix_text(13, "real", 0, "0.5"),
+                     "every data entry must be a JSON number",
+                     id="profile_path-string-entry"),
+        pytest.param("profile_path", matrix_text(13, "real", 0, True),
+                     "every data entry must be a JSON number",
+                     id="profile_path-bool-entry"),
+        pytest.param("profile_path", matrix_text(3, "real"),
+                     "its shape (3, 3) is not the lattice cardinalities "
+                     "(n_R, n_S) = (13, 13)", id="profile_path-3x3"),
+        pytest.param("los", matrix_text(13, "complex", rows=13.5),
+                     "rows must be a non-negative integer, got 13.5",
+                     id="los-float-rows"),
+        pytest.param("los", matrix_text(13, "complex", rows=True),
+                     "rows must be a non-negative integer, got true",
+                     id="los-bool-rows"),
+        pytest.param("los", matrix_text(13, "complex", rows=-13, cols=-13),
+                     "rows must be a non-negative integer, got -13",
+                     id="los-negative-shape"),
+        pytest.param("los", matrix_text(13, "complex", 5, [1, 0, 0]),
+                     "every data entry must be an [re, im] pair of numbers",
+                     id="los-three-part-entry"),
+        pytest.param("los", matrix_text(13, "real"),
+                     'dtype must be "complex", got "real"', id="los-real-dtype"),
+    ])
+    def test_bad_matrix_file_exits_2(self, tmp_path, field, content, fix):
+        # Each message names the file and says what to fix.
         path = tmp_path / "matrix.json"
         if content is not None:
             path.write_text(content)
@@ -408,8 +457,9 @@ class TestConfigErrors:
             result = run_cli([command, "--config", str(cfg),
                               "--out", str(out)])
             assert result.exit_code == 2, all_output(result)
-            assert "config error: cannot read" in all_output(result)
-            assert str(path) in all_output(result)
+            what = "LoS file" if field == "los" else "profile file"
+            assert (f"config error: cannot read {what} {path}: {fix}"
+                    in all_output(result))
             assert not out.exists()
 
     def test_seed_beyond_64_bits_exits_2(self, tmp_path):

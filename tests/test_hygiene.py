@@ -102,6 +102,46 @@ def test_package_does_not_use_np_vectorize(path):
     assert vectorize_reads(path.read_text()) == []
 
 
+def json_load_reads(source):
+    """Where ``source`` reads ``load`` off ``json``: the dotted name of the
+    enclosing class and function, or ``<module>``.  ``from json import
+    load`` counts as a read where it stands."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if ((isinstance(child, ast.Attribute) and child.attr == "load"
+                 and isinstance(child.value, ast.Name)
+                 and child.value.id == "json")
+                    or (isinstance(child, ast.ImportFrom)
+                        and child.module == "json"
+                        and any(a.name == "load" for a in child.names))):
+                sites.append(".".join(scope) or "<module>")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+            visit(child, scope + [child.name] if named else scope)
+
+    visit(ast.parse(source), [])
+    return sorted(sites)
+
+
+def test_json_load_detector():
+    source = ("import json\nfrom json import load, loads\n"
+              "class C:\n    @classmethod\n    def f(cls, fh):\n"
+              "        return json.load(fh)\n"
+              "def g(fh):\n    return json.loads(fh.read()), other.load(fh)\n"
+              "def h():\n    def inner():\n        return json.load\n")
+    assert json_load_reads(source) == ["<module>", "C.f", "h.inner"]
+
+
+def test_json_files_are_read_in_two_places():
+    # Matrix files go through matio.load_matrix, which checks their header
+    # and entries; a second reader would skip those checks.
+    sites = [f"{p.stem}.{site}" for p in sorted(PACKAGE.glob("*.py"))
+             for site in json_load_reads(p.read_text())]
+    assert sites == ["config.RunConfig.from_file", "matio.load_matrix"]
+
+
 # The package's __init__ imports only to re-export.
 @pytest.mark.parametrize("path", [
     *(pytest.param(p, id=p.name) for p in sorted(PACKAGE.glob("*.py"))

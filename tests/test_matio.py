@@ -7,28 +7,46 @@ import numpy as np
 import pytest
 
 from holo_rmt import matio
+from holo_rmt.channel import synth_los
 from holo_rmt.config import RunConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+# Values whose bits a reader could lose: signed zeros, subnormals, the
+# float range's edges, the infinities and awkward decimals.
+EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                        1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf,
+                        1 / 3, 0.1])
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
 
 
 def test_complex_matrix_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     m[0, 0] = 1 / 3 + 1j * 0.1  # awkward decimals
+    # Set as parts: 1j * inf is nan + inf j.
+    m.real[1:3] = rng.choice(EDGE_VALUES, size=(2, 4))
+    m.imag[1:3] = rng.choice(EDGE_VALUES, size=(2, 4))
     path = tmp_path / "mat.json"
     matio.save_complex_matrix(path, m)
-    back = matio.load_complex_matrix(path)
-    assert back.dtype == complex
-    assert np.array_equal(back, m)
+    assert_same_bits(matio.load_complex_matrix(path), m)
+    los = synth_los(37, 37, kind="lowrank", rank=4, seed=701)
+    matio.save_complex_matrix(path, los)
+    assert_same_bits(matio.load_complex_matrix(path), los)
 
 
 def test_real_matrix_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(4)
     m = rng.random((5, 3)) * np.array([1e-12, 1.0, 1e9])
+    m[3:, :] = rng.choice(EDGE_VALUES, size=(2, 3))
     path = tmp_path / "prof.json"
     matio.save_real_matrix(path, m)
-    assert np.array_equal(matio.load_real_matrix(path), m)
+    assert_same_bits(matio.load_real_matrix(path), m)
 
 
 def test_overwrite_is_atomic_replace(tmp_path):
@@ -51,16 +69,63 @@ def test_written_file_takes_the_umask_mode(tmp_path, umask):
     assert mode == 0o666 & ~umask
 
 
+def _matrix_doc(rows, cols, dtype):
+    entry = [0.5, -0.5] if dtype == "complex" else 0.5
+    return {"rows": rows, "cols": cols, "dtype": dtype,
+            "data": [entry] * (rows * cols)}
+
+
+# (dtype asked for, file document, what the ValueError says to fix)
+MALFORMED = [
+    ("real", {**_matrix_doc(2, 2, "real"), "data": [0.0] * 5},
+     "data must hold rows x cols = 4 entries"),
+    ("real", {**_matrix_doc(2, 2, "real"), "data": ["0.5", 0.5, 0.5, 0.5]},
+     "every data entry must be a JSON number"),
+    ("real", {**_matrix_doc(2, 2, "real"), "data": [0.5, 0.5, True, 0.5]},
+     "every data entry must be a JSON number"),
+    ("real", [[0.5]], "expected a JSON object with rows, cols and data"),
+    ("complex", {**_matrix_doc(37, 37, "complex"), "rows": 37.5},
+     "rows must be a non-negative integer, got 37.5"),
+    ("complex", {**_matrix_doc(37, 37, "complex"), "rows": True},
+     "rows must be a non-negative integer, got true"),
+    ("complex", {**_matrix_doc(37, 37, "complex"), "rows": -37, "cols": -37},
+     "rows must be a non-negative integer, got -37"),
+    ("complex", {**_matrix_doc(2, 2, "complex"), "cols": None},
+     "cols must be a non-negative integer, got null"),
+    ("complex", {**_matrix_doc(1, 2, "complex"), "data": [[1, 0, 0], [1, 0]]},
+     "every data entry must be an [re, im] pair of numbers"),
+    ("complex", {**_matrix_doc(1, 2, "complex"), "data": [[1, 0], ["1", 0]]},
+     "every data entry must be a JSON number"),
+    ("complex", _matrix_doc(2, 2, "real"), 'dtype must be "complex", got "real"'),
+    ("real", _matrix_doc(2, 2, "complex"), 'dtype must be "real", got "complex"'),
+]
+
+
 def test_shape_validation(tmp_path):
     with pytest.raises(ValueError):
         matio.save_complex_matrix(tmp_path / "x.json", np.zeros(3))
-    matio.save_real_matrix(tmp_path / "y.json", np.zeros((2, 2)))
-    import json
-    doc = json.loads((tmp_path / "y.json").read_text())
-    doc["data"].append(0.0)
-    (tmp_path / "y.json").write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
-        matio.load_real_matrix(tmp_path / "y.json")
+    path = tmp_path / "y.json"
+    for dtype, doc, message in MALFORMED:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            matio.load_matrix(path, dtype)
+        assert str(info.value) == message
+    # The documents the cases alter are well formed.
+    path.write_text(json.dumps(_matrix_doc(2, 3, "complex")))
+    assert_same_bits(matio.load_complex_matrix(path),
+                     np.full((2, 3), 0.5 - 0.5j))
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    # A write that fails partway removes its temp file and leaves the
+    # target unwritten.
+    def lines():
+        yield "partial"
+        raise RuntimeError("write failed")
+
+    with pytest.raises(RuntimeError, match="write failed"):
+        matio._atomic_write_text(tmp_path / "m.json", "head", lines())
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_samples_csv_round_trip(tmp_path):
