@@ -29,12 +29,14 @@ class BMatrix:
     """Blocks of B = [[Pi, Gamma], [Xi + Lambda~, Pi^T]].
 
     All blocks are M x M real and entrywise nonnegative; Xi has a zero
-    diagonal and Lambda~ is diagonal.  ``pi_factors`` = (U, V), when given,
-    are real M x k factors with Pi = U V^T that variance_clt uses.
+    diagonal, kept as its block ``xi_block`` on the LoS columns ``xi_rows``
+    (``xi`` scatters it), and Lambda~ is diagonal.  ``pi_factors`` = (U, V),
+    when given, are real M x k factors with Pi = U V^T.
     """
 
     pi: np.ndarray
-    xi: np.ndarray
+    xi_rows: np.ndarray
+    xi_block: np.ndarray
     gamma: np.ndarray
     lambda_tilde: np.ndarray
     pi_factors: tuple[np.ndarray, np.ndarray] | None = field(default=None,
@@ -43,6 +45,12 @@ class BMatrix:
     @property
     def m(self) -> int:
         return self.pi.shape[0]
+
+    @property
+    def xi(self) -> np.ndarray:
+        xi = np.zeros((self.m, self.m))
+        xi[np.ix_(self.xi_rows, self.xi_rows)] = self.xi_block
+        return xi
 
     def full(self) -> np.ndarray:
         return np.block([[self.pi, self.gamma],
@@ -139,8 +147,8 @@ def build_b(model: ChannelModel, solution: DeltaSolution,
     a_j^H T a_k = -rho (1 + delta_j)(1 + delta_k) T~_jk and
     Xi_jk = rho^2 |T~_jk|^2; Lambda~ is the diagonal of the same block.  So
     Gamma and Xi read the one modulus form |diag(psi) - X^H X|^2
-    (``_abs2_support``), of T's factor and of T~'s.  A centered channel
-    (r = 0) gives Pi = Xi = 0.
+    (``_abs2_support``), of T's factor and of T~'s; Xi stays on its
+    support.  A centered channel (r = 0) gives Pi = Xi = 0.
 
     No N x N matrix is formed.  T P is ``Resolvents.tp()`` (dense T @ P
     cancels in the range of A as the SNR grows) and T A = (T P) Q^H for
@@ -170,11 +178,8 @@ def build_b(model: ChannelModel, solution: DeltaSolution,
     gamma = ((sigma.T * res.t_diag ** 2) @ sigma + (s.T @ block) @ s) / m ** 2
     gamma = 0.5 * (gamma + gamma.T)
     rows, block = _abs2_support(res.x_tilde)
-    xi = np.zeros((m, m))
-    xi[np.ix_(rows, rows)] = rho ** 2 * block
-    lam = (rho * res.t_tilde_diag) ** 2
-    return BMatrix(pi=pi, xi=xi, gamma=gamma, lambda_tilde=lam,
-                   pi_factors=pi_factors)
+    return BMatrix(pi=pi, xi_rows=rows, xi_block=rho ** 2 * block, gamma=gamma,
+                   lambda_tilde=(rho * res.t_tilde_diag) ** 2, pi_factors=pi_factors)
 
 
 def variance_clt(b: BMatrix) -> float:
@@ -190,12 +195,11 @@ def variance_clt(b: BMatrix) -> float:
     and the matrix determinant lemma and Woodbury give
     det(I - Pi) = det(I_k - V^T U) and
     (I - Pi)^{-1} Gamma = Gamma + U (I_k - V^T U)^{-1} V^T Gamma.  So the
-    cost is one M x M and one k x k log-det; a centered channel has k = 0
-    and S = I - Lambda~ Gamma.  Pi is a principal block of the nonnegative
-    B, so rho(Pi) <= rho(B) < 1 and I - Pi is nonsingular wherever the
-    formula applies.  A non-positive determinant means the spectral-radius
-    condition failed and is reported as an invalid regime instead of a
-    complex logarithm.
+    cost is one M x M and one k x k log-det, Xi Y taken on Xi's support
+    rows; a centered channel has k = 0 and S = I - Lambda~ Gamma.  Pi is a
+    principal block of the nonnegative B, so rho(Pi) <= rho(B) < 1 and
+    I - Pi is nonsingular wherever the formula applies.  A non-positive
+    determinant (the spectral-radius condition failed) is an invalid regime.
 
     V is also -log det(I - J), J the Jacobian of the fixed-point map
     (delta, delta~) -> (Sigma^T diag T / M, Sigma diag T~ / M), exactly.
@@ -220,7 +224,9 @@ def variance_clt(b: BMatrix) -> float:
         sign, logdet = np.linalg.slogdet(core)
         if sign != 0:
             y = b.gamma + u @ np.linalg.solve(core, v.T @ b.gamma)
-            s = np.eye(b.m) - b.pi.T - b.xi @ y - b.lambda_tilde[:, None] * y
+            s = np.eye(b.m) - b.pi.T
+            s[b.xi_rows] -= b.xi_block @ y[b.xi_rows]
+            s -= b.lambda_tilde[:, None] * y
             sign_s, logdet_s = np.linalg.slogdet(s)
             sign, logdet = sign * sign_s, logdet + logdet_s
     if sign <= 0:

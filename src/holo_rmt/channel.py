@@ -196,18 +196,18 @@ def _cell_measures(x0, x1, y0, y1, kappa):
     return np.maximum(full + cut, 0.0)
 
 
-def _side_weights(lattice: WavenumberLattice, wavelength: float) -> np.ndarray:
+def _side_weights(lattice: WavenumberLattice) -> np.ndarray:
     """Solid-angle measure of every lattice cell, normalized to unit sum.
 
     The cell of point (m_x, m_y) is the corner-anchored rectangle
     [2 pi m_x / L_x, 2 pi (m_x+1) / L_x] x [2 pi m_y / L_y, 2 pi (m_y+1) / L_y]
-    intersected with the propagation disk of radius kappa = 2 pi / wavelength.
+    intersected with the propagation disk kappa = 2 pi / lattice.wavelength.
     The integrand is invariant under axis reflection (and axis swap for
     square apertures), so each cell is mirrored into the first quadrant
     (m -> -m - 1 for m < 0), its axes ordered on a square aperture, and
     all cells go through one vectorised ``_cell_measures`` call.
     """
-    kappa = 2.0 * np.pi / wavelength
+    kappa = 2.0 * np.pi / lattice.wavelength
     lx, ly = lattice.aperture
     hx = 2.0 * np.pi / lx
     hy = 2.0 * np.pi / ly
@@ -226,8 +226,7 @@ def _side_weights(lattice: WavenumberLattice, wavelength: float) -> np.ndarray:
 
 
 def profile_separable_isotropic(lat_rx: WavenumberLattice,
-                                lat_tx: WavenumberLattice,
-                                wavelength: float) -> VarianceProfile:
+                                lat_tx: WavenumberLattice) -> VarianceProfile:
     """Isotropic separable profile from per-side lattice solid angles.
 
     Each side's factor is the solid-angle measure of its lattice cell,
@@ -235,8 +234,8 @@ def profile_separable_isotropic(lat_rx: WavenumberLattice,
     """
     if lat_rx.n == 0 or lat_tx.n == 0:
         raise ValueError("lattices must be nonempty")
-    d = _floored(_side_weights(lat_rx, wavelength), "rx factor")
-    dt = _floored(_side_weights(lat_tx, wavelength), "tx factor")
+    d = _floored(_side_weights(lat_rx), "rx factor")
+    dt = _floored(_side_weights(lat_tx), "tx factor")
     return separable_profile(d, dt)
 
 
@@ -303,6 +302,13 @@ def _support_factors(a):
     return p, q
 
 
+def finite_los(a):
+    """``a``, if its entries are finite: LAPACK's SVD may never return on inf/nan."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError("LoS entries must be finite")
+    return a
+
+
 @dataclass(frozen=True)
 class ChannelModel:
     """Unified non-centered non-separable channel H = A + Sigma^(o1/2) .* X.
@@ -328,9 +334,7 @@ class ChannelModel:
             raise ValueError(
                 f"LoS shape {a.shape} does not match profile {self.profile.shape}")
         check_zeta(self.zeta)
-        # LAPACK's SVD with singular vectors may never return on inf/nan.
-        if not np.all(np.isfinite(a)):
-            raise ValueError("LoS entries must be finite")
+        finite_los(a)
         object.__setattr__(self, "los", np.array(a, dtype=complex))
         object.__setattr__(self, "los_factors", _support_factors(a))
 

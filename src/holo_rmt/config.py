@@ -38,18 +38,18 @@ DEFAULT_CONFIG = {
 }
 
 
-def _read_matrix(path, dtype, what, shape):
-    """``matio.load_matrix(path, dtype)``, which must have ``shape``; any
-    failure is a ConfigError naming the file as ``what``."""
+def _read_matrix(path, dtype, what, shape, check):
+    """``check(matio.load_matrix(path, dtype))`` for a matrix of ``shape``;
+    any failure, ``check``'s included, is a ConfigError naming ``what``."""
     try:
         mat = matio.load_matrix(path, dtype)
+        if mat.shape != shape:
+            raise ValueError(f"its shape {mat.shape} is not the lattice "
+                             f"cardinalities (n_R, n_S) = {shape}")
+        return check(mat)
     except (OSError, ValueError, OverflowError) as exc:
         detail = getattr(exc, "strerror", None) or str(exc)
         raise ConfigError(f"cannot read {what} {path}: {detail}") from exc
-    if mat.shape != shape:
-        raise ConfigError(f"cannot read {what} {path}: its shape {mat.shape} "
-                          f"is not the lattice cardinalities (n_R, n_S) = {shape}")
-    return mat
 
 
 @functools.cache
@@ -299,10 +299,9 @@ class RunConfig:
     def build_profile(self, lat_rx, lat_tx):
         ch = self.doc["channel"]
         if ch["profile"] == "file":
-            return channel.VarianceProfile(_read_matrix(
-                ch["profile_path"], "real", "profile file", (lat_rx.n, lat_tx.n)))
-        sep = channel.profile_separable_isotropic(lat_rx, lat_tx,
-                                                  self.geometry.wavelength)
+            return _read_matrix(ch["profile_path"], "real", "profile file",
+                                (lat_rx.n, lat_tx.n), channel.VarianceProfile)
+        sep = channel.profile_separable_isotropic(lat_rx, lat_tx)
         if ch["profile"] == "separable":
             return sep
         return channel.profile_nonseparable_gaussian(sep, lat_rx, lat_tx,
@@ -311,7 +310,8 @@ class RunConfig:
     def build_los(self, n_rx, n_tx):
         los = self.doc["channel"]["los"]
         if "path" in los:
-            return _read_matrix(los["path"], "complex", "LoS file", (n_rx, n_tx))
+            return _read_matrix(los["path"], "complex", "LoS file",
+                                (n_rx, n_tx), channel.finite_los)
         return channel.synth_los(n_rx, n_tx, kind=los["kind"],
                                  **{k: int(los[k]) for k in ("rank", "seed")
                                     if k in los})

@@ -14,7 +14,6 @@ and the infinities take json's own text.  The texts are then written in
 row-major order, a chunk at a time.
 """
 
-import functools
 import json
 import os
 import tempfile
@@ -110,10 +109,6 @@ def load_matrix(path, dtype):
         raise ValueError("every data entry must be a JSON number")
     flat = np.array(data, dtype=float)
     return (flat.view(complex) if dtype == "complex" else flat).reshape(rows, cols)
-
-
-load_real_matrix = functools.partial(load_matrix, dtype="real")
-load_complex_matrix = functools.partial(load_matrix, dtype="complex")
 
 
 def save_json(path, obj):

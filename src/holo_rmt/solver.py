@@ -36,7 +36,7 @@ The LoS enters only through its thin factorization A = P Q^H of numerical
 rank r (``ChannelModel.los_factors``), so T and T~ are diagonal matrices
 minus rank-r corrections.  Each of diag T and diag T~ is read from an
 r x r Woodbury capacitance system: an iteration costs O(NM + (N + M) r^2),
-the two Sigma products included, against two dense O(N^3 + M^3) inverses.  A
+the four Sigma products included, against two dense O(N^3 + M^3) inverses.  A
 centered channel is the case r = 0, where T = diag(psi) and T~ =
 diag(psi~).  The solve keeps T and T~ factored, and the closed form reads
 them only through the factors; ``Resolvents`` forms the full matrices, in
@@ -56,7 +56,7 @@ from .errors import ConvergenceError, NumericalError
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
 ANDERSON_DEPTH = 5  # secant pairs kept in the Anderson history
-_STOP_ULPS = 4 * np.finfo(float).eps  # stop floor, relative to max(x)
+_STOP_ULPS = 4 * np.finfo(float).eps  # stop floor per max(x), and e_G's factor
 
 
 @dataclass(frozen=True)
@@ -165,11 +165,11 @@ def compute_resolvents(model: ChannelModel, delta, delta_tilde) -> Resolvents:
     return Resolvents(t_diag, tt_diag, x, xt, l, e)
 
 
-def _jacobi_image(model: ChannelModel, res: Resolvents) -> np.ndarray:
-    """G(x) = (Sigma^T diag T / M, Sigma diag T~ / M) for the resolvents at x."""
+def _jacobi_image(model: ChannelModel, t_diag, t_tilde_diag) -> np.ndarray:
+    """(Sigma^T t / M, Sigma t~ / M); G(x) for diag T and diag T~ at x."""
     m = model.dims[1]
     sigma = model.profile.matrix
-    return np.concatenate([sigma.T @ res.t_diag, sigma @ res.t_tilde_diag]) / m
+    return np.concatenate([sigma.T @ t_diag, sigma @ t_tilde_diag]) / m
 
 
 def solve_deltas(model: ChannelModel, tol: float = DEFAULT_TOL,
@@ -180,15 +180,16 @@ def solve_deltas(model: ChannelModel, tol: float = DEFAULT_TOL,
     a channel to another noise level), starts from delta = delta~ = 1 and
     stops at the first iterate x with, for every entry i,
 
-        |G(x) - x|_i <= tol min(1, x_i) + 4 eps max(x):
+        |G(x) - x|_i <= max(tol min(1, x_i) + 4 eps max(x), e_G,i):
 
-    absolute for entries >= 1, relative below 1, and never below 4 ulps of
-    the largest delta, which G cannot resolve.  G(x) is off the fixed point
-    by about (I - J)^{-1} times the residual, so the solution is read one
-    Anderson step past x, at y = G(x'): on rank-4 desk LoS channels at
-    0-30 dB, V is up to 5e-14 off there and 1e-13 at G(x).  It returns
-    delta = y[:M] and, as delta~, the image Sigma diag T~ / M of the T~ at
-    y: the EMI's closed form is stationary in delta only where delta~ is
+    absolute for entries >= 1, relative below 1, never below 4 ulps of the
+    largest delta, which G cannot resolve, nor below e_G, G's image of
+    4 eps (2 psi - t), the rounding bound of ``_woodbury``'s t = diag T.  G(x)
+    is off the fixed point by about (I - J)^{-1} times the residual, so the
+    solution is read one Anderson step past x, at y = G(x'): on rank-4 desk
+    LoS channels at 0-30 dB, V is up to 5e-14 off there and 1e-13 at G(x).  It
+    returns delta = y[:M] and, as delta~, the image Sigma diag T~ / M of the
+    T~ at y: the EMI's closed form is stationary in delta only where delta~ is
     the image of delta, and y[M:] left the EMI up to 2e-14 off there.
 
     Returns (DeltaSolution, Resolvents); raises ConvergenceError with the
@@ -206,10 +207,15 @@ def solve_deltas(model: ChannelModel, tol: float = DEFAULT_TOL,
     x_prev = f_prev = None
     residuals = []
     for iteration in range(1, max_iter + 1):
-        g = _jacobi_image(model, compute_resolvents(model, x[:m], x[m:]))
+        res = compute_resolvents(model, x[:m], x[m:])
+        g = _jacobi_image(model, res.t_diag, res.t_tilde_diag)
         f = g - x
         residuals.append(float(np.abs(f).max()))
-        stop = np.all(np.abs(f) <= tol * np.minimum(1.0, x) + _STOP_ULPS * x.max())
+        psi = 1.0 / (model.zeta * (1.0 + x))            # (psi~, psi)
+        e_g = _STOP_ULPS * _jacobi_image(model, 2.0 * psi[m:] - res.t_diag,
+                                         2.0 * psi[:m] - res.t_tilde_diag)
+        floor = tol * np.minimum(1.0, x) + _STOP_ULPS * x.max()
+        stop = np.all(np.abs(f) <= np.maximum(floor, e_g))
         if x_prev is not None:
             d_x.append(x - x_prev)
             d_f.append(f - f_prev)
@@ -228,13 +234,15 @@ def solve_deltas(model: ChannelModel, tol: float = DEFAULT_TOL,
             break
     else:
         raise ConvergenceError(
-            f"fixed point did not reach |G(x) - x| <= tol min(1, x) + "
-            f"4 eps max(x) with tol={tol:g} in {max_iter} iterations "
+            f"fixed point did not reach |G(x) - x| <= max(tol min(1, x) + "
+            f"4 eps max(x), e_G) with tol={tol:g} in {max_iter} iterations "
             f"(last residual {residuals[-1]:.3e})", residuals=residuals)
 
-    y = _jacobi_image(model, compute_resolvents(model, x[:m], x[m:]))
+    res = compute_resolvents(model, x[:m], x[m:])
+    y = _jacobi_image(model, res.t_diag, res.t_tilde_diag)
     delta = y[:m]
-    delta_tilde = _jacobi_image(model, compute_resolvents(model, delta, y[m:]))[m:]
+    delta_tilde = (model.profile.matrix
+                   @ compute_resolvents(model, delta, y[m:]).t_tilde_diag) / m
     return (DeltaSolution(delta, delta_tilde, float(model.zeta), iteration,
                           residuals[-1]),
             compute_resolvents(model, delta, delta_tilde))
@@ -244,7 +252,7 @@ def self_consistency_residual(model: ChannelModel, solution: DeltaSolution,
                               res: Resolvents) -> float:
     """sup |x - G(x)| of the returned x = (delta, delta~), G read from ``res``."""
     x = np.concatenate([solution.delta, solution.delta_tilde])
-    return float(np.abs(x - _jacobi_image(model, res)).max())
+    return float(np.abs(x - _jacobi_image(model, res.t_diag, res.t_tilde_diag)).max())
 
 
 def delta_upper_bounds(model: ChannelModel):

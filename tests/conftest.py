@@ -47,7 +47,7 @@ def desk():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         lat = (geometry.rx_lattice(geom), geometry.tx_lattice(geom))
-        sep = channel.profile_separable_isotropic(*lat, geom.wavelength)
+        sep = channel.profile_separable_isotropic(*lat)
         nonsep = channel.profile_nonseparable_gaussian(sep, *lat, 1.0)
     return {"geom": geom, "lattices": lat, "sep": sep, "nonsep": nonsep}
 

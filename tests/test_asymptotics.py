@@ -61,7 +61,9 @@ def assert_blocks_match_dense_t(model, sol, res, b):
     xi = np.abs(a.conj().T @ t @ a) ** 2 / np.outer(ops, ops)
     np.fill_diagonal(xi, 0.0)
     gamma = sigma.T @ np.abs(t) ** 2 @ sigma / m ** 2
-    for got, ref in ((b.pi, pi), (b.xi, xi), (b.gamma, gamma)):
+    xi_lam = model.zeta ** 2 * np.abs(res.t_tilde_dense()) ** 2
+    for got, ref in ((b.pi, pi), (b.xi, xi), (b.gamma, gamma),
+                     (b.xi + np.diag(b.lambda_tilde), xi_lam)):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
     assert b.full().min() >= 0.0
 
@@ -179,8 +181,11 @@ def variance_from_jacobian(model, sol, res):
     return -logdet
 
 
+NO_XI = {"xi_rows": np.arange(0), "xi_block": np.zeros((0, 0))}  # Xi = 0
+
+
 def zero_b(m):
-    return BMatrix(pi=np.zeros((m, m)), xi=np.zeros((m, m)),
+    return BMatrix(pi=np.zeros((m, m)), **NO_XI,
                    gamma=np.zeros((m, m)), lambda_tilde=np.zeros(m))
 
 
@@ -356,19 +361,30 @@ class TestBuildB:
         sol, res = solve_deltas(model)
         assert_blocks_match_dense_t(model, sol, res, build_b(model, sol, res))
 
-    @pytest.mark.parametrize("rows", [[0], [3], [2, 7], [0, 4, 5, 11]])
-    def test_sparse_los_blocks_match_dense_t(self, rows):
+    @pytest.mark.parametrize("rows, cols, seed", [
+        *(pytest.param(rows, range(11), len(rows), id=f"rows{k}")
+          for k, rows in enumerate([[0], [3], [2, 7], [0, 4, 5, 11]])),
+        *(pytest.param(range(13), cols, 20 + k, id=f"cols{k}")
+          for k, cols in enumerate([[0], [2, 7], [0, 4, 5, 10]]))])
+    def test_sparse_los_blocks_match_dense_t(self, rows, cols, seed):
         # A rank-1 LoS on a few rows: Gamma's off-diagonal |X^H X|^2 lives
-        # on the block of those rows, and one row has none.
-        rng = np.random.default_rng(len(rows))
+        # on the block of those rows, and one row has none.  On a few
+        # columns, Xi lives on the block of those columns: B keeps that
+        # block, and the Schur complement subtracts Xi Y on its rows only.
+        rng = np.random.default_rng(seed)
         a = np.zeros((13, 11), dtype=complex)
-        a[rows] = np.outer(rng.normal(size=len(rows)) + 1j,
-                           rng.normal(size=11) - 0.5j)
+        a[np.ix_(rows, cols)] = np.outer(rng.normal(size=len(rows)) + 1j,
+                                         rng.normal(size=len(cols)) - 0.5j)
         a /= np.linalg.norm(a, 2)
         model = build_weichselberger(a, VarianceProfile(0.2 + rng.random((13, 11))),
                                      1e-4)
         sol, res = solve_deltas(model)
-        assert_blocks_match_dense_t(model, sol, res, build_b(model, sol, res))
+        b = build_b(model, sol, res)
+        assert_blocks_match_dense_t(model, sol, res, b)
+        assert np.array_equal(b.xi_rows, np.asarray(cols))
+        sign, logdet = np.linalg.slogdet(np.eye(22) - b.full())
+        assert sign > 0 and b.pi_factors is not None
+        assert abs(variance_clt(b) + logdet) <= 1e-13 * max(1.0, -logdet)
 
     def test_lower_left_block_is_zeta2_abs2_t_tilde(self, desk):
         # Xi + Lambda~ = zeta^2 |T~|^2 (A^H T A = D - zeta D T~ D), to 1e-14
@@ -403,7 +419,7 @@ class TestBuildB:
         rng = np.random.default_rng(5)
         pi, xi, gamma = (0.05 * rng.random((6, 6)) for _ in range(3))
         np.fill_diagonal(xi, 0.0)
-        b = BMatrix(pi=pi, xi=xi, gamma=gamma,
+        b = BMatrix(pi=pi, xi_rows=np.arange(6), xi_block=xi, gamma=gamma,
                     lambda_tilde=0.05 * rng.random(6))
         assert b.pi_factors is None
         sign, logdet = np.linalg.slogdet(np.eye(12) - b.full())
@@ -436,7 +452,7 @@ class TestVarianceClt:
         assert variance_clt(zero_b(3)) == 0.0
 
     def test_invalid_regime_raises(self):
-        bad = BMatrix(pi=np.zeros((1, 1)), xi=np.zeros((1, 1)),
+        bad = BMatrix(pi=np.zeros((1, 1)), **NO_XI,
                       gamma=np.array([[2.0]]), lambda_tilde=np.array([2.0]))
         with pytest.raises(InvalidRegimeError):
             variance_clt(bad)
@@ -514,7 +530,7 @@ class TestVarianceOracle:
 
     def test_singular_leading_system_raises(self):
         # Pi = [[1]] with zero Gamma, Xi and Lambda~ makes I_2 - B_1 zero.
-        bad = BMatrix(pi=np.array([[1.0]]), xi=np.zeros((1, 1)),
+        bad = BMatrix(pi=np.array([[1.0]]), **NO_XI,
                       gamma=np.zeros((1, 1)), lambda_tilde=np.zeros(1))
         with pytest.raises(InvalidRegimeError, match="at column 1"):
             oracle_from_blocks(bad)

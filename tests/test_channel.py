@@ -59,7 +59,7 @@ def mpmath_cell_oracle(x0, x1, y0, y1, clip=1e-6, dps=20):
 class TestIsotropicProfile:
     def test_single_point_lattice_normalizes_to_one(self):
         lat = enumerate_lattice(0.5 * LAM, 0.5 * LAM, LAM)
-        prof = profile_separable_isotropic(lat, lat, LAM)
+        prof = profile_separable_isotropic(lat, lat)
         assert prof.matrix.shape == (1, 1)
         assert prof.matrix[0, 0] == pytest.approx(1.0, abs=1e-15)
 
@@ -117,7 +117,7 @@ class TestIsotropicProfile:
         lat = enumerate_lattice(LAM, LAM, LAM)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            prof = profile_separable_isotropic(lat, lat, LAM)
+            prof = profile_separable_isotropic(lat, lat)
         h = 2 * math.pi / LAM  # cell side = kappa
         w_origin, w_right = _cell_measures([0.0, h], [h, 2 * h], [0.0, 0.0],
                                            [h, h], KAPPA)
@@ -143,7 +143,7 @@ class TestIsotropicProfile:
         # disk edge, where the fixed 512-grid oracle carries ~1e-3..1e-2
         # error; compare at 2%.
         lat = enumerate_lattice(2.5 * LAM, 1.5 * LAM, LAM)
-        w = _side_weights(lat, LAM)
+        w = _side_weights(lat)
         hx = 2 * math.pi / (2.5 * LAM)
         hy = 2 * math.pi / (1.5 * LAM)
         oracle = np.array([riemann_cell_oracle(px * hx, (px + 1) * hx,
@@ -160,11 +160,11 @@ class TestIsotropicProfile:
         # Corner-anchored cells of the lattice points on the positive disk
         # edge meet the disk at a point only: zero measure, floored factor.
         lat = enumerate_lattice(10 * LAM, 10 * LAM, LAM)
-        w = _side_weights(lat, LAM)
+        w = _side_weights(lat)
         zero = sorted(lat.points[i] for i in np.flatnonzero(w == 0.0))
         assert zero == [(0, 10), (6, 8), (8, 6), (10, 0)]
         # The row sums of outer(d, d~) are d times sum(d~) = 1.
-        d = profile_separable_isotropic(lat, lat, LAM).matrix.sum(axis=1)
+        d = profile_separable_isotropic(lat, lat).matrix.sum(axis=1)
         floored = d <= PROFILE_FLOOR_REL * d.max() * (1 + 1e-12)
         assert np.array_equal(floored, w == 0.0)
         assert d[floored] == pytest.approx(PROFILE_FLOOR_REL * d.max(), rel=1e-12)
@@ -176,7 +176,7 @@ class TestIsotropicProfile:
         lat = enumerate_lattice(10 * LAM, 10 * LAM, LAM)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            prof = profile_separable_isotropic(lat, lat, LAM)
+            prof = profile_separable_isotropic(lat, lat)
         assert floor_count(prof.matrix) == 2 * 4 * 317 - 4 * 4
 
     def test_floor_warning_counts_entries(self, desk):
@@ -294,9 +294,9 @@ class TestBuilders:
         sig = 0.5 + rng.random((4, 4))
         matio.save_complex_matrix(tmp_path / "a.json", a)
         matio.save_real_matrix(tmp_path / "s.json", sig)
-        model = build_weichselberger(matio.load_complex_matrix(tmp_path / "a.json"),
-                                     VarianceProfile(matio.load_real_matrix(tmp_path / "s.json")),
-                                     0.3)
+        model = build_weichselberger(
+            matio.load_matrix(tmp_path / "a.json", "complex"),
+            VarianceProfile(matio.load_matrix(tmp_path / "s.json", "real")), 0.3)
         assert np.array_equal(model.los, a)
         assert np.array_equal(model.profile.matrix, sig)
 

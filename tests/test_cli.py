@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -440,6 +441,21 @@ class TestConfigErrors:
                      id="los-three-part-entry"),
         pytest.param("los", matrix_text(13, "real"),
                      'dtype must be "complex", got "real"', id="los-real-dtype"),
+        # Well-formed files whose values no channel has.
+        pytest.param("profile_path", matrix_text(13, "real", 0, math.nan),
+                     "variance profile entries must be finite",
+                     id="profile_path-nan-entry"),
+        pytest.param("profile_path", matrix_text(13, "real", 0, math.inf),
+                     "variance profile entries must be finite",
+                     id="profile_path-inf-entry"),
+        pytest.param("profile_path", matrix_text(13, "real", 0, -0.5),
+                     "variance profile entries must be nonnegative",
+                     id="profile_path-negative-entry"),
+        pytest.param("profile_path", matrix_text(13, "real").replace("0.5", "0"),
+                     "every row and column sum of the profile must be "
+                     "positive", id="profile_path-all-zero"),
+        pytest.param("los", matrix_text(13, "complex", 0, [math.nan, 0.0]),
+                     "LoS entries must be finite", id="los-nan-entry"),
     ])
     def test_bad_matrix_file_exits_2(self, tmp_path, field, content, fix):
         # Each message names the file and says what to fix.
@@ -849,7 +865,7 @@ class TestProfileCommand:
         result = run_cli(["profile", "--config", str(cfg),
                           "--out", str(out)])
         assert result.exit_code == 0, result.stdout
-        mat = matio.load_real_matrix(out / "profile.json")
+        mat = matio.load_matrix(out / "profile.json", "real")
         assert mat.shape == (1, 1)
         assert mat[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert "n_R=1" in result.stdout
@@ -865,7 +881,7 @@ class TestProfileCommand:
         assert 300 <= lat["rx"]["n"] <= 330
         assert lat["rx"]["n"] == 317
         assert "n_R=317" in result.stdout
-        mat = matio.load_real_matrix(out / "profile.json")
+        mat = matio.load_matrix(out / "profile.json", "real")
         floored = int((mat <= 1e-12 * mat.max()).sum())
         assert floored > 0
         assert f"floored={floored} of {mat.size}" in result.stdout
@@ -903,9 +919,9 @@ class TestProfileCommand:
         assert lat["rx"]["n"] == len(lat["rx"]["points"])
         assert lat["rx"]["estimate"] >= 1
         # round trip: written profile reloads bit-exactly
-        m1 = matio.load_real_matrix(out / "profile.json")
+        m1 = matio.load_matrix(out / "profile.json", "real")
         matio.save_real_matrix(out / "profile2.json", m1)
-        m2 = matio.load_real_matrix(out / "profile2.json")
+        m2 = matio.load_matrix(out / "profile2.json", "real")
         assert np.array_equal(m1, m2)
 
 

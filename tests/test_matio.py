@@ -34,10 +34,10 @@ def test_complex_matrix_round_trip_bit_exact(tmp_path):
     m.imag[1:3] = rng.choice(EDGE_VALUES, size=(2, 4))
     path = tmp_path / "mat.json"
     matio.save_complex_matrix(path, m)
-    assert_same_bits(matio.load_complex_matrix(path), m)
+    assert_same_bits(matio.load_matrix(path, "complex"), m)
     los = synth_los(37, 37, kind="lowrank", rank=4, seed=701)
     matio.save_complex_matrix(path, los)
-    assert_same_bits(matio.load_complex_matrix(path), los)
+    assert_same_bits(matio.load_matrix(path, "complex"), los)
 
 
 def test_real_matrix_round_trip_bit_exact(tmp_path):
@@ -46,14 +46,14 @@ def test_real_matrix_round_trip_bit_exact(tmp_path):
     m[3:, :] = rng.choice(EDGE_VALUES, size=(2, 3))
     path = tmp_path / "prof.json"
     matio.save_real_matrix(path, m)
-    assert_same_bits(matio.load_real_matrix(path), m)
+    assert_same_bits(matio.load_matrix(path, "real"), m)
 
 
 def test_overwrite_is_atomic_replace(tmp_path):
     path = tmp_path / "m.json"
     matio.save_real_matrix(path, np.eye(2))
     matio.save_real_matrix(path, 2 * np.eye(2))
-    assert np.array_equal(matio.load_real_matrix(path), 2 * np.eye(2))
+    assert np.array_equal(matio.load_matrix(path, "real"), 2 * np.eye(2))
     assert list(tmp_path.iterdir()) == [path]  # no stray temp files
 
 
@@ -112,7 +112,7 @@ def test_shape_validation(tmp_path):
         assert str(info.value) == message
     # The documents the cases alter are well formed.
     path.write_text(json.dumps(_matrix_doc(2, 3, "complex")))
-    assert_same_bits(matio.load_complex_matrix(path),
+    assert_same_bits(matio.load_matrix(path, "complex"),
                      np.full((2, 3), 0.5 - 0.5j))
 
 
@@ -214,7 +214,7 @@ def test_real_matrix_bytes_equal_json_dumps_special_values(tmp_path):
 def test_real_matrix_bytes_equal_json_dumps_small_shapes(tmp_path, shape):
     m = np.arange(np.prod(shape), dtype=float).reshape(shape) + 0.1
     _assert_json_bytes(tmp_path, m)
-    back = matio.load_real_matrix(tmp_path / "m.json")
+    back = matio.load_matrix(tmp_path / "m.json", "real")
     assert back.shape == shape and np.array_equal(back, m)
 
 
