@@ -27,16 +27,14 @@ differences dX, dF of iterates and of f, the step is
 
 that is G(x_k) corrected by the secant history.  An extrapolated iterate
 that is not entrywise positive lies outside the domain of G; the history is
-then cleared and the plain step G(x_k) taken.  Every iteration costs one
-evaluation of G plus a least squares problem of ANDERSON_DEPTH columns;
-``solve_deltas`` sets out the stop, which is relative for entries below 1,
-and the point returned.
+then cleared and the plain step G(x_k) taken.  ``solve_deltas`` sets out
+the stop and the point returned.
 
 The LoS enters only through its thin factorization A = P Q^H of numerical
 rank r (``ChannelModel.los_factors``), so T and T~ are diagonal matrices
 minus rank-r corrections.  Each of diag T and diag T~ is read from an
 r x r Woodbury capacitance system: an iteration costs O(NM + (N + M) r^2),
-the four Sigma products included, against two dense O(N^3 + M^3) inverses.  A
+the two Sigma products included, against two dense O(N^3 + M^3) inverses.  A
 centered channel is the case r = 0, where T = diag(psi) and T~ =
 diag(psi~).  The solve keeps T and T~ factored, and the closed form reads
 them only through the factors; ``Resolvents`` forms the full matrices, in
@@ -183,14 +181,13 @@ def solve_deltas(model: ChannelModel, tol: float = DEFAULT_TOL,
         |G(x) - x|_i <= max(tol min(1, x_i) + 4 eps max(x), e_G,i):
 
     absolute for entries >= 1, relative below 1, never below 4 ulps of the
-    largest delta, which G cannot resolve, nor below e_G, G's image of
-    4 eps (2 psi - t), the rounding bound of ``_woodbury``'s t = diag T.  G(x)
-    is off the fixed point by about (I - J)^{-1} times the residual, so the
-    solution is read one Anderson step past x, at y = G(x'): on rank-4 desk
-    LoS channels at 0-30 dB, V is up to 5e-14 off there and 1e-13 at G(x).  It
-    returns delta = y[:M] and, as delta~, the image Sigma diag T~ / M of the
-    T~ at y: the EMI's closed form is stationary in delta only where delta~ is
-    the image of delta, and y[M:] left the EMI up to 2e-14 off there.
+    largest delta, which G cannot resolve, nor below e_G = G(4 eps (2 psi - t)),
+    the rounding bound of ``_woodbury``'s t = psi - diag X^H X (2 psi - t is
+    t + 2 diag X^H X).  The solution is read one Anderson step past x, at
+    y = G(x'), as G(x) is off the fixed point by about (I - J)^{-1} times the
+    residual (on rank-4 desk LoS at 0-30 dB, V is 5e-14 off there, 1e-13 at
+    G(x)): delta = y[:M] and delta~ the image Sigma diag T~ / M of the T~ at y,
+    where the EMI's closed form is stationary in delta (y[M:] left 2e-14).
 
     Returns (DeltaSolution, Resolvents); raises ConvergenceError with the
     residual trace when max_iter iterates miss the stop.
@@ -206,16 +203,20 @@ def solve_deltas(model: ChannelModel, tol: float = DEFAULT_TOL,
     d_f = deque(maxlen=ANDERSON_DEPTH)
     x_prev = f_prev = None
     residuals = []
+    # 2 psi - t <= 2 psi < 2 / rho puts e_G below 8 eps times the delta bounds
+    reach = 4.0 * _STOP_ULPS * max(delta_upper_bounds(model))  # twice, for rounding
     for iteration in range(1, max_iter + 1):
         res = compute_resolvents(model, x[:m], x[m:])
         g = _jacobi_image(model, res.t_diag, res.t_tilde_diag)
         f = g - x
         residuals.append(float(np.abs(f).max()))
-        psi = 1.0 / (model.zeta * (1.0 + x))            # (psi~, psi)
-        e_g = _STOP_ULPS * _jacobi_image(model, 2.0 * psi[m:] - res.t_diag,
-                                         2.0 * psi[:m] - res.t_tilde_diag)
-        floor = tol * np.minimum(1.0, x) + _STOP_ULPS * x.max()
-        stop = np.all(np.abs(f) <= np.maximum(floor, e_g))
+        bound = tol * np.minimum(1.0, x) + _STOP_ULPS * x.max()
+        stop = np.all(np.abs(f) <= bound)
+        if not stop and residuals[-1] <= max(tol + _STOP_ULPS * x.max(), reach):
+            bound = np.maximum(bound, _STOP_ULPS * _jacobi_image(
+                model, res.t_diag + 2.0 * (np.abs(res.x) ** 2).sum(axis=0),
+                res.t_tilde_diag + 2.0 * (np.abs(res.x_tilde) ** 2).sum(axis=0)))
+            stop = np.all(np.abs(f) <= bound)
         if x_prev is not None:
             d_x.append(x - x_prev)
             d_f.append(f - f_prev)
@@ -240,9 +241,8 @@ def solve_deltas(model: ChannelModel, tol: float = DEFAULT_TOL,
 
     res = compute_resolvents(model, x[:m], x[m:])
     y = _jacobi_image(model, res.t_diag, res.t_tilde_diag)
-    delta = y[:m]
-    delta_tilde = (model.profile.matrix
-                   @ compute_resolvents(model, delta, y[m:]).t_tilde_diag) / m
+    res = compute_resolvents(model, y[:m], y[m:])
+    delta, delta_tilde = y[:m], _jacobi_image(model, res.t_diag, res.t_tilde_diag)[m:]
     return (DeltaSolution(delta, delta_tilde, float(model.zeta), iteration,
                           residuals[-1]),
             compute_resolvents(model, delta, delta_tilde))
