@@ -22,6 +22,7 @@ from .normal import norm_cdf
 from .solver import DeltaSolution, Resolvents, solve_deltas
 
 ORACLE_MAX_COLUMNS = 64
+V_REL_ACCURACY = 1e-6   # analyze_model's bound on V's relative error
 
 
 @dataclass(frozen=True)
@@ -288,10 +289,11 @@ def analyze_model(model: ChannelModel, **solver_opts):
     ``stats.solution``, and ``solver_opts`` (tol, max_iter) go to
     solve_deltas unchanged.
 
-    At a low enough SNR B is so small that -log det(I - B) rounds to 0 or
-    below, or zeta^2 overflows (zeta > 1.3e154) and V is nan; that is a
-    NumericalError, not a variance.  (A B of zeros, which no channel gives,
-    has variance exactly 0 in ``variance_clt``.)
+    slogdet rounds -log det(I - B) to about eps per pivot while V falls like
+    zeta^-2, so eps*sqrt(2M)/V bounds V's relative error.  Once that exceeds
+    V_REL_ACCURACY (below about -46 dB on desk, -47 dB on full), or zeta^2
+    overflows (zeta > 1.3e154) and V is nan, the SNR is too low for V to be
+    resolved: a NumericalError, not a variance.
     """
     solution, res = solve_deltas(model, **solver_opts)
     emi = emi_deterministic(model, solution, res)
@@ -300,11 +302,12 @@ def analyze_model(model: ChannelModel, **solver_opts):
         variance = variance_clt(b)
     except OverflowError:                   # zeta^2 in build_b's Xi
         variance = math.nan
-    if not variance > 0:
+    floor = np.finfo(float).eps * math.sqrt(2 * model.dims[1]) / V_REL_ACCURACY
+    if not variance >= floor:
         raise NumericalError(
             f"variance -log det(I - B) = {variance:.3g} at zeta = "
-            f"{model.zeta:.3e}: the SNR is too low for V to be resolved "
-            "in double precision")
+            f"{model.zeta:.3e} is below eps*sqrt(2M)/{V_REL_ACCURACY:g} = "
+            f"{floor:.3g}: the SNR is too low for V to be resolved")
     stats = AsymptoticStats(emi_nats=emi, variance=variance,
                             zeta=solution.rho, solution=solution)
     return stats, b

@@ -219,20 +219,10 @@ def profile(config_path, out_dir):
     print(f"wrote {prof_path} and lattice.json")
 
 
-def _config_file(path):
-    if not os.path.exists(path):
-        raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
-    if os.path.isdir(path):
-        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
-    return path
-
-
 def _out_dir(path):
-    """--out, checked before any work and not created.  A file is a usage
-    error; a nearest existing ancestor that is no directory this process may
+    """--out, checked before any work and not created: a nearest existing
+    ancestor, --out itself included, that is no directory this process may
     write and enter raises ConfigError, which argparse leaves to ``main``."""
-    if os.path.exists(path) and not os.path.isdir(path):
-        raise argparse.ArgumentTypeError(f"directory {path!r} is a file")
     ancestor = os.path.abspath(path)
     while not os.path.exists(ancestor):
         ancestor = os.path.dirname(ancestor)
@@ -246,8 +236,8 @@ def _out_dir(path):
 # Every flag takes a value.  The bounds on --seed and --samples are the
 # config schema's, checked with the overridden configuration.
 FLAGS = {
-    "--config": dict(dest="config_path", required=True, type=_config_file,
-                     metavar="PATH", help="JSON run configuration."),
+    "--config": dict(dest="config_path", required=True, metavar="PATH",
+                     help="JSON run configuration."),
     "--out": dict(dest="out_dir", default=".", type=_out_dir, metavar="DIR",
                   help="Output directory (default: .)."),
     "--snr-db": dict(metavar="LIST",

@@ -1,5 +1,6 @@
 """Run configuration: defaults, schema validation, and model assembly."""
 
+import contextlib
 import copy
 import functools
 import json
@@ -38,18 +39,26 @@ DEFAULT_CONFIG = {
 }
 
 
-def _read_matrix(path, dtype, what, shape, check):
-    """``check(matio.load_matrix(path, dtype))`` for a matrix of ``shape``;
-    any failure, ``check``'s included, is a ConfigError naming ``what``."""
+@contextlib.contextmanager
+def _reading(what, path):
+    """An OSError, ValueError, OverflowError or RecursionError (JSON nested
+    too deep) in the body is a ConfigError ``cannot read <what> <path>:
+    <the OS's reason, or else the message>``."""
     try:
+        yield
+    except (OSError, ValueError, OverflowError, RecursionError) as exc:
+        detail = getattr(exc, "strerror", None) or str(exc)
+        raise ConfigError(f"cannot read {what} {path}: {detail}") from exc
+
+
+def _read_matrix(path, dtype, what, shape, check):
+    """``check(matio.load_matrix(path, dtype))`` of ``shape``, or refused."""
+    with _reading(what, path):
         mat = matio.load_matrix(path, dtype)
         if mat.shape != shape:
             raise ValueError(f"its shape {mat.shape} is not the lattice "
                              f"cardinalities (n_R, n_S) = {shape}")
         return check(mat)
-    except (OSError, ValueError, OverflowError) as exc:
-        detail = getattr(exc, "strerror", None) or str(exc)
-        raise ConfigError(f"cannot read {what} {path}: {detail}") from exc
 
 
 @functools.cache
@@ -259,13 +268,8 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path):
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        with _reading("config", path), open(path) as fh:
+            doc = json.load(fh)
         return cls(doc)
 
     # -- accessors ---------------------------------------------------------

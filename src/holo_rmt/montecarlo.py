@@ -248,7 +248,7 @@ def run_mc_grid(model: ChannelModel, zetas, samples: int,
     zeta, so each set equals ``run_mc(model.at_zeta(zeta), ...)`` exactly.
     Worker processes: one per CPU this process may use, but no more than
     one per MIN_SAMPLES_PER_WORKER samples; the parent works the first
-    index range itself and forks a process for each other range.  A
+    index range itself and starts a process for each other range.  A
     sample's value does not depend on which range it falls in.
     """
     if samples < 1:
@@ -266,10 +266,12 @@ def run_mc_grid(model: ChannelModel, zetas, samples: int,
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # fork: a worker starts with numpy already imported (a spawned one
-        # re-imports the package).  The executor forks all its workers at
-        # the first submit, before it starts its management thread.
-        ctx = multiprocessing.get_context("fork")
+        # fork where the platform has it, else spawn: a forked worker starts
+        # with numpy imported.  The executor starts all its workers at the
+        # first submit, before it starts its management thread.
+        methods = multiprocessing.get_all_start_methods()
+        ctx = multiprocessing.get_context("fork" if "fork" in methods
+                                          else "spawn")
         with ProcessPoolExecutor(workers - 1, mp_context=ctx) as pool:
             futures = [pool.submit(_mi_range, *args, *r) for r in ranges[1:]]
             parts = [_mi_range(*args, *ranges[0])]

@@ -221,12 +221,6 @@ class TestAnalyzeCommand:
 
 
 class TestConfigErrors:
-    def test_malformed_json_exits_2(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{nope")
-        result = run_cli(["analyze", "--config", str(bad)])
-        assert result.exit_code == 2
-
     def test_unknown_key_exits_2(self, tmp_path):
         doc = copy.deepcopy(DEFAULT_CONFIG)
         doc["mystery"] = True
@@ -236,15 +230,30 @@ class TestConfigErrors:
         assert result.exit_code == 2
         assert "schema violation" in all_output(result)
 
-    def test_missing_file_exits_2(self, tmp_path):
-        # A --config that names a directory is refused the same way.
-        out = tmp_path / "out"
-        for config, reason in (("missing.json", "does not exist"),
-                               (str(tmp_path), "is a directory")):
-            result = run_cli(["analyze", "--config", config,
+    @pytest.mark.parametrize("name, content, reason", [
+        pytest.param("missing.json", None, "No such file or directory",
+                     id="missing"),
+        pytest.param("", None, "Is a directory", id="directory"),
+        pytest.param("bad.json", "{nope", "Expecting property name enclosed "
+                     "in double quotes: line 1 column 2 (char 1)",
+                     id="malformed-json"),
+        pytest.param("deep.json", "[" * 100_000 + "]" * 100_000,
+                     "maximum recursion depth exceeded while decoding a JSON "
+                     "array from a unicode string", id="nested-too-deep"),
+    ])
+    def test_bad_config_file_exits_2(self, tmp_path, name, content, reason):
+        # The config's reader refuses it, with the reason it met, before
+        # any work and before --out exists.
+        path = tmp_path / name
+        if content is not None:
+            path.write_text(content)
+        for command in COMMANDS:
+            out = tmp_path / command
+            result = run_cli([command, "--config", str(path),
                               "--out", str(out)])
-            assert result.exit_code == 2
-            assert f"file {config!r} {reason}" in result.stderr
+            assert result.exit_code == 2, all_output(result)
+            assert result.stderr == (f"config error: cannot read config "
+                                     f"{path}: {reason}\n")
             assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "mc", "validate"])
@@ -581,14 +590,20 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command", ["analyze", "mc"])
     def test_unresolved_low_snr_variance_exits_3(self, tmp_path, command):
-        # At -100 dB desk's -log det(I - B) rounds to -0: no variance, so
-        # no outage curve and no MC normalization, and mc draws nothing.
-        out = tmp_path / "o"
-        result = run_cli([command, "--config", DESK_CONFIG,
-                          "--out", str(out), "--snr-db=-100"])
-        assert result.exit_code == 3, all_output(result)
-        assert "SNR is too low for V to be resolved" in all_output(result)
-        assert not out.exists()
+        # desk's rounding bound eps*sqrt(2M)/V is 5.3e-8 at -40 dB and
+        # 5.1e-4 at -60 dB, on either side of V_REL_ACCURACY = 1e-6; at
+        # -100 dB -log det(I - B) rounds to -0.  Refused: no outage curve
+        # and no MC normalization, and mc draws nothing.
+        samples = ["--samples", "200"] if command == "mc" else []
+        for snr, code in (("-40", 0), ("-60", 3), ("-100", 3)):
+            out = tmp_path / snr
+            result = run_cli([command, "--config", DESK_CONFIG, "--out",
+                              str(out), f"--snr-db={snr}", *samples])
+            assert result.exit_code == code, all_output(result)
+            if code:
+                assert ("is below eps*sqrt(2M)/1e-06 = 1.91e-09: the SNR is "
+                        "too low for V to be resolved") in result.stderr
+                assert not out.exists()
 
     def test_lapack_failure_exits_3(self, tmp_path, monkeypatch):
         # LinAlgError is a ValueError, but LAPACK failing is a numerical
@@ -679,20 +694,20 @@ class TestParsing:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", list(COMMANDS))
-    def test_out_that_is_a_file_is_a_usage_error(self, tmp_path, command):
+    def test_out_that_is_a_file_exits_2(self, tmp_path, command):
+        # --out is its own nearest existing ancestor, and no directory.
         taken = tmp_path / "taken"
         taken.write_text("")
         result = run_cli([command, "--config", str(small_config(tmp_path)),
                           "--out", str(taken)])
         assert result.exit_code == 2, all_output(result)
-        assert f"argument --out: directory {str(taken)!r} is a file" in (
-            result.stderr)
+        assert result.stderr == (f"config error: cannot write {taken}{os.sep}: "
+                                 f"{taken}: Not a directory\n")
         assert taken.read_text() == ""
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_out_that_cannot_be_created_exits_2(self, tmp_path, command):
-        # --out below a regular file: creating it fails after the work,
-        # which is reported as a config error, not a traceback.
+        # --out below a regular file is a config error, not a traceback.
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "sub"
         samples = ["--samples", "100"] if command in ("mc", "validate") else []

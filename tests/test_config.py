@@ -331,12 +331,18 @@ def test_reported_violation_is_jsonschemas_best_match():
 
 
 def test_config_from_file_errors(tmp_path):
-    with pytest.raises(ConfigError):
-        RunConfig.from_file(tmp_path / "missing.json")
+    missing = tmp_path / "missing.json"
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.from_file(missing)
+    assert str(exc.value) == (f"cannot read config {missing}: "
+                              "No such file or directory")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(ConfigError, match="JSON"):
+    with pytest.raises(ConfigError) as exc:
         RunConfig.from_file(bad)
+    assert str(exc.value) == (f"cannot read config {bad}: Expecting property "
+                              "name enclosed in double quotes: line 1 column "
+                              "2 (char 1)")
 
 
 # -- _conforms against jsonschema on mutated real documents -----------------

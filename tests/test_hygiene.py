@@ -142,6 +142,14 @@ def test_json_files_are_read_in_two_places():
     assert sites == ["config.RunConfig.from_file", "matio.load_matrix"]
 
 
+def test_no_argparse_pre_check_refuses_a_path():
+    # A path is refused by the code that reads or writes it, with the
+    # reason that attempt met; an argparse type check would be a second
+    # refusal of the same input, in other words.
+    assert [p.name for p in sorted(PACKAGE.rglob("*.py"))
+            if "ArgumentTypeError" in p.read_text()] == []
+
+
 # The package's __init__ imports only to re-export.
 @pytest.mark.parametrize("path", [
     *(pytest.param(p, id=p.name) for p in sorted(PACKAGE.glob("*.py"))

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from holo_rmt import montecarlo
 from holo_rmt.asymptotics import analyze_model
-from holo_rmt.channel import (VarianceProfile, build_weichselberger,
-                              separable_profile)
+from holo_rmt.channel import (VarianceProfile, build_holographic,
+                              build_weichselberger, separable_profile,
+                              synth_los)
 from holo_rmt.errors import NumericalError
 from holo_rmt.montecarlo import (MiSampleSet, compute_mi, empirical_outage,
                                  ks_statistic, model_digest,
@@ -250,6 +252,25 @@ class TestRunMcGrid:
         drawn = pids()
         assert drawn.pop(os.getpid()) == list(range(550))
         assert list(drawn.values()) == [list(range(550, 1100))]
+        for a, b in zip(one, two):
+            assert np.array_equal(a.samples, b.samples)
+
+    def test_spawned_worker_draws_what_one_process_draws(self, monkeypatch,
+                                                         desk):
+        # A platform without fork (Windows) spawns the workers; a sample's
+        # bits depend only on its index, not on how its worker started.
+        model = build_holographic(desk["geom"], desk["nonsep"],
+                                  synth_los(37, 37), 10.0, 1.0)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        started, get_context = [], multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: (
+            started.append(method) or get_context(method)))
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 1)
+        one = run_mc_grid(model, [0.1, 1.0], 1100, seed=8)
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+        two = run_mc_grid(model, [0.1, 1.0], 1100, seed=8)
+        assert started == ["spawn"]
         for a, b in zip(one, two):
             assert np.array_equal(a.samples, b.samples)
 
