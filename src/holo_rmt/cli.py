@@ -46,8 +46,7 @@ def _load_config(path, seed=None, snr_db=None, samples=None, tol=None):
     cfg = RunConfig.from_file(path)
     overrides = {}
     if snr_db is not None:
-        overrides["snr_db"] = ([float(s) for s in snr_db.split(",")]
-                               if snr_db else [])
+        overrides["snr_db"] = snr_db
     if seed is not None:
         overrides.setdefault("mc", {})["seed"] = seed
     if samples is not None:
@@ -233,6 +232,11 @@ def _out_dir(path):
     return path
 
 
+def float_list(text):
+    """--snr-db's floats ("" is []); argparse names it in a ValueError."""
+    return [float(s) for s in text.split(",")] if text else []
+
+
 # Every flag takes a value.  The bounds on --seed and --samples are the
 # config schema's, checked with the overridden configuration.
 FLAGS = {
@@ -240,7 +244,7 @@ FLAGS = {
                      help="JSON run configuration."),
     "--out": dict(dest="out_dir", default=".", type=_out_dir, metavar="DIR",
                   help="Output directory (default: .)."),
-    "--snr-db": dict(metavar="LIST",
+    "--snr-db": dict(type=float_list, metavar="LIST",
                      help="Comma-separated SNR list overriding snr_db."),
     "--seed": dict(type=int, metavar="U64", help="Override mc.seed."),
     "--samples": dict(type=int, metavar="N", help="Override mc.samples."),

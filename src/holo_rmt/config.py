@@ -206,46 +206,40 @@ def validate_document(doc, schema_name):
     raise ConfigError(f"schema violation at {path}: {exc.message}") from exc
 
 
-def _beyond_float(x):
-    """True for an integer that float() cannot hold."""
-    try:
-        float(x)
-    except OverflowError:
-        return True
-    return False
+def _refuse_non_finite(doc, path=""):
+    """Raise ConfigError at the first number in ``doc`` that is no finite
+    double: NaN, +-Infinity (``json`` reads them) or an integer float()
+    cannot hold; the schema types each as a number, NaN within any bound."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            _refuse_non_finite(value, f"{path}.{key}" if path else key)
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            _refuse_non_finite(value, f"{path}[{i}]")
+    elif _is_number(doc):
+        try:
+            finite = math.isfinite(doc)
+        except OverflowError:
+            finite, doc = False, "an integer beyond the float range"
+        if not finite:
+            raise ConfigError(f"{path} must be finite, got {doc}")
 
 
 class RunConfig:
-    """Validated run configuration with reference defaults filled in."""
+    """Validated run configuration with reference defaults filled in: the
+    document, flag values included (``updated``), conforms to its schema and
+    holds finite numbers only, or ConfigError."""
 
     def __init__(self, doc):
         validate_document(doc, "config.schema.json")
+        _refuse_non_finite(doc)
         # Missing sections, and missing fields of the channel, mc and solver
         # sections, come from DEFAULT_CONFIG.
         defaults = copy.deepcopy(DEFAULT_CONFIG)
         self.doc = {**defaults, **copy.deepcopy(doc)}
         for section in ("channel", "mc", "solver"):
             self.doc[section] = {**defaults[section], **self.doc[section]}
-        rates = self.doc["rates"]
-        if rates != "auto" and not all(abs(r) < math.inf for r in rates):
-            # The schema lets NaN and Infinity through, and analyze.json
-            # would carry them as tokens that RFC 8259 JSON does not have.
-            raise ConfigError(f"rates must be finite, got {rates!r}")
         ch = self.doc["channel"]
-        # The schema takes an integer literal of any size as a number; one
-        # beyond the float range would end the run in an OverflowError.
-        geom = self.doc["geometry"]
-        floats = {**{f"geometry.{k}": v for k, v in geom.items()},
-                  "rates": rates, "channel.kernel_a": ch["kernel_a"],
-                  "channel.rician_k": ch["rician_k"],
-                  "solver.tol": self.doc["solver"]["tol"]}
-        for name, value in floats.items():
-            entries = ({f"{name}[{i}]": x for i, x in enumerate(value)}
-                       if isinstance(value, list) else {name: value})
-            for where, x in entries.items():
-                if isinstance(x, int) and _beyond_float(x):
-                    raise ConfigError(f"{where} must be finite, got an "
-                                      "integer beyond the float range")
         if ch["profile"] == "file" and "profile_path" not in ch:
             raise ConfigError("channel.profile 'file' requires channel.profile_path")
         los = ch["los"]
@@ -262,7 +256,8 @@ class RunConfig:
                                   "kind 'lowrank' only, not to 'single'")
         try:
             self.geometry = geometry.ArrayGeometry(**{
-                k: tuple(v) if isinstance(v, list) else v for k, v in geom.items()})
+                k: tuple(v) if isinstance(v, list) else v
+                for k, v in self.doc["geometry"].items()})
         except ValueError as exc:
             raise ConfigError(f"invalid geometry: {exc}") from exc
 

@@ -121,7 +121,7 @@ def check_emi_vs_mc(cfg, snrs_db=(0.0, 10.0, 20.0), rician_ks=(0.0, 10.0),
         name="emi-vs-mc",
         passed=all(d["pass"] for d in details),
         measured=f"worst |mean-emi|/emi = {worst_rel:.4%}",
-        threshold=f"<= {rel_tol:.0%} and within {se_mult:.0f} SE",
+        threshold=f"<= {100 * rel_tol:g}% and within {se_mult:.0f} SE",
         runtime_s=time.perf_counter() - t0,
         details=details)
 
@@ -156,7 +156,7 @@ def check_variance_vs_mc(cfg, snrs_db=(0.0, 10.0, 20.0), rician_ks=(0.0, 10.0),
         name="variance-vs-mc",
         passed=all(d["pass"] for d in details),
         measured=f"worst |s2-V|/V = {worst_rel:.4%}",
-        threshold=f"<= {rel_tol:.0%} and inside chi2 band",
+        threshold=f"<= {100 * rel_tol:g}% and inside chi2 band",
         runtime_s=time.perf_counter() - t0,
         details=details)
 
@@ -248,7 +248,7 @@ def check_outage(cfg, snrs_db=(30.0, 31.0), samples=100_000, seed=19,
         name="outage",
         passed=bool(worst <= sup_tol),
         measured=f"sup |Prop - empirical| = {worst:.4f}",
-        threshold=f"<= {sup_tol}",
+        threshold=f"<= {sup_tol:g}",
         runtime_s=time.perf_counter() - t0,
         details=details)
 

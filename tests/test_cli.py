@@ -260,12 +260,16 @@ class TestConfigErrors:
     def test_non_finite_snr_exits_2(self, tmp_path, command):
         # An empty --snr-db is an empty list, refused like one in the file.
         cfg = small_config(tmp_path)
-        for snr, message in (("nan", "zeta must be finite and positive"),
-                             ("-inf", "zeta must be finite and positive"),
-                             ("10,nan", "zeta must be finite and positive"),
+        for snr, message in (("nan", "config error: snr_db[0] must be "
+                                     "finite, got nan"),
+                             ("-inf", "config error: snr_db[0] must be "
+                                      "finite, got -inf"),
+                             ("10,nan", "config error: snr_db[1] must be "
+                                        "finite, got nan"),
                              ("-4000", "zeta must be finite and positive"),
                              ("3300", "1/zeta overflows; lower the SNR"),
-                             ("inf", "1/zeta overflows; lower the SNR"),
+                             ("inf", "config error: snr_db[0] must be "
+                                     "finite, got inf"),
                              ("", "schema violation at snr_db: [] should be "
                                   "non-empty")):
             out = tmp_path / f"{command}{snr}"
@@ -294,11 +298,13 @@ class TestConfigErrors:
     def test_nan_tol_exits_2(self, tmp_path):
         # A bad --tol is refused before --out exists, and by validate before
         # any criterion runs.  The schema refuses -1 and 0, as it does in
-        # the file; nan and inf pass its exclusiveMinimum and the solver
-        # refuses them.
+        # the file; nan and inf pass its exclusiveMinimum and are refused
+        # as any non-finite number in a configuration is.
         cfg = small_config(tmp_path)
-        for tol, message in (("nan", "tol must be positive and finite"),
-                             ("inf", "tol must be positive and finite"),
+        for tol, message in (("nan", "config error: solver.tol must be "
+                                     "finite, got nan"),
+                             ("inf", "config error: solver.tol must be "
+                                     "finite, got inf"),
                              ("-1", "schema violation at solver/tol"),
                              ("0", "schema violation at solver/tol")):
             for command in ("analyze", "validate"):
@@ -361,8 +367,9 @@ class TestConfigErrors:
         result = run_cli(["analyze", "--config", str(cfg),
                           "--out", str(out)])
         assert result.exit_code == 2, all_output(result)
-        assert "tol must be positive and finite" in all_output(result)
-        assert not (out / "analyze.json").exists()
+        assert result.stderr == ("config error: solver.tol must be finite, "
+                                 "got inf\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
         ("wavelength", float("inf")), ("tx_aperture", [float("inf"), 0.1])])
@@ -377,9 +384,10 @@ class TestConfigErrors:
         out = tmp_path / "out"
         result = run_cli([command, "--config", str(cfg),
                           "--out", str(out)])
+        where = f"geometry.{field}" + ("[0]" if isinstance(value, list) else "")
         assert result.exit_code == 2, all_output(result)
-        assert ("invalid geometry: all geometry lengths must be finite"
-                in all_output(result))
+        assert result.stderr == (f"config error: {where} must be finite, "
+                                 "got inf\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("section, field, value, where", [
@@ -413,8 +421,10 @@ class TestConfigErrors:
         out = tmp_path / "out"
         result = run_cli(["analyze", "--config", str(cfg),
                           "--out", str(out)])
+        i = next(i for i, r in enumerate(rates) if not math.isfinite(r))
         assert result.exit_code == 2, all_output(result)
-        assert "rates must be finite" in all_output(result)
+        assert result.stderr == (f"config error: rates[{i}] must be finite, "
+                                 f"got {rates[i]}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("field, content, fix", [
@@ -657,11 +667,11 @@ class TestParsing:
         assert "usage: holo-rmt" in result.stdout
 
     @pytest.mark.parametrize("command, flags, overrides", [
-        ("analyze", ["--snr-db", "-10,0"], {"snr_db": "-10,0"}),
-        ("analyze", ["--snr-db=-100"], {"snr_db": "-100"}),
+        ("analyze", ["--snr-db", "-10,0"], {"snr_db": [-10.0, 0.0]}),
+        ("analyze", ["--snr-db=-100"], {"snr_db": [-100.0]}),
         ("analyze", ["--tol", "-1"], {"tol": -1.0}),
         ("validate", ["--tol", "-1e-3"], {"tol": -1e-3}),
-        ("mc", ["--seed=5", "--snr-db", "-10"], {"seed": 5, "snr_db": "-10"}),
+        ("mc", ["--seed=5", "--snr-db", "-10"], {"seed": 5, "snr_db": [-10.0]}),
     ])
     def test_values_starting_with_a_dash(self, tmp_path, monkeypatch, command,
                                          flags, overrides):
@@ -684,7 +694,9 @@ class TestParsing:
         ([], "required: --config"),
         (["--seed", "5.0"], "argument --seed: invalid int value: '5.0'"),
         (["--samples"], "argument --samples: expected one argument"),
-        (["--snr", "10"], "unrecognized arguments: --snr")])
+        (["--snr", "10"], "unrecognized arguments: --snr"),
+        (["--snr-db", "10,,20"],
+         "argument --snr-db: invalid float_list value: '10,,20'")])
     def test_usage_errors_exit_2(self, tmp_path, flags, message):
         out = tmp_path / "out"
         config = [] if not flags else ["--config", str(small_config(tmp_path))]
@@ -952,13 +964,26 @@ class TestValidateCommand:
         assert "PASS" in result.stdout
 
     def test_tolerance_scale_flips_verdict(self, tmp_path):
-        result = run_cli(["validate", "--config",
-                          DESK_CONFIG,
-                          "--out", str(tmp_path / "v2"),
-                          "--rel-tol-scale", "1e-4"])
-        assert result.exit_code == 1
-        doc = json.loads((tmp_path / "v2" / "validate.json").read_text())
-        assert doc["all_passed"] is False
+        # C3's worst relative EMI error at 200 samples and 10 dB is 0.08 %:
+        # inside the 1 % bound, outside the 1e-4 % it scales to.  Each
+        # scaled bound is printed as the number it applies.
+        thresholds = {}
+        for scale in ("1", "1e-4"):
+            out = tmp_path / scale
+            result = run_cli(["validate", "--config", DESK_CONFIG,
+                              "--out", str(out), "--samples", "200",
+                              "--snr-db", "10", "--rel-tol-scale", scale])
+            assert result.exit_code == 1, all_output(result)
+            doc = json.loads((out / "validate.json").read_text())
+            criteria = {c["name"]: c for c in doc["criteria"]}
+            assert criteria["emi-vs-mc"]["passed"] is (scale == "1")
+            thresholds[scale] = [criteria[name]["threshold"] for name in
+                                 ("emi-vs-mc", "variance-vs-mc", "outage")]
+        assert thresholds == {
+            "1": ["<= 1% and within 4 SE", "<= 5% and inside chi2 band",
+                  "<= 0.02"],
+            "1e-4": ["<= 0.0001% and within 4 SE",
+                     "<= 0.0005% and inside chi2 band", "<= 2e-06"]}
 
     def test_corrupted_profile_preflight(self, tmp_path):
         doc = copy.deepcopy(DEFAULT_CONFIG)

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -22,6 +23,53 @@ def make_doc(**overrides):
     doc = copy.deepcopy(DEFAULT_CONFIG)
     doc.update(overrides)
     return doc
+
+
+def numeric_leaves(schema, root, steps=()):
+    """(steps, schema) of every number or integer in the config schema,
+    reached through properties, $ref, oneOf and items; an array's steps go
+    to its item 0."""
+    if "$ref" in schema:
+        yield from numeric_leaves(
+            root["$defs"][schema["$ref"].rpartition("/")[2]], root, steps)
+    for sub in schema.get("oneOf", []):
+        yield from numeric_leaves(sub, root, steps)
+    for key, sub in schema.get("properties", {}).items():
+        yield from numeric_leaves(sub, root, (*steps, key))
+    if "items" in schema:
+        yield from numeric_leaves(schema["items"], root, (*steps, 0))
+    types = schema.get("type", [])
+    if {"number", "integer"} & set([types] if isinstance(types, str) else types):
+        yield steps, schema
+
+
+def put(node, steps, value):
+    """``node`` with ``value`` at ``steps``; a missing object, or a list
+    where there is none (rates "auto"), is made on the way."""
+    if not steps:
+        return value
+    step, rest = steps[0], steps[1:]
+    if step == 0:
+        items = node if isinstance(node, list) else [None]
+        return [put(items[0], rest, value), *items[1:]]
+    node = node if isinstance(node, dict) else {}
+    return {**node, step: put(node.get(step), rest, value)}
+
+
+def dotted(steps):
+    return "".join(f"[{s}]" if s == 0 else f".{s}" for s in steps).lstrip(".")
+
+
+# NaN, Infinity and 10**400 at every numeric field of the config schema, each
+# where that field's schema takes it: NaN passes every bound, and an integer
+# field takes only 10**400, and only without a maximum.  A number field added
+# to the schema is covered here with no list to update.
+CONFIG_SCHEMA = config._load_schema("config.schema.json")
+NON_FINITE = [pytest.param(steps, value, id=f"{dotted(steps)}="
+                           f"{'10**400' if isinstance(value, int) else value}")
+              for steps, leaf in numeric_leaves(CONFIG_SCHEMA, CONFIG_SCHEMA)
+              for value in (math.nan, math.inf, 10**400)
+              if config._conforms(value, leaf)]
 
 
 class TestSchemaValidation:
@@ -80,8 +128,25 @@ class TestSchemaValidation:
         # The schema accepts NaN and Infinity as numbers; RunConfig does not.
         assert config._conforms(make_doc(rates=rates),
                                 config._load_schema("config.schema.json"))
-        with pytest.raises(ConfigError, match="rates must be finite"):
+        i = next(i for i, r in enumerate(rates) if not math.isfinite(r))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"rates[{i}] must be finite, got {rates[i]}")):
             RunConfig(make_doc(rates=rates))
+
+    def test_schema_walk_reaches_the_numeric_fields(self):
+        fields = {dotted(p.values[0]) for p in NON_FINITE}
+        assert fields >= {"geometry.wavelength", "geometry.tx_aperture[0]",
+                          "channel.kernel_a", "channel.rician_k",
+                          "channel.los.rank", "snr_db[0]", "rates[0]",
+                          "mc.samples", "solver.tol", "solver.max_iter"}
+
+    @pytest.mark.parametrize("steps, value", NON_FINITE)
+    def test_non_finite_number_rejected(self, steps, value):
+        doc = put(make_doc(), steps, value)
+        assert config._conforms(doc, CONFIG_SCHEMA)
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(dotted(steps))} must be finite"):
+            RunConfig(doc)
 
     def test_los_path_and_kind_conflict(self):
         doc = make_doc()
